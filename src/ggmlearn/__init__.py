@@ -58,7 +58,6 @@ from .estimator import (
     OracleGap,
     PairDecision,
     cmit,
-    cmit_mi,
     conditional_covariance,
     conditional_correlation,
     conditional_mutual_information,

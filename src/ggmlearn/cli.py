@@ -9,6 +9,7 @@ thread count, so a results directory is self-describing.
 from __future__ import annotations
 
 import json
+import sys
 from pathlib import Path
 
 import click
@@ -55,7 +56,7 @@ def common_options(fn):
                       help="Output directory; created if missing.")(fn)
     fn = click.option("--seed", type=int, default=None, help="Override the configured seed.")(fn)
     fn = click.option("--threads", type=int, default=1, show_default=True,
-                      help="Worker pool size.")(fn)
+                      help="Worker pool size of sweep; recorded in the manifest.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                       show_default=True, help="Tabular output format where applicable.")(fn)
     return fn
@@ -124,7 +125,7 @@ def sample_cmd(config_path, out_path, seed, threads, fmt):
 def learn(config_path, out_path, seed, threads, fmt):
     """Estimate a graph from samples (or from a model in exact mode)."""
     config = _read_config(config_path)
-    est_cfg = EstimatorConfig.from_dict({**config.get("estimator", {}), "threads": threads})
+    est_cfg = EstimatorConfig.from_dict(config.get("estimator", {}))
     if est_cfg.exact_mode:
         source = load_model(config["model"])
     else:
@@ -216,10 +217,13 @@ def sweep_cmd(config_path, out_path, seed, threads, fmt):
 
 
 def run():
+    """Console entry point: a package error ends the run with a one-line
+    message on standard error and exit status 1, not a traceback."""
     try:
         main(standalone_mode=True)
-    except GgmError as exc:  # pragma: no cover - exercised via CLI runner
-        raise click.ClickException(str(exc)) from exc
+    except GgmError as exc:
+        click.echo(f"Error: {exc}", err=True)
+        sys.exit(1)
 
 
 if __name__ == "__main__":

@@ -9,22 +9,40 @@ exceeds the threshold xi.  Statistics:
 * ``mutual_information``: -0.5 * ln(1 - rho(i, j | S)^2) in nats, compared
   against xi squared.
 
-Subsets are scanned in canonical order (sizes ascending, lexicographic
-within a size) and ties in the minimum go to the first subset in that
-order, so results are deterministic.  A conditioning block that is singular
-or has condition number above ``cond_limit`` is skipped; in sample mode
-subsets with |S| >= n are skipped outright since the empirical block cannot
-be trusted.  A pair whose subsets all fail is reported as failed and
-treated as a non-edge.
+The scan conditions on one vertex at a time, as in the partial-correlation
+recursion of the PC algorithm: Sigma(., . | S + k) = Sigma(., . | S) -
+c c^T / c_k with c = Sigma(., k | S).  ``cmit`` applies each step to the
+whole p x p matrix and reads the statistic of every pair off it.  Sets are
+visited in canonical order (sizes ascending, one depth-first walk per size,
+lexicographic within a size) and a running minimum keeps the first set in
+that order among ties, so results are deterministic.  The cost is the
+paper's O(p^(eta+2)) time: O(p^eta) sets at O(p^2) each; memory is
+O((eta+1) p^2), one conditional matrix per level of the walk.
+``min_conditional_statistic`` runs the same recursion for a single pair in
+O(p^max(eta, 1)) time and returns the same value, set and status as ``cmit``.
+
+A set S is skipped when its block Sigma[S, S] fails the conditioning
+guard: |S| = 1 needs a positive variance, |S| = 2 a positive smallest
+eigenvalue (closed form) and condition number at most ``cond_limit``,
+|S| >= 3 the same from the singular values.  For a positive semidefinite
+input every superset of a failing set fails too, and the walk skips them
+together.  In sample mode sets with |S| >= n are skipped outright since the
+empirical block cannot be trusted.  A pair whose sets all fail is reported
+as failed and treated as a non-edge.
+
+With ``early_exit`` a pair stops after the first size class at the end of
+which its running minimum is at or below the threshold, so the edge set is
+that of the full scan.  The pair is reported with status ``early_exit`` and
+that minimum, an upper bound of its full minimum; this is the smallest
+value of that size class, not the first set found below the threshold.
+The scan ends once every pair has stopped.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from itertools import combinations
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,9 +72,9 @@ class EstimatorConfig:
 
     ``xi=None`` selects the default threshold rule in sample mode; exact
     mode has no sample size to plug into the rule, so it requires an
-    explicit threshold.  ``early_exit`` stops scanning a pair as soon as
-    one statistic falls to the threshold or below, trading the exact
-    minimum for speed; reported values are then upper bounds for non-edges.
+    explicit threshold.  ``early_exit`` stops scanning a pair after the
+    first size class that brings its minimum to the threshold or below;
+    reported values are then upper bounds for non-edges, edges unchanged.
     """
 
     eta: int = 1
@@ -66,15 +84,12 @@ class EstimatorConfig:
     exact_mode: bool = False
     early_exit: bool = False
     cond_limit: float = DEFAULT_COND_LIMIT
-    threads: int = 1
 
     def __post_init__(self):
         if self.eta < 0:
             raise InvalidParameter("eta must be nonnegative")
         if self.statistic not in STATISTICS:
             raise InvalidParameter(f"statistic must be one of {STATISTICS}")
-        if self.threads < 1:
-            raise InvalidParameter("threads must be at least 1")
         if self.xi is not None and self.xi < 0:
             raise InvalidParameter("threshold must be nonnegative")
 
@@ -87,12 +102,12 @@ class EstimatorConfig:
             "exact_mode": self.exact_mode,
             "early_exit": self.early_exit,
             "cond_limit": self.cond_limit,
-            "threads": self.threads,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EstimatorConfig":
-        return cls(**data)
+        # results written while the scan had a pair-level thread pool still load
+        return cls(**{k: v for k, v in data.items() if k != "threads"})
 
 
 @dataclass(frozen=True)
@@ -215,170 +230,208 @@ def conditional_mutual_information(sigma, i: int, j: int, cond_set=(), cond_limi
     return -0.5 * math.log1p(-rho * rho)
 
 
-class _ScanContext:
-    """Quantities shared by every pair scan over one covariance matrix.
+class _Guard:
+    """The conditioning guard of every set S, judged on the block Sigma[S, S].
 
-    Flattened upper-triangle vectors index all size-2 conditioning sets in
-    lexicographic order; validity accounts for the conditioning guard via
-    the closed-form 2x2 eigenvalues.
+    |S| = 1 needs a positive variance; |S| = 2 uses the closed-form
+    eigenvalues of the 2 x 2 block; |S| >= 3 its singular values.  A larger
+    block passes when its smallest eigenvalue (singular value) is positive
+    and its condition number is at most ``cond_limit``.
     """
 
     def __init__(self, sigma: np.ndarray, cond_limit: float):
         self.sigma = sigma
-        self.p = sigma.shape[0]
+        self.cond_limit = cond_limit
         self.d = np.diag(sigma).copy()
-        self.valid1 = self.d > 0.0
-        self.iu_k, self.iu_l = np.triu_indices(self.p, 1)
-        dk, dl = self.d[self.iu_k], self.d[self.iu_l]
-        skl = sigma[self.iu_k, self.iu_l]
-        self.skl = skl
-        self.det2 = dk * dl - skl * skl
+        dk, dl = self.d[:, None], self.d[None, :]
         tr = dk + dl
-        disc = np.sqrt((dk - dl) ** 2 + 4.0 * skl * skl)
+        disc = np.sqrt((dk - dl) ** 2 + 4.0 * sigma * sigma)
         lam_min = (tr - disc) / 2.0
         lam_max = (tr + disc) / 2.0
-        self.valid2 = (lam_min > 0.0) & (lam_max <= cond_limit * lam_min)
-        self.dk, self.dl = dk, dl
+        self.pair_ok = (lam_min > 0.0) & (lam_max <= cond_limit * lam_min)
 
-    def correction2(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Sigma(i, S) Sigma(S, S)^{-1} Sigma(S, j) over all |S| = 2 via the
-        closed-form 2x2 inverse; a = Sigma[i, :], b = Sigma[j, :]."""
-        ak, al = a[self.iu_k], a[self.iu_l]
-        bk, bl = b[self.iu_k], b[self.iu_l]
-        num = ak * bk * self.dl + al * bl * self.dk - self.skl * (ak * bl + al * bk)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return num / self.det2
+    def passes(self, prefix: tuple[int, ...], *last: np.ndarray) -> np.ndarray:
+        """Verdict for every set prefix + (last[0][t], ..., last[-1][t])."""
+        if not prefix and len(last) == 1:
+            return self.d[last[0]] > 0.0
+        if not prefix and len(last) == 2:
+            return self.pair_ok[last[0], last[1]]
+        sets = np.column_stack([np.full(len(last[0]), v) for v in prefix] + list(last))
+        svals = np.linalg.svd(self.sigma[sets[:, :, None], sets[:, None, :]], compute_uv=False)
+        return (svals[:, -1] > 0.0) & (svals[:, 0] <= self.cond_limit * svals[:, -1])
 
-
-def _decode_subset(idx: int, p: int, iu_k, iu_l) -> tuple[int, ...]:
-    if idx == 0:
-        return ()
-    if idx <= p:
-        return (idx - 1,)
-    t = idx - 1 - p
-    return (int(iu_k[t]), int(iu_l[t]))
+    def passes_one(self, subset: tuple[int, ...]) -> bool:
+        if len(subset) == 1:
+            return bool(self.d[subset[0]] > 0.0)
+        if len(subset) == 2:
+            return bool(self.pair_ok[subset])
+        return bool(self.passes(subset[:-1], np.array(subset[-1:]))[0])
 
 
-def _scan_pair(
-    ctx: _ScanContext,
-    i: int,
-    j: int,
-    eta: int,
-    statistic: str,
-    n: int | None,
-    xi: float | None,
-    early_exit: bool,
-) -> PairDecision:
-    """Minimize the statistic for one pair over subsets of size <= eta.
+def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: list[int]):
+    """Yield (S, Sigma(., . | S)) for every set S of ``size`` vertices from
+    the ascending ``candidates`` that passes the guard, in lexicographic
+    order.
 
-    ``xi`` is only consulted when ``early_exit`` is set: scanning stops at
-    the first size class containing a statistic <= xi.
+    Depth first, one rank-1 Schur step per level:
+    Sigma(., . | S + k) = Sigma(., . | S) - c c^T / c_k with
+    c = Sigma(., k | S).  A set that fails the guard is skipped with all its
+    supersets: for a positive semidefinite input their blocks are at least
+    as ill conditioned (Cauchy interlacing).
     """
-    sig, d, p = ctx.sigma, ctx.d, ctx.p
-    max_size = eta if n is None else min(eta, n - 1)
 
-    def finish(values_parts):
-        flat = np.concatenate(values_parts) if values_parts else np.array([math.inf])
-        best = int(np.argmin(flat))
-        if math.isinf(flat[best]):
-            return PairDecision(value=math.inf, subset=None, status="failed")
-        return PairDecision(
-            value=float(flat[best]),
-            subset=_decode_subset(best, p, ctx.iu_k, ctx.iu_l),
-            status="ok",
-        )
+    def visit(cond, members, start):
+        if len(members) == size:
+            yield members, cond
+            return
+        for pos in range(start, len(candidates) - (size - len(members)) + 1):
+            k = candidates[pos]
+            subset = members + (k,)
+            if guard.passes_one(subset):
+                c = cond[:, k]
+                yield from visit(cond - np.outer(c, c) / c[k], subset, pos + 1)
 
-    a = sig[i]
-    b = sig[j]
+    yield from visit(sigma, (), 0)
+
+
+def _statistic(cov, var_i, var_j, statistic: str):
+    """The statistic from the conditional 2 x 2 block of a pair; infinite
+    where mutual information is undefined (variance product not positive,
+    or squared correlation not below one).  Callers silence the floating
+    point warnings of the undefined entries."""
     if statistic == "covariance":
-        v0 = np.array([abs(sig[i, j])])
-    else:
-        den = d[i] * d[j]
-        if den <= 0.0:
-            v0 = np.array([math.inf])
-        else:
-            rho2 = sig[i, j] ** 2 / den
-            v0 = np.array([math.inf if rho2 >= 1.0 else -0.5 * math.log1p(-rho2)])
-    parts = [v0]
-    if early_exit and v0[0] <= xi:
-        return PairDecision(value=float(v0[0]), subset=(), status="early_exit")
+        return np.abs(cov)
+    den = var_i * var_j
+    rho2 = cov * cov / den
+    value = -0.5 * np.log1p(-rho2)
+    return np.where((den > 0.0) & (rho2 < 1.0), value, np.inf)
 
-    if max_size >= 1:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cov1 = sig[i, j] - a * b / d
-            if statistic == "covariance":
-                vals1 = np.abs(cov1)
-            else:
-                var_i1 = d[i] - a * a / d
-                var_j1 = d[j] - b * b / d
-                den1 = var_i1 * var_j1
-                rho21 = np.where(den1 > 0.0, cov1 * cov1 / np.where(den1 > 0.0, den1, 1.0), np.inf)
-                vals1 = np.where(rho21 < 1.0, -0.5 * np.log1p(-np.minimum(rho21, 1.0 - 1e-300)), np.inf)
-                vals1 = np.where(den1 > 0.0, vals1, np.inf)
-        vals1 = np.where(ctx.valid1, vals1, np.inf)
-        vals1[i] = np.inf
-        vals1[j] = np.inf
-        vals1 = np.nan_to_num(vals1, nan=np.inf)
-        parts.append(vals1)
-        if early_exit and np.min(vals1) <= xi:
-            flat = np.concatenate(parts)
-            best = int(np.argmin(flat))
-            return PairDecision(
-                value=float(flat[best]),
-                subset=_decode_subset(best, p, ctx.iu_k, ctx.iu_l),
-                status="early_exit",
-            )
 
+def _max_size(eta: int, n: int | None) -> int:
+    """Largest conditioning set scanned; in sample mode |S| < n."""
+    return eta if n is None else min(eta, n - 1)
+
+
+def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
+              threshold: float | None):
+    """Minimize the statistic of every pair at once.
+
+    Each size class is one walk.  At every set the statistic of all pairs is
+    read off the conditional matrix, with the rows and columns of the set's
+    members masked, and a strict ``<`` keeps the first set in canonical
+    order among ties.
+
+    With a ``threshold`` (early exit) a pair is frozen after the first size
+    class that brings its minimum to the threshold or below.  From size 2
+    on, once at most a quarter of the pairs are still open, they are
+    finished one at a time by ``_scan_pair``, whose cost no longer grows
+    with the number of frozen pairs.
+
+    Returns p x p arrays, read above the diagonal (the minimum, the index of
+    the argmin set in the returned list or -1, and the early-exit flag),
+    and the list of sets.
+    """
+    p = sigma.shape[0]
+    best = np.full((p, p), np.inf)
+    arg = np.full((p, p), -1, dtype=np.intp)
+    lower = np.tri(p, dtype=bool)
+    # the diagonal and lower triangle start frozen, so ~frozen lists the open pairs
+    frozen = lower.copy()
+    winners: list[tuple[int, ...]] = []
+    vertices = list(range(p))
+    size = 0
+    while size <= max_size:
+        if threshold is not None:
+            still_open = np.count_nonzero(~frozen)
+            if still_open == 0 or (size >= 2 and 8 * still_open <= p * (p - 1)):
+                break
+        for subset, cond in _walk(sigma, size, guard, vertices):
+            d = np.diag(cond)
+            stat = _statistic(cond, d[:, None], d[None, :], statistic)
+            better = stat < best
+            if subset:
+                members = list(subset)
+                better[members, :] = False
+                better[:, members] = False
+            if threshold is not None:
+                better &= ~frozen
+            if better.any():
+                np.copyto(best, stat, where=better)
+                arg[better] = len(winners)
+                winners.append(subset)
+        if threshold is not None:
+            frozen |= best <= threshold
+        size += 1
+    if size <= max_size:
+        for i, j in np.argwhere(~frozen).tolist():
+            resume = (size, float(best[i, j]), winners[arg[i, j]] if arg[i, j] >= 0 else None)
+            dec = _scan_pair(sigma, i, j, max_size, statistic, guard, threshold, resume)
+            best[i, j] = dec.value
+            frozen[i, j] = dec.status == "early_exit"
+            if dec.subset is not None:
+                arg[i, j] = len(winners)
+                winners.append(dec.subset)
+    return best, arg, frozen & ~lower, winners
+
+
+def _scan_pair(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
+               guard: _Guard, threshold: float | None = None, resume=None) -> PairDecision:
+    """Minimize the statistic of one pair with the same recursion as
+    ``_scan_all`` and the same arithmetic, so values agree bit for bit.
+
+    Only the pair's 2 x 2 block is needed, so the last conditioning vertex
+    (size 1) or the last two (size >= 2) of every set are applied to whole
+    vectors at once; the walk supplies the rest of the set.  Time per pair
+    is O(p^max(eta, 1)) instead of O(p^(eta+2)).
+
+    ``resume`` = (size, minimum, argmin set) continues a pair whose smaller
+    sizes are done; a ``threshold`` stops after the first size class that
+    brings the minimum to it or below (early exit).
+    """
+    others = np.delete(np.arange(sigma.shape[0]), [i, j])
+    if resume is None:
+        resume = (1, float(_statistic(sigma[i, j], sigma[i, i], sigma[j, j], statistic)), ())
+    first, best, best_subset = resume
     if max_size >= 2:
-        cov2 = sig[i, j] - ctx.correction2(a, b)
-        if statistic == "covariance":
-            vals2 = np.abs(cov2)
-        else:
-            var_i2 = d[i] - ctx.correction2(a, a)
-            var_j2 = d[j] - ctx.correction2(b, b)
-            den2 = var_i2 * var_j2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                rho22 = np.where(den2 > 0.0, cov2 * cov2 / np.where(den2 > 0.0, den2, 1.0), np.inf)
-                vals2 = np.where(rho22 < 1.0, -0.5 * np.log1p(-np.minimum(rho22, 1.0 - 1e-300)), np.inf)
-            vals2 = np.where(den2 > 0.0, vals2, np.inf)
-        touch = (ctx.iu_k == i) | (ctx.iu_k == j) | (ctx.iu_l == i) | (ctx.iu_l == j)
-        vals2 = np.where(ctx.valid2 & ~touch, vals2, np.inf)
-        vals2 = np.nan_to_num(vals2, nan=np.inf)
-        parts.append(vals2)
-        if early_exit and np.min(vals2) <= xi:
-            flat = np.concatenate(parts)
-            best = int(np.argmin(flat))
-            return PairDecision(
-                value=float(flat[best]),
-                subset=_decode_subset(best, p, ctx.iu_k, ctx.iu_l),
-                status="early_exit",
-            )
-
-    if max_size >= 3:
-        # generic path for deep conditioning; quadratic scan no longer applies
-        decision = finish(parts)
-        best_val = decision.value
-        best_subset = decision.subset
-        others = [v for v in range(p) if v != i and v != j]
-        for size in range(3, max_size + 1):
-            for cond in combinations(others, size):
-                try:
-                    if statistic == "covariance":
-                        val = abs(conditional_covariance(sig, i, j, cond))
-                    else:
-                        val = conditional_mutual_information(sig, i, j, cond)
-                except NumericFailure:
-                    continue
-                if val < best_val:
-                    best_val = val
-                    best_subset = cond
-                if early_exit and val <= xi:
-                    return PairDecision(value=val, subset=cond, status="early_exit")
-        if best_subset is None:
-            return PairDecision(value=math.inf, subset=None, status="failed")
-        return PairDecision(value=best_val, subset=best_subset, status="ok")
-
-    return finish(parts)
+        # (m, l) position pairs in row-major order; the pairs of a suffix
+        # others[start:] are the tail with m >= start
+        m_pos, l_pos = np.triu_indices(len(others), 1)
+    for size in range(first, max_size + 1):
+        batch = min(size, 2)
+        for prefix, cond in _walk(sigma, size - batch, guard, others.tolist()):
+            ci, cj, dg = cond[i], cond[j], np.diagonal(cond)
+            if batch == 1:
+                last = (others,)
+                c_ij, c_ii, c_jj = cond[i, j], cond[i, i], cond[j, j]
+                a, b, piv = ci[others], cj[others], dg[others]
+            else:
+                # sets prefix + (m, l), m < l: condition on m, then on l
+                start = int(np.searchsorted(others, prefix[-1], side="right")) if prefix else 0
+                cut = int(np.searchsorted(m_pos, start))
+                m, l = others[m_pos[cut:]], others[l_pos[cut:]]
+                last = (m, l)
+                am, bm, pm, c_lm = ci[m], cj[m], dg[m], cond[l, m]
+                c_ij = cond[i, j] - am * bm / pm
+                if statistic != "covariance":
+                    c_ii = cond[i, i] - am * am / pm
+                    c_jj = cond[j, j] - bm * bm / pm
+                a = ci[l] - am * c_lm / pm
+                b = cj[l] - bm * c_lm / pm
+                piv = dg[l] - c_lm * c_lm / pm
+            if statistic == "covariance":
+                values = np.abs(c_ij - a * b / piv)
+            else:
+                values = _statistic(c_ij - a * b / piv, c_ii - a * a / piv, c_jj - b * b / piv, statistic)
+            values = np.where(guard.passes(prefix, *last) & ~np.isnan(values), values, np.inf)
+            pos = int(np.argmin(values)) if len(values) else 0
+            if len(values) and values[pos] < best:
+                best = float(values[pos])
+                best_subset = prefix + tuple(int(col[pos]) for col in last)
+        if threshold is not None and best <= threshold:
+            return PairDecision(value=best, subset=best_subset, status="early_exit")
+    if math.isinf(best):
+        return PairDecision(value=math.inf, subset=None, status="failed")
+    return PairDecision(value=best, subset=best_subset, status="ok")
 
 
 def min_conditional_statistic(
@@ -393,7 +446,8 @@ def min_conditional_statistic(
     """Exact minimum of the conditional statistic for one pair.
 
     Returns the minimizing value, the argmin subset (lexicographically
-    smallest among ties, smaller sizes first), and a status flag.
+    smallest among ties, smaller sizes first), and a status flag; equal to
+    the pair's entry in ``cmit`` on the same covariance and settings.
     """
     sigma = np.asarray(sigma, dtype=float)
     _check_pair(sigma, i, j, ())
@@ -403,8 +457,8 @@ def min_conditional_statistic(
         raise InvalidParameter(f"statistic must be one of {STATISTICS}")
     if eta < 0:
         raise InvalidParameter("eta must be nonnegative")
-    ctx = _ScanContext(sigma, cond_limit)
-    return _scan_pair(ctx, i, j, eta, statistic, n, None, False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return _scan_pair(sigma, i, j, _max_size(eta, n), statistic, _Guard(sigma, cond_limit))
 
 
 def _resolve_source(source, config: EstimatorConfig):
@@ -447,43 +501,32 @@ def cmit(source, config: EstimatorConfig) -> EstimationResult:
         raise InvalidParameter("need at least two variables")
     xi = _resolve_threshold(config, n, p)
     threshold = xi * xi if config.statistic == "mutual_information" else xi
-    ctx = _ScanContext(sigma, config.cond_limit)
-    all_pairs = [(i, j) for i in range(p) for j in range(i + 1, p)]
-
-    def work(pair):
-        i, j = pair
-        return pair, _scan_pair(
-            ctx, i, j, config.eta, config.statistic, n,
-            threshold if config.early_exit else None, config.early_exit,
+    with np.errstate(divide="ignore", invalid="ignore"):
+        best, arg, early, winners = _scan_all(
+            sigma, _max_size(config.eta, n), config.statistic,
+            _Guard(sigma, config.cond_limit), threshold if config.early_exit else None,
         )
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            decisions = dict(pool.map(work, all_pairs))
-    else:
-        decisions = dict(map(work, all_pairs))
-
-    edges = tuple(
-        pair
-        for pair in all_pairs
-        if decisions[pair].status != "failed" and decisions[pair].value > threshold
-    )
+    iu, ju = np.triu_indices(p, 1)
+    values = best[iu, ju]
+    status = np.where(early[iu, ju], "early_exit", np.where(np.isinf(values), "failed", "ok"))
+    sets = winners + [None]  # a pair no set improved (failed) has index -1
+    keys = list(zip(iu.tolist(), ju.tolist()))
+    pairs = dict(zip(keys, map(
+        PairDecision, values.tolist(), [sets[a] for a in arg[iu, ju].tolist()], status.tolist(),
+    )))
+    is_edge = np.isfinite(values) & (values > threshold)
+    edges = tuple(pair for pair, edge in zip(keys, is_edge.tolist()) if edge)
     return EstimationResult(
         p=p,
         edges=edges,
         threshold=threshold,
         statistic=config.statistic,
         eta=config.eta,
-        pairs=decisions,
+        pairs=pairs,
         n=n,
         elapsed_s=time.perf_counter() - start,
         config=config,
     )
-
-
-def cmit_mi(source, config: EstimatorConfig) -> EstimationResult:
-    """Mutual-information variant; same scan with the squared threshold."""
-    return cmit(source, replace(config, statistic="mutual_information"))
 
 
 @dataclass(frozen=True)
@@ -523,8 +566,10 @@ def oracle_gap(model: GaussianModel, eta: int, gamma: int) -> OracleGap:
     g = model.graph
     c_min = math.inf
     c_min_pair = None
+    guard = _Guard(sigma, DEFAULT_COND_LIMIT)
     for u, v in g.edges:
-        dec = min_conditional_statistic(sigma, u, v, eta)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dec = _scan_pair(sigma, u, v, eta, "covariance", guard)
         if dec.value < c_min:
             c_min = dec.value
             c_min_pair = (u, v)

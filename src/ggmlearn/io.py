@@ -79,7 +79,10 @@ def parse_matrix_csv(text: str) -> np.ndarray:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidParameter("empty matrix file")
-    nrows = int(lines[0])
+    try:
+        nrows = int(lines[0])
+    except ValueError as exc:
+        raise InvalidParameter(f"bad matrix header {lines[0]!r}; expected the row count") from exc
     if len(lines) - 1 != nrows:
         raise InvalidParameter(f"matrix file declares {nrows} rows but has {len(lines) - 1}")
     try:

@@ -118,3 +118,47 @@ def random_er_model(p: int, seed: int, target_alpha: float, c: float = 2.5,
         if g.n_edges:
             return synthesize_model(g, target_alpha, sign_pattern=sign, seed=seed)
     raise AssertionError("could not draw a non-empty graph")
+
+
+
+def _guard_passes(sigma: np.ndarray, cond: list[int], cond_limit: float) -> bool:
+    if len(cond) <= 1:
+        return not cond or sigma[cond[0], cond[0]] > 0.0
+    block = sigma[np.ix_(cond, cond)]
+    if len(cond) == 2:
+        lo, hi = np.linalg.eigvalsh(block)
+    else:
+        svals = np.linalg.svd(block, compute_uv=False)
+        lo, hi = svals[-1], svals[0]
+    return lo > 0.0 and hi <= cond_limit * lo
+
+
+def naive_conditional_statistics(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
+                                 cond_limit: float = 1e12) -> list[tuple[float, tuple[int, ...]]]:
+    """(value, set) for every conditioning set of at most max_size vertices
+    other than i and j, in (size, lexicographic) order, each from a direct
+    solve.  A set whose block fails the conditioning guard, or where mutual
+    information is undefined, has value infinity."""
+    others = [v for v in range(len(sigma)) if v != i and v != j]
+    pair = [i, j]
+    out = []
+    for size in range(max_size + 1):
+        for cond in combinations(others, size):
+            cond = list(cond)
+            if not _guard_passes(sigma, cond, cond_limit):
+                out.append((np.inf, tuple(cond)))
+                continue
+            schur = sigma[np.ix_(pair, pair)]
+            if cond:
+                schur = schur - sigma[np.ix_(pair, cond)] @ np.linalg.solve(
+                    sigma[np.ix_(cond, cond)], sigma[np.ix_(cond, pair)])
+            cov, var_i, var_j = schur[0, 1], schur[0, 0], schur[1, 1]
+            den = var_i * var_j
+            if statistic == "covariance":
+                value = abs(cov)
+            elif den <= 0.0 or cov * cov / den >= 1.0:
+                value = np.inf
+            else:
+                value = -0.5 * np.log1p(-cov * cov / den)
+            out.append((float(value), tuple(cond)))
+    return out

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -203,3 +206,20 @@ def test_missing_config_file_fails(runner, tmp_path):
     result = runner.invoke(main, ["generate", "--config", str(tmp_path / "nope.json"),
                                   "--out", str(tmp_path / "x")])
     assert result.exit_code != 0
+
+
+def test_package_error_prints_message_without_traceback(tmp_path):
+    samples = tmp_path / "samples"
+    samples.mkdir()
+    (samples / "samples.csv").write_text("2\n0.5,1.5\n0.5,oops\n")
+    (samples / "samples.json").write_text(json.dumps({"n": 2, "p": 2, "seed": 0}))
+    cfg = write_config(tmp_path / "learn.json", {"samples": str(samples), "estimator": {"eta": 1}})
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ggmlearn.cli", "learn", "--config", cfg, "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("Error: malformed matrix file")

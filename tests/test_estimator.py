@@ -1,8 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggmlearn import (
     ConditioningFailure,
@@ -10,9 +12,9 @@ from ggmlearn import (
     EstimatorConfig,
     InvalidParameter,
     NumericFailure,
+    PairDecision,
     chain_graph,
     cmit,
-    cmit_mi,
     conditional_covariance,
     conditional_correlation,
     conditional_mutual_information,
@@ -26,7 +28,11 @@ from ggmlearn import (
 )
 from ggmlearn.graph import Graph
 
-from helpers import marginal_precision_conditional_cov, random_sparse_model
+from helpers import (
+    marginal_precision_conditional_cov,
+    naive_conditional_statistics,
+    random_sparse_model,
+)
 
 
 def chain_model(p=8, alpha=0.5):
@@ -146,6 +152,40 @@ def test_min_statistic_deep_subsets_match_shallow_scan():
     assert deep.value < 1e-10
 
 
+def _ill_conditioned_triple():
+    """Covariance of (x0, ..., x4) where x0 and x1 are independent given
+    {2, 3, 4}, which determines g4, and given no smaller set; the block of
+    {2, 3, 4} has condition number about 1e6, each pair in it below 10."""
+    delta = 3e-3
+    # x = B u for independent standard normal u = (e0, e1, g2, g3, g4)
+    loadings = np.array([
+        [1.0, 0.0, 1.0, 0.0, 1.0],     # x0 = g2 + g4 + e0
+        [0.0, 1.0, 0.0, 1.0, 1.0],     # x1 = g3 + g4 + e1
+        [0.0, 0.0, 1.0, 0.0, 0.0],     # x2 = g2
+        [0.0, 0.0, 0.0, 1.0, 0.0],     # x3 = g3
+        [0.0, 0.0, 1.0, 1.0, delta],   # x4 = g2 + g3 + delta g4
+    ])
+    return loadings @ loadings.T
+
+
+def test_cond_limit_honoured_for_three_vertex_sets():
+    sigma = _ill_conditioned_triple()
+    block = sigma[2:, 2:]
+    assert 1e3 < np.linalg.cond(block) < 1e12
+    for pair in ((2, 3), (2, 4), (3, 4)):
+        assert np.linalg.cond(sigma[np.ix_(pair, pair)]) < 10.0
+    # the default limit admits the block, and it separates the pair
+    loose = min_conditional_statistic(sigma, 0, 1, eta=3)
+    assert loose.subset == (2, 3, 4) and loose.value < 1e-9
+    strict_cfg = EstimatorConfig(eta=3, xi=1e-3, exact_mode=True, cond_limit=1e3)
+    result = cmit(sigma, strict_cfg)
+    dec = result.pairs[(0, 1)]
+    assert dec.subset != (2, 3, 4)
+    assert dec.value > 1e-3
+    assert (0, 1) in result.edges
+    assert min_conditional_statistic(sigma, 0, 1, eta=3, cond_limit=1e3) == dec
+
+
 def test_cmit_exact_chain_recovery():
     m = chain_model(10)
     gap = oracle_gap(m, eta=1, gamma=2)
@@ -222,15 +262,16 @@ def test_cmit_early_exit_same_edges():
             assert d.value <= fast.threshold
 
 
-def test_cmit_threads_match_serial():
+def test_cmit_pairs_match_single_pair_scan():
+    # the all-pairs walk and the per-pair scan share their arithmetic, so
+    # every pair agrees exactly, on both statistics and through eta = 3
     m = random_sparse_model(9, 4, target_alpha=0.5)
     data = sample(m, 800, seed=5)
-    serial = cmit(data, EstimatorConfig(eta=2))
-    threaded = cmit(data, EstimatorConfig(eta=2, threads=4))
-    assert serial.edges == threaded.edges
-    for pair, dec in serial.pairs.items():
-        assert threaded.pairs[pair].value == dec.value
-        assert threaded.pairs[pair].subset == dec.subset
+    sigma = data.empirical_covariance()
+    for eta, statistic in ((2, "covariance"), (3, "mutual_information")):
+        result = cmit(data, EstimatorConfig(eta=eta, statistic=statistic))
+        for (u, v), dec in result.pairs.items():
+            assert min_conditional_statistic(sigma, u, v, eta, statistic, n=800) == dec
 
 
 def test_cmit_mi_exact_recovery():
@@ -244,7 +285,7 @@ def test_cmit_mi_exact_recovery():
         for u in range(8) for v in range(u + 1, 8) if not m.graph.has_edge(u, v))
     assert mi_non < mi_edge
     xi = math.sqrt(math.sqrt(mi_edge * mi_non))  # threshold enters squared
-    result = cmit_mi(m, EstimatorConfig(eta=1, xi=xi, exact_mode=True))
+    result = cmit(m, EstimatorConfig(eta=1, xi=xi, statistic="mutual_information", exact_mode=True))
     assert edit_distance(result.graph, m.graph) == 0
     assert result.statistic == "mutual_information"
     assert result.threshold == pytest.approx(xi * xi, rel=1e-15)
@@ -260,6 +301,75 @@ def test_cmit_sample_size_caps_subset_size():
         assert wide.pairs[pair].value == dec.value
         assert wide.pairs[pair].subset == dec.subset
         assert dec.subset is None or len(dec.subset) <= 2
+
+
+@st.composite
+def scan_cases(draw):
+    """(cmit source, config, covariance it scans, largest set size, whether
+    exact ties make the canonical argmin observable)."""
+    p = draw(st.integers(2, 9))
+    eta = draw(st.integers(0, 3))
+    statistic = draw(st.sampled_from(["covariance", "mutual_information"]))
+    kind = draw(st.sampled_from(["sample", "exact", "identity", "blocks"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sample":
+        # n below eta + 1 caps the set size at n - 1
+        n = draw(st.integers(2, p + 3))
+        data = rng.standard_normal((n, p))
+        sigma = data.T @ data / n
+        sigma = (sigma + sigma.T) / 2.0
+        return data, EstimatorConfig(eta=eta, statistic=statistic, xi=0.3), sigma, min(eta, n - 1), False
+    if kind == "exact":
+        x = rng.standard_normal((p + 2, p))
+        sigma = x.T @ x / (p + 2)
+    elif kind == "identity":
+        sigma = np.eye(p)
+    else:
+        # exchangeable blocks: unit variances, covariance 0.5 inside a block
+        cuts = sorted(draw(st.lists(st.integers(1, p - 1), max_size=3, unique=True)))
+        sigma = 0.5 * np.eye(p)
+        for lo, hi in zip([0, *cuts], [*cuts, p]):
+            sigma[lo:hi, lo:hi] += 0.5
+    cfg = EstimatorConfig(eta=eta, statistic=statistic, xi=0.3, exact_mode=True)
+    return sigma, cfg, sigma, eta, kind != "exact"
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_cases())
+def test_scan_matches_naive_enumeration(case):
+    source, cfg, sigma, max_size, tie_heavy = case
+    result = cmit(source, cfg)
+    tables = {}
+    for (u, v), dec in result.pairs.items():
+        table = tables[(u, v)] = naive_conditional_statistics(sigma, u, v, max_size, cfg.statistic)
+        best = min(value for value, _ in table)
+        assert min_conditional_statistic(sigma, u, v, cfg.eta, cfg.statistic, n=result.n) == dec
+        if math.isinf(best):
+            assert dec == PairDecision(value=math.inf, subset=None, status="failed")
+            continue
+        assert dec.status == "ok"
+        assert dec.value == pytest.approx(best, rel=1e-9, abs=1e-12)
+        near = [subset for value, subset in table if value <= best + 1e-9 * (1.0 + best)]
+        if tie_heavy:
+            assert dec.subset == near[0]
+        else:
+            assert dec.subset in near
+    early = cmit(source, replace(cfg, early_exit=True))
+    assert early.edges == result.edges
+    for (u, v), dec in early.pairs.items():
+        # the running minimum at the end of the first size class that
+        # reaches the threshold, else the full result
+        running, stop = math.inf, None
+        for size in range(max_size + 1):
+            running = min([running] + [value for value, subset in tables[(u, v)] if len(subset) == size])
+            if running <= early.threshold:
+                stop = running
+                break
+        if stop is None:
+            assert dec == result.pairs[(u, v)]
+        else:
+            assert dec.status == "early_exit"
+            assert dec.value == pytest.approx(stop, rel=1e-9, abs=1e-12)
 
 
 def test_estimation_result_json_round_trip():
@@ -280,11 +390,11 @@ def test_estimator_config_validation_and_round_trip():
     with pytest.raises(InvalidParameter):
         EstimatorConfig(statistic="pearson")
     with pytest.raises(InvalidParameter):
-        EstimatorConfig(threads=0)
-    with pytest.raises(InvalidParameter):
         EstimatorConfig(xi=-0.1)
     cfg = EstimatorConfig(eta=2, xi=0.1, statistic="mutual_information")
     assert EstimatorConfig.from_dict(cfg.to_dict()) == cfg
+    # configs saved while the scan had a thread-count knob still load
+    assert EstimatorConfig.from_dict({**cfg.to_dict(), "threads": 4}) == cfg
 
 
 def test_oracle_gap_chain_properties():

@@ -42,6 +42,8 @@ def test_matrix_csv_rejects_malformed_input():
     with pytest.raises(InvalidParameter):
         parse_matrix_csv("1\n1,two\n")
     with pytest.raises(InvalidParameter):
+        parse_matrix_csv("x\n1,2\n")  # header is not a row count
+    with pytest.raises(InvalidParameter):
         format_matrix_csv(np.zeros(3))
 
 
