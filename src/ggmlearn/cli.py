@@ -17,10 +17,10 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundsConfig, bounds_report
-from .errors import GgmError
+from .errors import GgmError, InvalidParameter
 from .estimator import EstimatorConfig, cmit
 from .graph import EnsembleConfig
-from .harness import TrialConfig, run_manifest, sweep
+from .harness import LANE_SIGNS, TrialConfig, lane_seed, run_manifest, sweep
 from .io import (
     load_model,
     load_samples,
@@ -35,8 +35,29 @@ from .model import synthesize_model
 from .sampler import sample
 
 
-def _read_config(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+class _Config(dict):
+    """A parsed configuration whose missing required keys are reported as
+    InvalidParameter, not KeyError."""
+
+    def __missing__(self, key):
+        raise InvalidParameter(f"configuration is missing the required key {key!r}")
+
+
+def _read_config(path: str, allow_list: bool = False):
+    """Parse a JSON configuration file, which must hold an object (or, with
+    ``allow_list``, a list).  Unreadable files, malformed JSON and other
+    top-level values raise InvalidParameter."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameter(f"cannot read configuration {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"configuration {path} is not valid JSON: {exc}") from exc
+    if isinstance(data, dict):
+        return _Config(data)
+    if allow_list and isinstance(data, list):
+        return data
+    raise InvalidParameter(f"configuration {path} must hold a JSON object, got {type(data).__name__}")
 
 
 def _out_dir(path: str) -> Path:
@@ -87,18 +108,17 @@ def generate(config_path, out_path, seed, threads, fmt):
 def synthesize(config_path, out_path, seed, threads, fmt):
     """Build a model on a graph with a target walk-summability number."""
     config = _read_config(config_path)
+    effective_seed = seed if seed is not None else config.get("seed", 0)
     if "graph" in config:
         graph = read_edge_list(config["graph"])
     else:
-        ensemble = EnsembleConfig.from_dict(config["ensemble"])
-        graph = ensemble.build(seed if seed is not None else config.get("seed", 0))
-    effective_seed = seed if seed is not None else config.get("seed", 0)
+        graph = EnsembleConfig.from_dict(config["ensemble"]).build(effective_seed)
     model = synthesize_model(
         graph,
         config["target_alpha"],
         sign_pattern=config.get("sign_pattern", "attractive"),
         diagonal=config.get("diagonal", 1.0),
-        seed=effective_seed,
+        seed=lane_seed(effective_seed, 0, LANE_SIGNS),
     )
     out = _out_dir(out_path)
     save_model(model, out)
@@ -198,7 +218,7 @@ def bounds_cmd(config_path, out_path, seed, threads, fmt):
 @common_options
 def sweep_cmd(config_path, out_path, seed, threads, fmt):
     """Run a grid of trial configurations and tabulate error rates."""
-    config = _read_config(config_path)
+    config = _read_config(config_path, allow_list=True)
     entries = config["configs"] if isinstance(config, dict) else config
     include_fano = bool(config.get("include_fano", False)) if isinstance(config, dict) else False
     trial_configs = []

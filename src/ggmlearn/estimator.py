@@ -48,7 +48,7 @@ import numpy as np
 
 from .errors import ConditioningFailure, InvalidParameter, NumericFailure
 from .graph import Graph, local_separator
-from .model import GaussianModel, conditional_covariance_exact
+from .model import GaussianModel, _check_pair, conditional_covariance_exact
 from .sampler import SampleSet, empirical_covariance
 
 DEFAULT_KAPPA = 2.0
@@ -174,20 +174,6 @@ class EstimationResult:
             elapsed_s=data["elapsed_s"],
             config=EstimatorConfig.from_dict(data["config"]),
         )
-
-
-def _check_pair(sigma: np.ndarray, i: int, j: int, cond_set) -> list[int]:
-    p = sigma.shape[0]
-    cond = [int(s) for s in cond_set]
-    if not (0 <= i < p and 0 <= j < p):
-        raise InvalidParameter(f"indices ({i}, {j}) out of range for p={p}")
-    if i in cond or j in cond:
-        raise InvalidParameter("conditioning set must exclude i and j")
-    if len(set(cond)) != len(cond):
-        raise InvalidParameter("conditioning set has repeated vertices")
-    if any(not 0 <= s < p for s in cond):
-        raise InvalidParameter(f"conditioning set {cond} out of range")
-    return cond
 
 
 def conditional_covariance(sigma, i: int, j: int, cond_set=(), cond_limit: float = DEFAULT_COND_LIMIT) -> float:

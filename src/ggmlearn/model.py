@@ -6,7 +6,9 @@ R has entries -J[i, j] / sqrt(J[i, i] * J[j, j]) off the diagonal and zeros
 on it, so a normalized model satisfies J = I - R.  The central regularity
 number is alpha, the spectral norm of the entrywise absolute value of R;
 alpha < 1 makes the covariance a convergent power series in R and bounds
-everything downstream.
+everything downstream.  |R| is symmetric, so alpha is its top eigenvalue,
+read off a dense symmetric eigensolver; nothing here iterates to a
+tolerance.
 """
 
 from __future__ import annotations
@@ -17,19 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    InvalidParameter,
-    NotPositiveDefinite,
-    NumericFailure,
-    SynthesisFailed,
-)
+from .errors import InvalidParameter, NotPositiveDefinite, NumericFailure, SynthesisFailed
 from .graph import Graph, _rng
 
 PD_PIVOT_RTOL = 1e-12
 INVERSE_RESIDUAL_TOL = 1e-8
-ALPHA_RTOL = 1e-10
-ALPHA_MAX_ITERS = 10000
-SYNTHESIS_ALPHA_TOL = 1e-6
+SYMMETRY_RTOL = 1e-12
+SYNTHESIS_ALPHA_CHECK = 1e-9
 
 SIGN_PATTERNS = ("attractive", "alternating", "random")
 
@@ -39,6 +35,16 @@ def _as_square(m, name="matrix") -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameter(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def _symmetric(j: np.ndarray) -> np.ndarray:
+    """``j`` averaged with its transpose, provided the two differ by at most
+    SYMMETRY_RTOL times the largest entry; larger asymmetry is an error."""
+    if np.array_equal(j, j.T):
+        return j
+    if np.max(np.abs(j - j.T)) > SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(j)))):
+        raise InvalidParameter("precision matrix must be symmetric")
+    return (j + j.T) / 2.0
 
 
 def _cholesky_pd(j: np.ndarray) -> np.ndarray:
@@ -70,36 +76,17 @@ def partial_correlation_matrix(j) -> np.ndarray:
     return r
 
 
-def _power_iteration_sym_nonneg(m: np.ndarray, rtol: float, max_iters: int) -> float:
-    """Largest eigenvalue of a symmetric entrywise-nonnegative matrix.
+def walk_summability_alpha(j) -> float:
+    """alpha = spectral norm of |R|.
 
-    Iterates on m + I so the dominant eigenvalue is unique in magnitude even
-    for bipartite supports, then subtracts the shift.  Convergence is
-    declared when the Rayleigh quotient settles to relative tolerance rtol.
+    |R| is symmetric, so its spectral norm is its top eigenvalue, taken
+    from ``np.linalg.eigvalsh``.  That solver reads one triangle only, so
+    ``j`` is symmetrized first (or rejected if it is not symmetric to
+    SYMMETRY_RTOL).
     """
-    n = m.shape[0]
-    if n == 0:
-        return 0.0
-    shifted = m + np.eye(n)
-    v = np.full(n, 1.0 / math.sqrt(n))
-    lam_prev = 0.0
-    for it in range(1, max_iters + 1):
-        w = shifted @ v
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-        lam = float(v @ (shifted @ v))
-        if abs(lam - lam_prev) <= rtol * max(abs(lam), 1e-300):
-            return lam - 1.0
-        lam_prev = lam
-    raise NumericFailure(f"power iteration did not converge in {max_iters} iterations")
-
-
-def walk_summability_alpha(j, rtol: float = ALPHA_RTOL, max_iters: int = ALPHA_MAX_ITERS) -> float:
-    """alpha = spectral norm of |R|, computed by shifted power iteration."""
-    r_abs = np.abs(partial_correlation_matrix(j))
-    return max(_power_iteration_sym_nonneg(r_abs, rtol, max_iters), 0.0)
+    j = _symmetric(_as_square(j, "precision matrix"))
+    eigenvalues = np.linalg.eigvalsh(np.abs(partial_correlation_matrix(j)))
+    return max(float(eigenvalues[-1]), 0.0) if eigenvalues.size else 0.0
 
 
 def exact_covariance(j) -> np.ndarray:
@@ -131,12 +118,9 @@ def truncated_walksum_covariance(r, n_terms: int) -> np.ndarray:
     return acc
 
 
-def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
-    """Sigma(i, j | S) = Sigma[i, j] - Sigma[i, S] Sigma[S, S]^{-1} Sigma[S, j].
-
-    Works for i == j (conditional variance).  S may be empty.
-    """
-    sigma = _as_square(sigma, "covariance matrix")
+def _check_pair(sigma: np.ndarray, i: int, j: int, cond_set) -> list[int]:
+    """Validate a pair (i, j) and a conditioning set S against sigma's
+    dimension; returns S as a list of ints."""
     p = sigma.shape[0]
     cond = [int(s) for s in cond_set]
     if not (0 <= i < p and 0 <= j < p):
@@ -147,6 +131,16 @@ def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
         raise InvalidParameter("conditioning set has repeated vertices")
     if any(not 0 <= s < p for s in cond):
         raise InvalidParameter(f"conditioning set {cond} out of range for p={p}")
+    return cond
+
+
+def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
+    """Sigma(i, j | S) = Sigma[i, j] - Sigma[i, S] Sigma[S, S]^{-1} Sigma[S, j].
+
+    Works for i == j (conditional variance).  S may be empty.
+    """
+    sigma = _as_square(sigma, "covariance matrix")
+    cond = _check_pair(sigma, i, j, cond_set)
     if not cond:
         return float(sigma[i, j])
     block = sigma[np.ix_(cond, cond)]
@@ -172,17 +166,16 @@ class GaussianModel:
         j = _as_square(precision, "precision matrix")
         if j.shape[0] != graph.p:
             raise InvalidParameter(f"precision is {j.shape[0]}x{j.shape[0]} but graph has p={graph.p}")
-        if not np.array_equal(j, j.T):
-            if np.max(np.abs(j - j.T)) > 1e-12 * max(1.0, float(np.max(np.abs(j)))):
-                raise InvalidParameter("precision matrix must be symmetric")
-            j = (j + j.T) / 2.0
-        for u in range(graph.p):
-            for v in range(u + 1, graph.p):
-                on_edge = graph.has_edge(u, v)
-                if on_edge and j[u, v] == 0.0:
-                    raise InvalidParameter(f"edge ({u}, {v}) has zero precision entry")
-                if not on_edge and j[u, v] != 0.0:
-                    raise InvalidParameter(f"non-edge ({u}, {v}) has nonzero precision entry")
+        j = _symmetric(j)
+        on_edge = graph.adjacency_matrix() != 0.0
+        # argwhere lists the upper triangle in row-major order, so the
+        # reported pair is the first offending (u, v) with u < v
+        mismatch = np.argwhere(np.triu(on_edge != (j != 0.0), k=1))
+        if len(mismatch):
+            u, v = (int(x) for x in mismatch[0])
+            if on_edge[u, v]:
+                raise InvalidParameter(f"edge ({u}, {v}) has zero precision entry")
+            raise InvalidParameter(f"non-edge ({u}, {v}) has nonzero precision entry")
         _cholesky_pd(j)
         self.graph = graph
         self.precision = j.copy()
@@ -200,18 +193,18 @@ class GaussianModel:
     def d_min(self) -> float:
         return float(np.min(np.diag(self.precision)))
 
+    def _edge_magnitudes(self) -> np.ndarray:
+        u, v = np.asarray(self.graph.edges, dtype=int).reshape(-1, 2).T
+        return np.abs(self.precision[u, v])
+
     @property
     def j_min(self) -> float:
         """Smallest absolute off-diagonal entry over edges; inf if no edges."""
-        if not self.graph.edges:
-            return math.inf
-        return min(abs(float(self.precision[u, v])) for u, v in self.graph.edges)
+        return float(np.min(self._edge_magnitudes(), initial=math.inf))
 
     @property
     def j_max(self) -> float:
-        if not self.graph.edges:
-            return 0.0
-        return max(abs(float(self.precision[u, v])) for u, v in self.graph.edges)
+        return float(np.max(self._edge_magnitudes(), initial=0.0))
 
     def is_walk_summable(self) -> bool:
         return self.alpha < 1.0
@@ -241,12 +234,11 @@ def synthesize_model(
     sign_pattern: str = "attractive",
     diagonal: float = 1.0,
     seed: int | None = None,
-    tol: float = SYNTHESIS_ALPHA_TOL,
 ) -> GaussianModel:
-    """Build a model on ``graph`` whose alpha lands within ``tol`` of target.
+    """Build a model on ``graph`` whose alpha equals ``target_alpha``.
 
-    Every edge gets the same partial correlation magnitude rho, found by
-    bisection; signs follow ``sign_pattern``:
+    Every edge gets the same partial correlation magnitude rho; signs follow
+    ``sign_pattern``:
 
     * ``attractive``: all partial correlations positive (J off-diagonals
       nonpositive),
@@ -255,6 +247,10 @@ def synthesize_model(
 
     ``diagonal`` scales the whole matrix: J = diagonal * (I - rho * signs),
     so the diagonal value is also the smallest (and only) diagonal entry.
+    The scale cancels in R, and whatever the signs, |R| = rho * A for the
+    adjacency matrix A, so alpha = rho * lambda_max(A) and
+    rho = target / lambda_max(A) exactly; no search is involved.  The built
+    model's alpha is checked against the target to SYNTHESIS_ALPHA_CHECK.
     """
     if not 0.0 < target_alpha < 1.0:
         raise InvalidParameter(f"target alpha must lie in (0, 1), got {target_alpha}")
@@ -265,54 +261,32 @@ def synthesize_model(
     if not graph.edges:
         raise SynthesisFailed("graph has no edges; positive alpha is unreachable")
 
-    signs = np.zeros((graph.p, graph.p))
-    if sign_pattern == "random":
+    u, v = np.asarray(graph.edges, dtype=int).T
+    if sign_pattern == "attractive":
+        edge_signs = np.ones(graph.n_edges)
+    elif sign_pattern == "alternating":
+        edge_signs = np.where((u + v) % 2 == 0, 1.0, -1.0)
+    else:
         gen = _rng(0 if seed is None else seed)
-        draws = gen.integers(0, 2, size=graph.n_edges) * 2 - 1
-    for idx, (u, v) in enumerate(graph.edges):
-        if sign_pattern == "attractive":
-            s = 1.0
-        elif sign_pattern == "alternating":
-            s = 1.0 if (u + v) % 2 == 0 else -1.0
-        else:
-            s = float(draws[idx])
-        signs[u, v] = signs[v, u] = s
+        edge_signs = (gen.integers(0, 2, size=graph.n_edges) * 2 - 1).astype(float)
+    signs = np.zeros((graph.p, graph.p))
+    signs[u, v] = signs[v, u] = edge_signs
 
-    def alpha_of(rho: float) -> float:
-        j = diagonal * (np.eye(graph.p) - rho * signs)
-        return walk_summability_alpha(j)
-
-    # alpha is monotone in rho and alpha(target) >= target because the
-    # adjacency spectral norm is at least 1 on any graph with an edge
-    lo, hi = 0.0, target_alpha
-    if alpha_of(hi) < target_alpha - tol:
-        raise SynthesisFailed("bisection bracket failed; graph spectral norm below 1")
-    for _ in range(200):
-        mid = (lo + hi) / 2.0
-        a = alpha_of(mid)
-        if abs(a - target_alpha) <= tol:
-            lo = hi = mid
-            break
-        if a < target_alpha:
-            lo = mid
-        else:
-            hi = mid
-    rho = (lo + hi) / 2.0
-    achieved = alpha_of(rho)
-    if abs(achieved - target_alpha) > tol:
+    rho = target_alpha / float(np.linalg.eigvalsh(graph.adjacency_matrix())[-1])
+    model = GaussianModel(graph, diagonal * (np.eye(graph.p) - rho * signs))
+    if abs(model.alpha - target_alpha) > SYNTHESIS_ALPHA_CHECK:
         raise SynthesisFailed(
-            f"bisection stalled at alpha={achieved:.8f} for target {target_alpha:.8f}"
+            f"synthesized alpha {model.alpha:.12f} misses target {target_alpha:.12f}"
         )
-    j = diagonal * (np.eye(graph.p) - rho * signs)
-    meta = {
+    model.meta = {
         "target_alpha": target_alpha,
-        "achieved_alpha": achieved,
+        "achieved_alpha": model.alpha,
         "rho": rho,
         "sign_pattern": sign_pattern,
         "diagonal": diagonal,
         "seed": seed,
     }
-    return GaussianModel(graph, j, meta=meta)
+    return model
 
 
 @dataclass(frozen=True)

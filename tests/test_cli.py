@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from ggmlearn import EnsembleConfig, synthesize_model
 from ggmlearn.cli import main
+from ggmlearn.harness import LANE_SIGNS, lane_seed
 from ggmlearn.io import load_model, load_samples, read_edge_list
 
 
@@ -78,6 +80,28 @@ def test_synthesize_from_explicit_graph_file(runner, tmp_path):
     out = tmp_path / "model"
     invoke_ok(runner, ["synthesize", "--config", syn_cfg, "--out", str(out)])
     assert load_model(out).graph.n_edges == 6
+
+
+def test_synthesize_draws_signs_from_their_own_lane(runner, tmp_path):
+    ensemble = {"kind": "er", "p": 12, "c": 3.0}
+    cfg = write_config(tmp_path / "syn.json", {
+        "ensemble": ensemble, "target_alpha": 0.4, "sign_pattern": "random", "seed": 6})
+    invoke_ok(runner, ["synthesize", "--config", cfg, "--out", str(tmp_path / "model")])
+    saved = load_model(tmp_path / "model")
+    graph = EnsembleConfig.from_dict(ensemble).build(6)
+    want = synthesize_model(graph, 0.4, sign_pattern="random", seed=lane_seed(6, 0, LANE_SIGNS))
+    assert saved.graph == graph
+    assert np.array_equal(np.asarray(saved.precision), np.asarray(want.precision))
+
+    # the graph key is unchanged: generate then synthesize --graph gives the same model
+    gen_cfg = write_config(tmp_path / "gen.json", {**ensemble, "seed": 6})
+    invoke_ok(runner, ["generate", "--config", gen_cfg, "--out", str(tmp_path / "graph")])
+    via_file = write_config(tmp_path / "syn2.json", {
+        "graph": str(tmp_path / "graph" / "graph.edges"), "target_alpha": 0.4,
+        "sign_pattern": "random", "seed": 6})
+    invoke_ok(runner, ["synthesize", "--config", via_file, "--out", str(tmp_path / "model2")])
+    assert np.array_equal(np.asarray(load_model(tmp_path / "model2").precision),
+                          np.asarray(saved.precision))
 
 
 def test_sample_and_learn_round_trip(runner, tmp_path):
@@ -208,18 +232,46 @@ def test_missing_config_file_fails(runner, tmp_path):
     assert result.exit_code != 0
 
 
+def run_learn_subprocess(cfg: str, out: Path) -> subprocess.CompletedProcess:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "ggmlearn.cli", "learn", "--config", cfg, "--out", str(out)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def assert_clean_error(proc: subprocess.CompletedProcess, prefix: str) -> None:
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(prefix), proc.stderr
+
+
 def test_package_error_prints_message_without_traceback(tmp_path):
     samples = tmp_path / "samples"
     samples.mkdir()
     (samples / "samples.csv").write_text("2\n0.5,1.5\n0.5,oops\n")
     (samples / "samples.json").write_text(json.dumps({"n": 2, "p": 2, "seed": 0}))
     cfg = write_config(tmp_path / "learn.json", {"samples": str(samples), "estimator": {"eta": 1}})
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", "ggmlearn.cli", "learn", "--config", cfg, "--out", str(tmp_path / "out")],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("Error: malformed matrix file")
+    assert_clean_error(run_learn_subprocess(cfg, tmp_path / "out"), "Error: malformed matrix file")
+
+
+def test_config_that_is_not_json_fails_cleanly(tmp_path):
+    cfg = tmp_path / "learn.json"
+    cfg.write_text("samples: runs/data\n")
+    proc = run_learn_subprocess(str(cfg), tmp_path / "out")
+    assert_clean_error(proc, "Error: configuration ")
+    assert "is not valid JSON" in proc.stderr
+
+
+def test_config_missing_required_key_fails_cleanly(tmp_path):
+    cfg = write_config(tmp_path / "learn.json", {"estimator": {"eta": 1}})
+    proc = run_learn_subprocess(cfg, tmp_path / "out")
+    assert_clean_error(proc, "Error: configuration is missing the required key 'samples'")
+
+
+def test_config_must_be_an_object(runner, tmp_path):
+    cfg = write_config(tmp_path / "learn.json", [1, 2])
+    result = runner.invoke(main, ["learn", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code != 0
+    assert "must hold a JSON object, got list" in str(result.exception)

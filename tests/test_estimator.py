@@ -17,6 +17,7 @@ from ggmlearn import (
     cmit,
     conditional_covariance,
     conditional_correlation,
+    conditional_covariance_exact,
     conditional_mutual_information,
     cycle_graph,
     default_threshold,
@@ -50,6 +51,18 @@ def test_default_threshold_value_and_validation():
         default_threshold(100, 1)
     with pytest.raises(InvalidParameter):
         default_threshold(100, 50, kappa=0.0)
+
+
+@pytest.mark.parametrize("i, j, cond, message", [
+    (0, 7, (), r"indices \(0, 7\) out of range for p=4"),
+    (0, 1, (1,), "conditioning set must exclude i and j"),
+    (0, 1, (2, 2), "conditioning set has repeated vertices"),
+    (0, 1, (9,), r"conditioning set \[9\] out of range for p=4"),
+])
+def test_pair_validation_shared_with_exact_model(i, j, cond, message):
+    for fn in (conditional_covariance, conditional_covariance_exact):
+        with pytest.raises(InvalidParameter, match=f"^{message}$"):
+            fn(np.eye(4), i, j, cond)
 
 
 def test_conditional_covariance_empty_set_is_entry():

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggmlearn import (
     AssumptionReport,
@@ -16,6 +17,9 @@ from ggmlearn import (
     cycle_graph,
     edge_coupling_norms,
     exact_covariance,
+    generate_er,
+    generate_regular,
+    generate_smallworld,
     partial_correlation_matrix,
     synthesize_model,
     truncated_walksum_covariance,
@@ -55,6 +59,71 @@ def test_alpha_matches_dense_eigensolver():
         m = random_sparse_model(9, seed, target_alpha=0.2 + 0.03 * seed,
                                 diagonal_range=(1.0, 4.0))
         assert m.alpha == pytest.approx(dense_alpha(np.asarray(m.precision)), abs=1e-8)
+
+
+def test_alpha_symmetrizes_rounding_and_rejects_asymmetry():
+    j = np.array([[1.0, -0.3, 0.0], [-0.3, 1.0, -0.2], [0.0, -0.2, 1.0]])
+    nearly = j.copy()
+    nearly[0, 1] += 1e-15
+    assert walk_summability_alpha(nearly) == pytest.approx(dense_alpha(j), abs=1e-14)
+    skewed = j.copy()
+    skewed[2, 1] = -0.4
+    with pytest.raises(InvalidParameter, match="symmetric"):
+        walk_summability_alpha(skewed)
+
+
+@pytest.mark.parametrize("p", [300, 800])
+def test_long_chain_models_load(p):
+    # slow spectral-gap cases: |R| on a chain has gap O(1 / p^2)
+    a = chain_graph(p).adjacency_matrix()
+    j = np.eye(p) - 0.3 * a
+    m = GaussianModel(chain_graph(p), j)
+    assert abs(m.alpha - dense_alpha(j)) <= 1e-12
+    assert abs(m.alpha - 0.6 * math.cos(math.pi / (p + 1))) <= 1e-12
+
+
+def test_long_chain_synthesis():
+    m = synthesize_model(chain_graph(800), 0.5)
+    assert abs(m.alpha - 0.5) <= 1e-12
+    assert m.meta["achieved_alpha"] == m.alpha
+
+
+@st.composite
+def synthesis_cases(draw):
+    kind = draw(st.sampled_from(["er", "regular", "smallworld"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "er":
+        graph = generate_er(draw(st.integers(4, 40)), draw(st.floats(0.5, 4.0)), seed)
+    elif kind == "regular":
+        delta = draw(st.integers(1, 4))
+        p = draw(st.integers(delta + 1, 30).filter(lambda q: q * delta % 2 == 0))
+        graph = generate_regular(p, delta, seed)
+    else:
+        graph = generate_smallworld(draw(st.sampled_from([9, 16, 25, 36])), 2, draw(st.floats(0.0, 2.0)), seed)
+    return (graph, draw(st.floats(0.01, 0.99)), draw(st.sampled_from(["attractive", "alternating", "random"])),
+            draw(st.floats(1.0, 3.0)), seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(synthesis_cases())
+def test_synthesis_is_exact(case):
+    graph, target, pattern, diagonal, seed = case
+    if not graph.edges:
+        return
+    m = synthesize_model(graph, target, sign_pattern=pattern, diagonal=diagonal, seed=seed)
+    assert abs(m.alpha - target) <= 1e-12
+    magnitude = diagonal * target / np.linalg.eigvalsh(graph.adjacency_matrix())[-1]
+    for u, v in graph.edges:
+        assert abs(m.precision[u, v]) == pytest.approx(magnitude, rel=1e-13)
+    assert m.alpha == pytest.approx(dense_alpha(np.asarray(m.precision)), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1), st.floats(0.01, 0.99), st.floats(0.05, 0.8))
+def test_alpha_matches_eigensolver_on_random_sparse_models(p, seed, target, density):
+    m = random_sparse_model(p, seed, target_alpha=target, density=density, diagonal_range=(1.0, 5.0))
+    assert abs(m.alpha - dense_alpha(np.asarray(m.precision))) <= 1e-12
+    assert abs(walk_summability_alpha(np.asarray(m.precision)) - m.alpha) <= 1e-12
 
 
 def test_exact_covariance_two_node():
@@ -200,6 +269,22 @@ def test_model_validates_pattern_and_shape():
         GaussianModel(g, asym)
     with pytest.raises(NotPositiveDefinite):
         GaussianModel(g, 0.3 * good - np.diag([0.0, 0.29, 0.0]) @ np.eye(3))
+
+
+def test_support_check_names_row_major_first_pair():
+    g = chain_graph(5)
+    good = np.eye(5) - 0.3 * g.adjacency_matrix()
+    # (1, 4) precedes (2, 3) in row-major order but not in column-major
+    bad = good.copy()
+    bad[1, 4] = bad[4, 1] = 0.1
+    bad[2, 3] = bad[3, 2] = 0.0
+    with pytest.raises(InvalidParameter, match=r"^non-edge \(1, 4\) has nonzero precision entry$"):
+        GaussianModel(g, bad)
+    bad = good.copy()
+    bad[0, 1] = bad[1, 0] = 0.0
+    bad[0, 3] = bad[3, 0] = 0.1
+    with pytest.raises(InvalidParameter, match=r"^edge \(0, 1\) has zero precision entry$"):
+        GaussianModel(g, bad)
 
 
 def test_model_does_not_mutate_input_and_is_frozen():
