@@ -11,9 +11,9 @@ walk-summability number alpha.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, config_kwargs
 
 
 def binary_entropy(q: float) -> float:
@@ -181,17 +181,11 @@ class BoundsConfig:
     distortion: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "c": self.c,
-            "alpha": self.alpha,
-            "epsilon": self.epsilon,
-            "distortion": self.distortion,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "BoundsConfig":
-        return cls(**data)
+        return cls(**config_kwargs(cls, data))
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Every subcommand reads a JSON configuration, writes its artifacts into the
 output directory, and drops a ``manifest.json`` recording the tool
-version, the SHA-256 of the configuration, and the effective seed and
-thread count, so a results directory is self-describing.
+version, the SHA-256 of the configuration, and the effective seed, so a
+results directory is self-describing.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ def _out_dir(path: str) -> Path:
     return d
 
 
-def _write_manifest(out: Path, command: str, config: dict, seed, threads: int) -> None:
-    write_json(run_manifest(command, config, seed, threads), out / "manifest.json")
+def _write_manifest(out: Path, command: str, config: dict, seed) -> None:
+    write_json(run_manifest(command, config, seed), out / "manifest.json")
 
 
 def common_options(fn):
@@ -76,8 +76,6 @@ def common_options(fn):
     fn = click.option("--out", "out_path", required=True, type=click.Path(),
                       help="Output directory; created if missing.")(fn)
     fn = click.option("--seed", type=int, default=None, help="Override the configured seed.")(fn)
-    fn = click.option("--threads", type=int, default=1, show_default=True,
-                      help="Worker pool size of sweep; recorded in the manifest.")(fn)
     fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
                       show_default=True, help="Tabular output format where applicable.")(fn)
     return fn
@@ -91,7 +89,7 @@ def main():
 
 @main.command()
 @common_options
-def generate(config_path, out_path, seed, threads, fmt):
+def generate(config_path, out_path, seed, fmt):
     """Draw a graph from an ensemble and write its edge list."""
     config = _read_config(config_path)
     ensemble = EnsembleConfig.from_dict({k: v for k, v in config.items() if k != "seed"})
@@ -99,13 +97,13 @@ def generate(config_path, out_path, seed, threads, fmt):
     graph = ensemble.build(effective_seed)
     out = _out_dir(out_path)
     write_edge_list(graph, out / "graph.edges")
-    _write_manifest(out, "generate", config, effective_seed, threads)
+    _write_manifest(out, "generate", config, effective_seed)
     click.echo(f"wrote graph with p={graph.p}, {graph.n_edges} edges to {out}")
 
 
 @main.command()
 @common_options
-def synthesize(config_path, out_path, seed, threads, fmt):
+def synthesize(config_path, out_path, seed, fmt):
     """Build a model on a graph with a target walk-summability number."""
     config = _read_config(config_path)
     effective_seed = seed if seed is not None else config.get("seed", 0)
@@ -122,13 +120,13 @@ def synthesize(config_path, out_path, seed, threads, fmt):
     )
     out = _out_dir(out_path)
     save_model(model, out)
-    _write_manifest(out, "synthesize", config, effective_seed, threads)
+    _write_manifest(out, "synthesize", config, effective_seed)
     click.echo(f"wrote model with p={model.p}, alpha={model.alpha:.6f} to {out}")
 
 
 @main.command(name="sample")
 @common_options
-def sample_cmd(config_path, out_path, seed, threads, fmt):
+def sample_cmd(config_path, out_path, seed, fmt):
     """Draw i.i.d. samples from a saved model."""
     config = _read_config(config_path)
     model = load_model(config["model"])
@@ -136,13 +134,13 @@ def sample_cmd(config_path, out_path, seed, threads, fmt):
     samples = sample(model, config["n"], effective_seed)
     out = _out_dir(out_path)
     save_samples(samples, out)
-    _write_manifest(out, "sample", config, effective_seed, threads)
+    _write_manifest(out, "sample", config, effective_seed)
     click.echo(f"wrote {samples.n} samples of dimension {samples.p} to {out}")
 
 
 @main.command()
 @common_options
-def learn(config_path, out_path, seed, threads, fmt):
+def learn(config_path, out_path, seed, fmt):
     """Estimate a graph from samples (or from a model in exact mode)."""
     config = _read_config(config_path)
     est_cfg = EstimatorConfig.from_dict(config.get("estimator", {}))
@@ -154,13 +152,13 @@ def learn(config_path, out_path, seed, threads, fmt):
     out = _out_dir(out_path)
     write_json(result.to_dict(), out / "result.json")
     write_edge_list(result.graph, out / "estimate.edges")
-    _write_manifest(out, "learn", config, seed, threads)
+    _write_manifest(out, "learn", config, seed)
     click.echo(f"estimated {len(result.edges)} edges at threshold {result.threshold:.6g}")
 
 
 @main.command(name="lbp")
 @common_options
-def lbp_cmd(config_path, out_path, seed, threads, fmt):
+def lbp_cmd(config_path, out_path, seed, fmt):
     """Run belief propagation on a saved model."""
     config = _read_config(config_path)
     model = load_model(config["model"])
@@ -183,14 +181,14 @@ def lbp_cmd(config_path, out_path, seed, threads, fmt):
         },
         out / "lbp.json",
     )
-    _write_manifest(out, "lbp", config, seed, threads)
+    _write_manifest(out, "lbp", config, seed)
     status = "converged" if result.converged else ("breakdown" if result.breakdown else "not converged")
     click.echo(f"belief propagation {status} after {result.iterations} iterations")
 
 
 @main.command(name="bounds")
 @common_options
-def bounds_cmd(config_path, out_path, seed, threads, fmt):
+def bounds_cmd(config_path, out_path, seed, fmt):
     """Evaluate sample-size bounds; a list-valued p produces a grid."""
     config = _read_config(config_path)
     p_values = config["p"] if isinstance(config["p"], list) else [config["p"]]
@@ -210,13 +208,13 @@ def bounds_cmd(config_path, out_path, seed, threads, fmt):
                 f"{r.rate:.17g},{r.atypical_bound:.17g}"
             )
         (out / "bounds.csv").write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "bounds", config, seed, threads)
+    _write_manifest(out, "bounds", config, seed)
     click.echo(f"wrote {len(reports)} bound report(s) to {out}")
 
 
 @main.command(name="sweep")
 @common_options
-def sweep_cmd(config_path, out_path, seed, threads, fmt):
+def sweep_cmd(config_path, out_path, seed, fmt):
     """Run a grid of trial configurations and tabulate error rates."""
     config = _read_config(config_path, allow_list=True)
     entries = config["configs"] if isinstance(config, dict) else config
@@ -226,13 +224,13 @@ def sweep_cmd(config_path, out_path, seed, threads, fmt):
         if seed is not None:
             entry = {**entry, "seed": seed}
         trial_configs.append(TrialConfig.from_dict(entry))
-    result = sweep(trial_configs, threads=threads, include_fano=include_fano)
+    result = sweep(trial_configs, include_fano=include_fano)
     out = _out_dir(out_path)
     if fmt == "csv":
         (out / "sweep.csv").write_text(result.to_csv())
     else:
         write_json(result.to_dicts(), out / "sweep.json")
-    _write_manifest(out, "sweep", config, seed, threads)
+    _write_manifest(out, "sweep", config, seed)
     click.echo(f"wrote sweep with {len(result.rows)} rows to {out}")
 
 

@@ -42,12 +42,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConditioningFailure, InvalidParameter, NumericFailure
-from .graph import Graph, local_separator
+from .errors import ConditioningFailure, InvalidParameter, NumericFailure, config_kwargs
+from .graph import Graph, separation_profile
 from .model import GaussianModel, _check_pair, conditional_covariance_exact
 from .sampler import SampleSet, empirical_covariance
 
@@ -94,20 +96,12 @@ class EstimatorConfig:
             raise InvalidParameter("threshold must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "eta": self.eta,
-            "xi": self.xi,
-            "kappa": self.kappa,
-            "statistic": self.statistic,
-            "exact_mode": self.exact_mode,
-            "early_exit": self.early_exit,
-            "cond_limit": self.cond_limit,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EstimatorConfig":
         # results written while the scan had a pair-level thread pool still load
-        return cls(**{k: v for k, v in data.items() if k != "threads"})
+        return cls(**config_kwargs(cls, data, ignore=("threads",)))
 
 
 @dataclass(frozen=True)
@@ -119,21 +113,46 @@ class PairDecision:
     status: str  # "ok", "failed", or "early_exit"
 
 
-@dataclass
+STATUSES = ("ok", "failed", "early_exit")
+
+
+@dataclass(eq=False)
 class EstimationResult:
+    """Outcome of ``cmit``.
+
+    Pair outcomes are arrays over the pairs u < v in row-major order:
+    ``values`` (infinite for a failed pair), ``set_index`` into ``sets``
+    (-1 for no set) and ``status`` (an index into ``STATUSES``).  ``pairs``,
+    the read-only mapping (u, v) -> PairDecision, is materialized on first
+    access and cached.
+    """
+
     p: int
     edges: tuple[tuple[int, int], ...]
     threshold: float
     statistic: str
     eta: int
-    pairs: dict[tuple[int, int], PairDecision]
     n: int | None
     elapsed_s: float
     config: EstimatorConfig
+    values: np.ndarray
+    set_index: np.ndarray
+    status: np.ndarray
+    sets: list[tuple[int, ...]]
 
     @property
     def graph(self) -> Graph:
         return Graph(self.p, self.edges)
+
+    def _records(self):
+        """(u, v, value, set or None, status) for every pair, in row-major order."""
+        sets = self.sets + [None]
+        return zip(*(x.tolist() for x in np.triu_indices(self.p, 1)), self.values.tolist(),
+                   [sets[a] for a in self.set_index.tolist()], [STATUSES[c] for c in self.status.tolist()])
+
+    @cached_property
+    def pairs(self) -> MappingProxyType:
+        return MappingProxyType({(u, v): PairDecision(*rec) for u, v, *rec in self._records()})
 
     def to_dict(self) -> dict:
         return {
@@ -147,32 +166,43 @@ class EstimationResult:
             "config": self.config.to_dict(),
             "pairs": {
                 f"{u},{v}": {
-                    "value": None if math.isinf(d.value) else d.value,
-                    "subset": None if d.subset is None else list(d.subset),
-                    "status": d.status,
+                    "value": None if math.isinf(value) else value,
+                    "subset": None if subset is None else list(subset),
+                    "status": status,
                 }
-                for (u, v), d in sorted(self.pairs.items())
+                for u, v, value, subset, status in self._records()
             },
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EstimationResult":
-        pairs = {}
+        p = data["p"]
+        size = p * (p - 1) // 2
+        # a pair the file does not list reads as failed
+        values = np.full(size, math.inf)
+        set_index = np.full(size, -1, dtype=np.intp)
+        status = np.full(size, STATUSES.index("failed"), dtype=np.int8)
+        sets: dict[tuple[int, ...], int] = {}
         for key, rec in data["pairs"].items():
             u, v = (int(x) for x in key.split(","))
-            value = math.inf if rec["value"] is None else float(rec["value"])
-            subset = None if rec["subset"] is None else tuple(rec["subset"])
-            pairs[(u, v)] = PairDecision(value=value, subset=subset, status=rec["status"])
+            k = u * (2 * p - u - 1) // 2 + v - u - 1  # row-major position of u < v
+            values[k] = math.inf if rec["value"] is None else float(rec["value"])
+            if rec["subset"] is not None:
+                set_index[k] = sets.setdefault(tuple(rec["subset"]), len(sets))
+            status[k] = STATUSES.index(rec["status"])
         return cls(
-            p=data["p"],
+            p=p,
             edges=tuple(tuple(e) for e in data["edges"]),
             threshold=data["threshold"],
             statistic=data["statistic"],
             eta=data["eta"],
-            pairs=pairs,
             n=data["n"],
             elapsed_s=data["elapsed_s"],
             config=EstimatorConfig.from_dict(data["config"]),
+            values=values,
+            set_index=set_index,
+            status=status,
+            sets=list(sets),
         )
 
 
@@ -254,10 +284,11 @@ class _Guard:
         return bool(self.passes(subset[:-1], np.array(subset[-1:]))[0])
 
 
-def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: list[int]):
+def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: list[int], members=(), start=0):
     """Yield (S, Sigma(., . | S)) for every set S of ``size`` vertices from
     the ascending ``candidates`` that passes the guard, in lexicographic
-    order.
+    order; ``sigma`` is conditioned on ``members`` already, and sets extend
+    them with candidates from position ``start`` on.
 
     Depth first, one rank-1 Schur step per level:
     Sigma(., . | S + k) = Sigma(., . | S) - c c^T / c_k with
@@ -265,19 +296,15 @@ def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: list[int]):
     supersets: for a positive semidefinite input their blocks are at least
     as ill conditioned (Cauchy interlacing).
     """
-
-    def visit(cond, members, start):
-        if len(members) == size:
-            yield members, cond
-            return
-        for pos in range(start, len(candidates) - (size - len(members)) + 1):
-            k = candidates[pos]
-            subset = members + (k,)
-            if guard.passes_one(subset):
-                c = cond[:, k]
-                yield from visit(cond - np.outer(c, c) / c[k], subset, pos + 1)
-
-    yield from visit(sigma, (), 0)
+    if len(members) == size:
+        yield members, sigma
+        return
+    for pos in range(start, len(candidates) - (size - len(members)) + 1):
+        k = candidates[pos]
+        subset = members + (k,)
+        if guard.passes_one(subset):
+            c = sigma[:, k]
+            yield from _walk(sigma - np.outer(c, c) / c[k], size, guard, candidates, subset, pos + 1)
 
 
 def _statistic(cov, var_i, var_j, statistic: str):
@@ -351,17 +378,16 @@ def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
     if size <= max_size:
         for i, j in np.argwhere(~frozen).tolist():
             resume = (size, float(best[i, j]), winners[arg[i, j]] if arg[i, j] >= 0 else None)
-            dec = _scan_pair(sigma, i, j, max_size, statistic, guard, threshold, resume)
-            best[i, j] = dec.value
-            frozen[i, j] = dec.status == "early_exit"
-            if dec.subset is not None:
+            best[i, j], subset, frozen[i, j] = _scan_pair(
+                sigma, i, j, max_size, statistic, guard, threshold, resume)
+            if subset is not None:
                 arg[i, j] = len(winners)
-                winners.append(dec.subset)
+                winners.append(subset)
     return best, arg, frozen & ~lower, winners
 
 
 def _scan_pair(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
-               guard: _Guard, threshold: float | None = None, resume=None) -> PairDecision:
+               guard: _Guard, threshold: float | None = None, resume=None):
     """Minimize the statistic of one pair with the same recursion as
     ``_scan_all`` and the same arithmetic, so values agree bit for bit.
 
@@ -372,7 +398,9 @@ def _scan_pair(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
 
     ``resume`` = (size, minimum, argmin set) continues a pair whose smaller
     sizes are done; a ``threshold`` stops after the first size class that
-    brings the minimum to it or below (early exit).
+    brings the minimum to it or below (early exit).  Returns the minimum,
+    the argmin set and whether the pair stopped early; a failed pair has an
+    infinite minimum and no set.
     """
     others = np.delete(np.arange(sigma.shape[0]), [i, j])
     if resume is None:
@@ -414,10 +442,8 @@ def _scan_pair(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
                 best = float(values[pos])
                 best_subset = prefix + tuple(int(col[pos]) for col in last)
         if threshold is not None and best <= threshold:
-            return PairDecision(value=best, subset=best_subset, status="early_exit")
-    if math.isinf(best):
-        return PairDecision(value=math.inf, subset=None, status="failed")
-    return PairDecision(value=best, subset=best_subset, status="ok")
+            return best, best_subset, True
+    return best, None if math.isinf(best) else best_subset, False
 
 
 def min_conditional_statistic(
@@ -444,7 +470,8 @@ def min_conditional_statistic(
     if eta < 0:
         raise InvalidParameter("eta must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
-        return _scan_pair(sigma, i, j, _max_size(eta, n), statistic, _Guard(sigma, cond_limit))
+        value, subset, _ = _scan_pair(sigma, i, j, _max_size(eta, n), statistic, _Guard(sigma, cond_limit))
+    return PairDecision(value, subset, STATUSES[int(math.isinf(value))])
 
 
 def _resolve_source(source, config: EstimatorConfig):
@@ -494,24 +521,20 @@ def cmit(source, config: EstimatorConfig) -> EstimationResult:
         )
     iu, ju = np.triu_indices(p, 1)
     values = best[iu, ju]
-    status = np.where(early[iu, ju], "early_exit", np.where(np.isinf(values), "failed", "ok"))
-    sets = winners + [None]  # a pair no set improved (failed) has index -1
-    keys = list(zip(iu.tolist(), ju.tolist()))
-    pairs = dict(zip(keys, map(
-        PairDecision, values.tolist(), [sets[a] for a in arg[iu, ju].tolist()], status.tolist(),
-    )))
     is_edge = np.isfinite(values) & (values > threshold)
-    edges = tuple(pair for pair, edge in zip(keys, is_edge.tolist()) if edge)
     return EstimationResult(
         p=p,
-        edges=edges,
+        edges=tuple(zip(iu[is_edge].tolist(), ju[is_edge].tolist())),
         threshold=threshold,
         statistic=config.statistic,
         eta=config.eta,
-        pairs=pairs,
         n=n,
         elapsed_s=time.perf_counter() - start,
         config=config,
+        values=values,
+        set_index=arg[iu, ju],  # -1 where no set improved the pair (failed)
+        status=np.where(early[iu, ju], 2, np.isinf(values)).astype(np.int8),  # STATUSES order
+        sets=winners,
     )
 
 
@@ -555,21 +578,18 @@ def oracle_gap(model: GaussianModel, eta: int, gamma: int) -> OracleGap:
     guard = _Guard(sigma, DEFAULT_COND_LIMIT)
     for u, v in g.edges:
         with np.errstate(divide="ignore", invalid="ignore"):
-            dec = _scan_pair(sigma, u, v, eta, "covariance", guard)
-        if dec.value < c_min:
-            c_min = dec.value
+            value, _, _ = _scan_pair(sigma, u, v, eta, "covariance", guard)
+        if value < c_min:
+            c_min = value
             c_min_pair = (u, v)
     c_max = 0.0
     c_max_pair = None
-    for u in range(g.p):
-        for v in range(u + 1, g.p):
-            if g.has_edge(u, v):
-                continue
-            sep = local_separator(g, u, v, gamma)
-            val = abs(conditional_covariance_exact(sigma, u, v, sep))
-            if val > c_max:
-                c_max = val
-                c_max_pair = (u, v)
+    # separators come in row-major pair order, so ties keep the first pair
+    for (u, v), sep in separation_profile(g, gamma).separators.items():
+        val = abs(conditional_covariance_exact(sigma, u, v, sep))
+        if val > c_max:
+            c_max = val
+            c_max_pair = (u, v)
     return OracleGap(
         c_min=c_min,
         c_max=c_max,

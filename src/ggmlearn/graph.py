@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GenerationFailed, InvalidParameter
+from .errors import GenerationFailed, InvalidParameter, config_kwargs
 
 REGULAR_RETRY_BUDGET = 1000
 
@@ -507,7 +507,7 @@ class EnsembleConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleConfig":
-        kwargs = dict(data)
-        if "edges" in kwargs and kwargs["edges"] is not None:
+        kwargs = config_kwargs(cls, data)
+        if kwargs.get("edges") is not None:
             kwargs["edges"] = tuple(tuple(e) for e in kwargs["edges"])
         return cls(**kwargs)

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__
 from .bounds import fano_lower_bound
-from .errors import InvalidParameter
+from .errors import InvalidParameter, config_kwargs
 from .estimator import EstimationResult, EstimatorConfig, cmit, oracle_gap
 from .graph import EnsembleConfig, edit_distance
 from .io import config_hash
@@ -86,23 +85,11 @@ class TrialConfig:
             raise InvalidParameter("distortion must be nonnegative")
 
     def to_dict(self) -> dict:
-        return {
-            "ensemble": self.ensemble.to_dict(),
-            "estimator": self.estimator.to_dict(),
-            "target_alpha": self.target_alpha,
-            "sign_pattern": self.sign_pattern,
-            "diagonal": self.diagonal,
-            "n": self.n,
-            "trials": self.trials,
-            "seed": self.seed,
-            "distortion": self.distortion,
-            "threshold_mode": self.threshold_mode,
-            "gamma": self.gamma,
-        }
+        return {**asdict(self), "ensemble": self.ensemble.to_dict(), "estimator": self.estimator.to_dict()}
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrialConfig":
-        kwargs = dict(data)
+        kwargs = config_kwargs(cls, data)
         kwargs["ensemble"] = EnsembleConfig.from_dict(kwargs["ensemble"])
         if "estimator" in kwargs:
             kwargs["estimator"] = EstimatorConfig.from_dict(kwargs["estimator"])
@@ -226,42 +213,16 @@ class SweepResult:
             return f"{x:.17g}"
 
         lines = [self.header()]
-        for row in self.rows:
-            cells = [
-                fmt(row.p),
-                fmt(row.c_or_delta),
-                fmt(row.alpha),
-                fmt(row.j_min),
-                fmt(row.n),
-                fmt(row.trials),
-                fmt(row.p_err),
-                fmt(row.mean_edit_distance),
-                fmt(row.mean_runtime_s if include_runtime else 0.0),
-            ]
-            if self.include_fano:
-                cells.extend([fmt(row.n_fano_exact), fmt(row.n_fano_simplified)])
-            lines.append(",".join(cells))
+        for rec in self.to_dicts():
+            if not include_runtime:
+                rec["mean_runtime_s"] = 0.0
+            lines.append(",".join(map(fmt, rec.values())))
         return "\n".join(lines) + "\n"
 
     def to_dicts(self) -> list[dict]:
-        out = []
-        for row in self.rows:
-            rec = {
-                "p": row.p,
-                "c_or_delta": row.c_or_delta,
-                "alpha": row.alpha,
-                "j_min": row.j_min,
-                "n": row.n,
-                "trials": row.trials,
-                "p_err": row.p_err,
-                "mean_edit_distance": row.mean_edit_distance,
-                "mean_runtime_s": row.mean_runtime_s,
-            }
-            if self.include_fano:
-                rec["n_fano_exact"] = row.n_fano_exact
-                rec["n_fano_simplified"] = row.n_fano_simplified
-            out.append(rec)
-        return out
+        """One record per row, keyed by the header's columns in order."""
+        columns = self.header().split(",")
+        return [{name: getattr(row, name) for name in columns} for row in self.rows]
 
 
 def _fano_for(config: TrialConfig, alpha: float) -> tuple[float | None, float | None]:
@@ -273,22 +234,15 @@ def _fano_for(config: TrialConfig, alpha: float) -> tuple[float | None, float | 
     return bound.n_exact, bound.n_simplified
 
 
-def sweep(configs, threads: int = 1, include_fano: bool = False) -> SweepResult:
-    """Run every grid point and assemble rows in grid order.
-
-    Grid points run on a bounded worker pool; assembly order is the input
-    order regardless of completion order.
-    """
+def sweep(configs, include_fano: bool = False) -> SweepResult:
+    """Run every grid point, one after another, and assemble rows in grid
+    order."""
     configs = list(configs)
     if not configs:
         raise InvalidParameter("sweep needs at least one configuration")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            summaries = list(pool.map(run_config, configs))
-    else:
-        summaries = [run_config(c) for c in configs]
     rows = []
-    for cfg, summary in zip(configs, summaries):
+    for cfg in configs:
+        summary = run_config(cfg)
         fano_exact, fano_simplified = (None, None)
         if include_fano:
             fano_exact, fano_simplified = _fano_for(cfg, summary.mean_alpha)
@@ -310,7 +264,7 @@ def sweep(configs, threads: int = 1, include_fano: bool = False) -> SweepResult:
     return SweepResult(rows=tuple(rows), include_fano=include_fano)
 
 
-def run_manifest(command: str, config_obj, seed: int | None, threads: int) -> dict:
+def run_manifest(command: str, config_obj, seed: int | None) -> dict:
     """Provenance record written next to every CLI artifact."""
     return {
         "tool": "ggmlearn",
@@ -318,5 +272,4 @@ def run_manifest(command: str, config_obj, seed: int | None, threads: int) -> di
         "command": command,
         "config_sha256": config_hash(config_obj),
         "seed": seed,
-        "threads": threads,
     }

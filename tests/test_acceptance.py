@@ -238,7 +238,7 @@ def _perr_grid(statistic: str, master: int) -> tuple[float, ...]:
         )
         for n in N_GRID
     ]
-    return tuple(row.p_err for row in sweep(configs, threads=8).rows)
+    return tuple(row.p_err for row in sweep(configs).rows)
 
 
 def _smallest_passing_n(perr: tuple[float, ...], level: float = 0.2) -> float:

@@ -194,10 +194,18 @@ def test_sweep_command_csv_and_json(runner, tmp_path):
     assert len(lines) == 2
 
     out_json = tmp_path / "sweep_json"
-    invoke_ok(runner, ["sweep", "--config", cfg, "--out", str(out_json),
-                       "--format", "json", "--threads", "2"])
+    invoke_ok(runner, ["sweep", "--config", cfg, "--out", str(out_json), "--format", "json"])
     rows = json.loads((out_json / "sweep.json").read_text())
     assert rows[0]["p"] == 8 and rows[0]["trials"] == 2
+
+
+@pytest.mark.parametrize("command", ["generate", "synthesize", "sample", "learn", "lbp", "bounds", "sweep"])
+def test_threads_option_is_rejected(runner, tmp_path, command):
+    cfg = write_config(tmp_path / "c.json", {})
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "x"), "--threads", "2"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--threads" in result.output
+    assert not (tmp_path / "x").exists()
 
 
 def test_sweep_seed_override_applies_to_all_entries(runner, tmp_path):
@@ -232,11 +240,11 @@ def test_missing_config_file_fails(runner, tmp_path):
     assert result.exit_code != 0
 
 
-def run_learn_subprocess(cfg: str, out: Path) -> subprocess.CompletedProcess:
+def run_cli_subprocess(cfg: str, out: Path, command: str = "learn") -> subprocess.CompletedProcess:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, "-m", "ggmlearn.cli", "learn", "--config", cfg, "--out", str(out)],
+        [sys.executable, "-m", "ggmlearn.cli", command, "--config", cfg, "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -253,20 +261,20 @@ def test_package_error_prints_message_without_traceback(tmp_path):
     (samples / "samples.csv").write_text("2\n0.5,1.5\n0.5,oops\n")
     (samples / "samples.json").write_text(json.dumps({"n": 2, "p": 2, "seed": 0}))
     cfg = write_config(tmp_path / "learn.json", {"samples": str(samples), "estimator": {"eta": 1}})
-    assert_clean_error(run_learn_subprocess(cfg, tmp_path / "out"), "Error: malformed matrix file")
+    assert_clean_error(run_cli_subprocess(cfg, tmp_path / "out"), "Error: malformed matrix file")
 
 
 def test_config_that_is_not_json_fails_cleanly(tmp_path):
     cfg = tmp_path / "learn.json"
     cfg.write_text("samples: runs/data\n")
-    proc = run_learn_subprocess(str(cfg), tmp_path / "out")
+    proc = run_cli_subprocess(str(cfg), tmp_path / "out")
     assert_clean_error(proc, "Error: configuration ")
     assert "is not valid JSON" in proc.stderr
 
 
 def test_config_missing_required_key_fails_cleanly(tmp_path):
     cfg = write_config(tmp_path / "learn.json", {"estimator": {"eta": 1}})
-    proc = run_learn_subprocess(cfg, tmp_path / "out")
+    proc = run_cli_subprocess(cfg, tmp_path / "out")
     assert_clean_error(proc, "Error: configuration is missing the required key 'samples'")
 
 
@@ -275,3 +283,27 @@ def test_config_must_be_an_object(runner, tmp_path):
     result = runner.invoke(main, ["learn", "--config", cfg, "--out", str(tmp_path / "out")])
     assert result.exit_code != 0
     assert "must hold a JSON object, got list" in str(result.exception)
+
+
+CHAIN = {"kind": "chain", "p": 6}
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("sweep", {"configs": [{"ensemble": CHAIN, "estimator": {"kapa": 2.0}}]},
+     "EstimatorConfig block has unknown key 'kapa'"),
+    ("sweep", {"configs": [{"ensemble": {"p": 6}}]},
+     "EnsembleConfig block is missing the required key 'kind'"),
+    ("sweep", {"configs": [{"ensemble": CHAIN, "trails": 3}]}, "TrialConfig block has unknown key 'trails'"),
+    ("sweep", [{"n": 100}], "TrialConfig block is missing the required key 'ensemble'"),
+    ("sweep", {"configs": [{"ensemble": CHAIN, "estimator": [1]}]},
+     "EstimatorConfig block must be an object, got list"),
+    ("generate", {"kind": "chain", "q": 6}, "EnsembleConfig block has unknown key 'q'"),
+    ("learn", {"samples": "unused", "estimator": {"eta": 1, "xii": 0.1}},
+     "EstimatorConfig block has unknown key 'xii'"),
+    ("bounds", {"p": 50, "c": 2.0}, "BoundsConfig block is missing the required key 'alpha'"),
+], ids=["estimator-unknown", "ensemble-no-kind", "trial-unknown", "trial-no-ensemble", "estimator-not-object",
+        "generate-unknown", "learn-unknown", "bounds-missing"])
+def test_config_block_key_errors_fail_cleanly(tmp_path, command, payload, message):
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    proc = run_cli_subprocess(cfg, tmp_path / "out", command)
+    assert_clean_error(proc, f"Error: {message}")

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from dataclasses import replace
@@ -22,10 +23,12 @@ from ggmlearn import (
     cycle_graph,
     default_threshold,
     edit_distance,
+    local_separator,
     min_conditional_statistic,
     oracle_gap,
     sample,
     synthesize_model,
+    torus_grid,
 )
 from ggmlearn.graph import Graph
 
@@ -397,6 +400,44 @@ def test_estimation_result_json_round_trip():
     assert back.pairs == result.pairs
 
 
+def test_cmit_builds_pair_objects_on_demand(monkeypatch):
+    built = []
+
+    class CountingDecision(PairDecision):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("ggmlearn.estimator.PairDecision", CountingDecision)
+    data = sample(synthesize_model(cycle_graph(12), 0.5), 800, seed=3)
+    # early exit at eta 2 hands the last open pairs to the per-pair scan
+    result = cmit(data, EstimatorConfig(eta=2, early_exit=True))
+    result.to_dict()
+    assert built == []
+    pairs = result.pairs
+    assert len(built) == len(pairs) == 66 and result.pairs is pairs
+    assert {d.status for d in pairs.values()} == {"ok", "early_exit"}
+    with pytest.raises(TypeError):
+        pairs[(0, 1)] = None
+
+
+def test_scans_leave_no_reference_cycles():
+    # a cycle would keep each scan's covariance copies alive until the
+    # cyclic collector runs, which raises peak memory over many trials
+    m = synthesize_model(cycle_graph(12), 0.5)
+    data = sample(m, 800, seed=3)
+    gc.collect()
+    gc.disable()
+    try:
+        cmit(data, EstimatorConfig(eta=2, early_exit=True)).pairs
+        cmit(data, EstimatorConfig(eta=3, statistic="mutual_information")).to_dict()
+        min_conditional_statistic(m.sigma(), 0, 5, eta=2)
+        oracle_gap(m, eta=1, gamma=2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_estimator_config_validation_and_round_trip():
     with pytest.raises(InvalidParameter):
         EstimatorConfig(eta=-1)
@@ -408,6 +449,8 @@ def test_estimator_config_validation_and_round_trip():
     assert EstimatorConfig.from_dict(cfg.to_dict()) == cfg
     # configs saved while the scan had a thread-count knob still load
     assert EstimatorConfig.from_dict({**cfg.to_dict(), "threads": 4}) == cfg
+    with pytest.raises(InvalidParameter, match="unknown key 'kapa'"):
+        EstimatorConfig.from_dict({"kapa": 2.0})
 
 
 def test_oracle_gap_chain_properties():
@@ -420,6 +463,19 @@ def test_oracle_gap_chain_properties():
     assert gap.threshold_geometric == pytest.approx(math.sqrt(gap.c_min * gap.c_max))
     assert m.graph.has_edge(*gap.c_min_pair)
     assert not m.graph.has_edge(*gap.c_max_pair)
+
+
+def test_oracle_gap_non_edges_tie_break_in_row_major_order():
+    # on the 6 x 6 torus several non-edges share the largest statistic
+    # exactly; the first of them in row-major order is reported
+    m = synthesize_model(torus_grid(6, 2), 0.5)
+    g, sigma = m.graph, m.sigma()
+    values = {(u, v): abs(conditional_covariance_exact(sigma, u, v, local_separator(g, u, v, 2)))
+              for u in range(g.p) for v in range(u + 1, g.p) if not g.has_edge(u, v)}
+    top = [pair for pair, value in values.items() if value == max(values.values())]
+    assert len(top) > 1
+    gap = oracle_gap(m, eta=1, gamma=2)
+    assert (gap.c_max, gap.c_max_pair) == (values[top[0]], top[0])
 
 
 def test_oracle_gap_cycle_with_full_radius():

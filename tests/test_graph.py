@@ -1,7 +1,9 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggmlearn import (
     EnsembleConfig,
@@ -182,6 +184,29 @@ def test_local_separator_matches_brute_force_small_random():
                     assert local_separator(g, i, j, gamma) == brute_force_local_separator(
                         g, i, j, gamma
                     ), (g.edges, i, j, gamma)
+
+
+@st.composite
+def small_graphs(draw):
+    p = draw(st.integers(2, 10))
+    pairs = list(combinations(range(p), 2))
+    mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(p, [pair for pair, keep in zip(pairs, mask) if keep])
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(), st.integers(0, 3))
+def test_separators_match_brute_force(g, gamma):
+    expected = {
+        (i, j): brute_force_local_separator(g, i, j, gamma)
+        for i, j in combinations(range(g.p), 2) if not g.has_edge(i, j)
+    }
+    prof = separation_profile(g, gamma)
+    # same separators, in row-major pair order
+    assert list(prof.separators.items()) == list(expected.items())
+    assert prof.eta == max(map(len, expected.values()), default=0)
+    for (i, j), sep in expected.items():
+        assert local_separator(g, i, j, gamma) == sep
 
 
 def test_separation_profile_cycle_and_complete():

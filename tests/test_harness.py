@@ -147,11 +147,15 @@ def test_sweep_seed_changes_er_rows():
     assert (row_a.alpha, row_a.j_min) != (row_b.alpha, row_b.j_min)
 
 
-def test_sweep_threads_match_serial():
-    configs = [chain_config(trials=2, n=600, seed=s) for s in (1, 2, 3)]
-    serial = sweep(configs).to_csv(include_runtime=False)
-    threaded = sweep(configs, threads=3).to_csv(include_runtime=False)
-    assert serial == threaded
+def test_sweep_repeats_byte_identical_in_input_order():
+    configs = [chain_config(ensemble=EnsembleConfig(kind="chain", p=p), trials=2, n=600, seed=s)
+               for p, s in ((12, 1), (8, 2), (10, 3))]
+    first = sweep(configs).to_csv(include_runtime=False)
+    assert sweep(configs).to_csv(include_runtime=False) == first
+    # row k is the sweep of configs[k] alone
+    lines = first.splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["12", "8", "10"]
+    assert lines[1:] == [sweep([c]).to_csv(include_runtime=False).splitlines()[1] for c in configs]
 
 
 def test_sweep_fano_columns():
@@ -185,12 +189,12 @@ def test_error_rate_improves_with_samples():
 
 def test_run_manifest_contents():
     cfg = chain_config()
-    manifest = run_manifest("sweep", cfg.to_dict(), seed=7, threads=2)
+    manifest = run_manifest("sweep", cfg.to_dict(), seed=7)
     assert manifest["tool"] == "ggmlearn"
     assert manifest["command"] == "sweep"
-    assert manifest["seed"] == 7 and manifest["threads"] == 2
+    assert manifest["seed"] == 7 and "threads" not in manifest
     assert len(manifest["config_sha256"]) == 64
-    again = run_manifest("sweep", cfg.to_dict(), seed=7, threads=2)
+    again = run_manifest("sweep", cfg.to_dict(), seed=7)
     assert manifest == again
-    other = run_manifest("sweep", chain_config(seed=8).to_dict(), seed=8, threads=2)
+    other = run_manifest("sweep", chain_config(seed=8).to_dict(), seed=8)
     assert other["config_sha256"] != manifest["config_sha256"]
