@@ -194,7 +194,7 @@ def bounds_cmd(config_path, out_path, seed, fmt):
     p_values = config["p"] if isinstance(config["p"], list) else [config["p"]]
     fields = {k: config[k] for k in ("c", "alpha", "epsilon", "distortion") if k in config}
     reports = [
-        bounds_report(BoundsConfig.from_dict({**fields, "p": int(p)})) for p in p_values
+        bounds_report(BoundsConfig.from_dict({**fields, "p": p})) for p in p_values
     ]
     out = _out_dir(out_path)
     write_json([r.to_dict() for r in reports], out / "bounds.json")

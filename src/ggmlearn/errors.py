@@ -1,7 +1,10 @@
-"""Error types shared across the package, and the key check of
+"""Error types shared across the package, and the key and type check of
 configuration blocks."""
 
-from dataclasses import MISSING, fields
+import types
+import typing
+from dataclasses import MISSING, fields, is_dataclass
+from numbers import Integral, Real
 
 
 class GgmError(Exception):
@@ -32,10 +35,34 @@ class SynthesisFailed(GgmError, RuntimeError):
     """Model synthesis could not meet the requested target."""
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation.  An integer fits a
+    float, a list fits a tuple, and a bool fits neither an int nor a float.
+    A nested configuration block checks its own values."""
+    origin = typing.get_origin(hint)
+    if origin is types.UnionType:
+        return any(_fits(value, h) for h in typing.get_args(hint))
+    if hint is type(None):
+        return value is None
+    if origin is tuple:
+        args = typing.get_args(hint)
+        if not isinstance(value, (list, tuple)):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(_fits(v, h) for v, h in zip(value, args))
+    if hint in (int, float):
+        return isinstance(value, Integral if hint is int else Real) and not isinstance(value, bool)
+    if is_dataclass(hint):
+        return True
+    return isinstance(value, hint)
+
+
 def config_kwargs(cls, data, ignore=()) -> dict:
     """A configuration block as keyword arguments of the dataclass ``cls``,
-    minus ``ignore``; a non-object block, unknown key or missing required
-    field raises InvalidParameter naming it."""
+    minus ``ignore``; a non-object block, unknown key, missing required
+    field or value that does not fit the field's annotation raises
+    InvalidParameter naming it."""
     name = cls.__name__
     if not isinstance(data, dict):
         raise InvalidParameter(f"{name} block must be an object, got {type(data).__name__}")
@@ -46,4 +73,12 @@ def config_kwargs(cls, data, ignore=()) -> dict:
     for key, f in known.items():
         if key not in data and f.default is MISSING and f.default_factory is MISSING:
             raise InvalidParameter(f"{name} block is missing the required key {key!r}")
+    hints = typing.get_type_hints(cls)
+    for key, value in data.items():
+        if key in ignore:
+            continue
+        hint = hints[key]
+        if not _fits(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else str(hint)
+            raise InvalidParameter(f"{name} block key {key!r} must be {expected}, got {type(value).__name__} {value!r}")
     return {k: v for k, v in data.items() if k not in ignore}

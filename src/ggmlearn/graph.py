@@ -4,7 +4,10 @@ Graphs are immutable once constructed.  Edges are stored as sorted ``(u, v)``
 pairs with ``u < v``.  The separation utilities operate on the subgraph that
 keeps all ``p`` vertices but only the edges inside the radius-``gamma`` ball
 around a vertex, so a separator returned for a pair certifies that every
-short path between the two endpoints is cut.
+short path between the two endpoints is cut.  Separators come from
+Menger's theorem by unit-capacity vertex max-flow on one node-split network
+per ball: a pair costs one max flow, then one residual-graph search per
+candidate vertex that carries flow, so the cost follows the ball's edges.
 
 Randomized generators take an explicit integer seed and use the Philox
 counter-based generator, so outputs are reproducible across platforms.
@@ -251,93 +254,90 @@ def is_locally_treelike(g: Graph, i: int, gamma: int) -> bool:
     return girth(gamma_subgraph(g, i, gamma)) == math.inf
 
 
-def _component_of(adj: dict[int, list[int]], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+def _ball_network(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[int, dict[int, int]]]:
+    """The radius-gamma ball around i and the residual capacities of its
+    node-split flow network, with no flow yet.
 
-
-def _min_vertex_cut_size(adj: dict[int, list[int]], s: int, t: int, removed: frozenset | set) -> int:
-    """Minimum number of vertices (excluding s, t) whose removal disconnects
-    s from t, with vertices in ``removed`` already deleted.
-
-    Node-splitting max-flow with unit vertex capacities: vertex v becomes
-    arc v_in -> v_out of capacity 1, undirected edges become infinite arcs
-    between the split copies.  s and t are never counted in the cut.
+    Vertex v becomes arc v_in = 2v -> v_out = 2v + 1 of capacity 1 (0 for
+    i, the source), each edge inside the ball becomes two arcs u_out -> v_in
+    of capacity larger than any flow, and every arc has a reverse entry of
+    residual capacity 0.  BFS tree edges lie inside the ball, so the ball
+    is exactly the component of i in the subgraph of its edges.
     """
+    inside = ball(g, i, gamma)
+    members = set(inside)
     cap: dict[int, dict[int, int]] = {}
-
-    def add_arc(u, v, c):
-        cap.setdefault(u, {})[v] = c
-        cap.setdefault(v, {}).setdefault(u, 0)
-
-    big = len(adj) + 2
-    alive = [v for v in adj if v not in removed]
-    for v in alive:
-        if v != s and v != t:
-            add_arc(2 * v, 2 * v + 1, 1)
-    for u in alive:
-        for v in adj[u]:
-            if v in removed or v <= u:
-                continue
-            add_arc(2 * u + 1, 2 * v, big)
-            add_arc(2 * v + 1, 2 * u, big)
-    src, dst = 2 * s + 1, 2 * t
-    flow = 0
-    while True:
-        parent = {src: None}
-        queue = deque([src])
-        while queue and dst not in parent:
-            x = queue.popleft()
-            for y, c in cap.get(x, {}).items():
-                if c > 0 and y not in parent:
-                    parent[y] = x
-                    queue.append(y)
-        if dst not in parent:
-            return flow
-        path = []
-        y = dst
-        while y != src:
-            path.append((parent[y], y))
-            y = parent[y]
-        aug = min(cap[u][v] for u, v in path)
-        for u, v in path:
-            cap[u][v] -= aug
-            cap[v][u] += aug
-        flow += aug
-        if flow >= big:
-            raise InvalidParameter("no vertex cut separates adjacent vertices")
+    for v in inside:
+        cap[2 * v] = {2 * v + 1: int(v != i)}
+        cap[2 * v + 1] = {2 * v: 0}
+    for u in inside:
+        for v in g.adjacency[u]:
+            if v in members:
+                cap[2 * u + 1][2 * v] = len(inside)
+                cap[2 * v][2 * u + 1] = 0
+    return inside, cap
 
 
-def _lex_min_separator(adj: dict[int, list[int]], i: int, j: int) -> tuple[int, ...]:
-    """Lexicographically smallest minimum vertex separator of i and j.
+def _residual_path(cap: dict[int, dict[int, int]], src: int, dst: int) -> list[tuple[int, int]] | None:
+    """Arcs of a shortest path from src to dst in the residual graph, or None."""
+    parent = {src: src}
+    queue = deque([src])
+    while queue:
+        x = queue.popleft()
+        for y, c in cap[x].items():
+            if c > 0 and y not in parent:
+                parent[y] = x
+                if y == dst:
+                    path = []
+                    while y != src:
+                        path.append((parent[y], y))
+                        y = parent[y]
+                    return path
+                queue.append(y)
+    return None
 
-    ``adj`` must already be restricted to the working subgraph.  Greedy on
-    ascending vertex labels: v joins the prefix exactly when some minimum
-    separator extends the prefix with v, which is equivalent to the residual
-    min cut dropping by one.
+
+def _push(cap: dict[int, dict[int, int]], path: list[tuple[int, int]]) -> None:
+    for x, y in path:
+        cap[x][y] -= 1
+        cap[y][x] += 1
+
+
+def _lex_min_separator(inside: tuple[int, ...], network: dict[int, dict[int, int]], i: int, j: int) -> tuple[int, ...]:
+    """Lexicographically smallest minimum vertex separator of i and j in the
+    ball network of i (see ``_ball_network``); empty when j is outside it.
+
+    One max flow gives the cut size k.  Greedy on ascending vertex labels:
+    v joins the prefix exactly when some minimum separator of the graph with
+    the prefix deleted contains v, that is when its arc is saturated and
+    v_out is unreachable from v_in in the residual graph (every minimum cut
+    is saturated by every maximum flow, and a saturated arc lies in some
+    minimum cut exactly when no residual path joins its ends).  On
+    acceptance the unit of flow through v is cancelled and v deleted, which
+    leaves a maximum flow of the smaller graph.
     """
-    comp = _component_of(adj, i)
-    if j not in comp:
+    if 2 * j not in network:
         return ()
-    local = {v: [w for w in adj[v] if w in comp] for v in comp}
-    k = _min_vertex_cut_size(local, i, j, frozenset())
-    if k == 0:
-        return ()
+    cap = {x: dict(arcs) for x, arcs in network.items()}
+    cap[2 * j][2 * j + 1] = 0  # like the source, the sink is never cut
+    src, dst = 2 * i + 1, 2 * j
+    k = 0
+    while (path := _residual_path(cap, src, dst)) is not None:
+        _push(cap, path)
+        k += 1
     chosen: list[int] = []
-    removed: set[int] = set()
-    for v in sorted(comp - {i, j}):
+    for v in inside:
         if len(chosen) == k:
             break
-        if _min_vertex_cut_size(local, i, j, removed | {v}) == k - len(chosen) - 1:
-            chosen.append(v)
-            removed.add(v)
+        v_in, v_out = 2 * v, 2 * v + 1
+        if v == i or v == j or cap[v_in][v_out] or _residual_path(cap, v_in, v_out) is not None:
+            continue
+        chosen.append(v)
+        # the reverse of v's flow path gives residual paths from the sink
+        # back to v_out and from v_in back to the source
+        _push(cap, _residual_path(cap, dst, v_out))
+        cap[v_in][v_out] = cap[v_out][v_in] = 0
+        _push(cap, _residual_path(cap, v_in, src))
     if len(chosen) != k:
         raise AssertionError("greedy separator construction failed to reach the cut size")
     return tuple(chosen)
@@ -358,11 +358,7 @@ def local_separator(g: Graph, i: int, j: int, gamma: int) -> tuple[int, ...]:
         raise InvalidParameter(f"({i}, {j}) is an edge; separators are defined for non-adjacent pairs")
     if gamma < 0:
         raise InvalidParameter("gamma must be nonnegative")
-    if gamma == 0:
-        return ()
-    h = gamma_subgraph(g, i, gamma)
-    adj = {v: list(h.adjacency[v]) for v in range(h.p)}
-    return _lex_min_separator(adj, i, j)
+    return _lex_min_separator(*_ball_network(g, i, gamma), i, j)
 
 
 @dataclass(frozen=True)
@@ -389,14 +385,9 @@ def separation_profile(g: Graph, gamma: int) -> SeparationProfile:
         pending = [j for j in range(i + 1, g.p) if not g.has_edge(i, j)]
         if not pending:
             continue
-        if gamma == 0:
-            for j in pending:
-                separators[(i, j)] = ()
-            continue
-        h = gamma_subgraph(g, i, gamma)
-        adj = {v: list(h.adjacency[v]) for v in range(h.p)}
+        inside, network = _ball_network(g, i, gamma)
         for j in pending:
-            sep = _lex_min_separator(adj, i, j)
+            sep = _lex_min_separator(inside, network, i, j)
             separators[(i, j)] = sep
             if len(sep) > eta:
                 eta = len(sep)

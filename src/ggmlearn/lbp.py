@@ -10,6 +10,11 @@ a synchronous sweep updates every directed edge from the previous sweep:
     dJ[i -> j] = -J[i, j]^2 / Jhat[i\\j]
     dh[i -> j] = -J[i, j] * hhat[i\\j] / Jhat[i\\j]
 
+Messages are stored on the 2|E| directed edges, so a sweep costs O(|E|):
+the graph's edges (u, v), u < v, as u -> v, then the same edges reversed,
+which lists the sources of every target in ascending order.  A cavity sum
+is one ``np.bincount`` over the targets minus the reverse message.
+
 Beliefs then combine all incoming messages: the belief precision at i is
 J[i, i] plus the sum of dJ[k -> i], the variance estimate its reciprocal,
 and the mean estimate hhat over the belief precision.  On trees this is
@@ -41,8 +46,9 @@ class LbpResult:
     """Belief estimates plus convergence diagnostics.
 
     ``message_precisions`` and ``message_potentials`` hold the final
-    normalized-model messages with entry [i, j] carrying the i -> j value;
-    off-edge entries are zero.
+    normalized-model messages as arrays of length 2|E|: entry e < |E|
+    carries the u -> v message of ``graph.edges[e] = (u, v)``, and entry
+    e + |E| the v -> u message of the same edge.
     """
 
     variances: np.ndarray
@@ -74,26 +80,30 @@ def lbp_run(
     if h.shape != (p,):
         raise InvalidParameter(f"h must have shape ({p},), got {h.shape}")
 
-    scale = np.sqrt(np.diag(model.precision))
-    r = model.partial_correlations()
+    j = model.precision
+    scale = np.sqrt(np.diag(j))
     h_norm = h / scale
-    mask = model.graph.adjacency_matrix() > 0.0
+    forward = np.array(model.graph.edges, dtype=np.intp).reshape(-1, 2)
+    source, target = np.concatenate([forward, forward[:, ::-1]]).T.copy()
+    reverse = np.roll(np.arange(len(source)), len(forward))
+    # partial_correlation_matrix's arithmetic on the edges only, not p x p
+    r = -j[source, target] / np.sqrt(j[source, source] * j[target, target])
+    r_sq = r * r
 
-    d_j = np.zeros((p, p))
-    d_h = np.zeros((p, p))
+    d_j = np.zeros(len(source))
+    d_h = np.zeros(len(source))
     converged = False
     breakdown = False
     iterations = 0
     change = np.inf
-    r_sq = r * r
     for iterations in range(1, max_iters + 1):
-        cavity_j = (1.0 + d_j.sum(axis=0))[:, None] - d_j.T
-        cavity_h = (h_norm + d_h.sum(axis=0))[:, None] - d_h.T
-        if np.any(cavity_j[mask] <= 0.0):
+        cavity_j = (1.0 + np.bincount(target, d_j, minlength=p))[source] - d_j[reverse]
+        cavity_h = (h_norm + np.bincount(target, d_h, minlength=p))[source] - d_h[reverse]
+        if np.any(cavity_j <= 0.0):
             breakdown = True
             break
-        new_j = np.where(mask, -r_sq / np.where(mask, cavity_j, 1.0), 0.0)
-        new_h = np.where(mask, r * cavity_h / np.where(mask, cavity_j, 1.0), 0.0)
+        new_j = -r_sq / cavity_j
+        new_h = r * cavity_h / cavity_j
         change = max(
             float(np.max(np.abs(new_j - d_j), initial=0.0)),
             float(np.max(np.abs(new_h - d_h), initial=0.0)),
@@ -103,8 +113,8 @@ def lbp_run(
             converged = True
             break
 
-    belief_j = 1.0 + d_j.sum(axis=0)
-    belief_h = h_norm + d_h.sum(axis=0)
+    belief_j = 1.0 + np.bincount(target, d_j, minlength=p)
+    belief_h = h_norm + np.bincount(target, d_h, minlength=p)
     if np.any(belief_j <= 0.0):
         breakdown = True
         safe = np.where(belief_j > 0.0, belief_j, np.nan)

@@ -162,3 +162,50 @@ def naive_conditional_statistics(sigma: np.ndarray, i: int, j: int, max_size: in
                 value = -0.5 * np.log1p(-cov * cov / den)
             out.append((float(value), tuple(cond)))
     return out
+
+
+def dense_lbp(model: GaussianModel, h=None, tol: float = 1e-10, max_iters: int = 10000) -> dict:
+    """Synchronous Gaussian belief propagation on dense p x p message
+    matrices (entry [i, j] carries the i -> j message), masked to the edges
+    on every sweep; returns the beliefs and the convergence flags."""
+    p = model.p
+    h = np.zeros(p) if h is None else np.asarray(h, dtype=float)
+    scale = np.sqrt(np.diag(model.precision))
+    r = model.partial_correlations()
+    h_norm = h / scale
+    mask = model.graph.adjacency_matrix() > 0.0
+    d_j = np.zeros((p, p))
+    d_h = np.zeros((p, p))
+    converged = breakdown = False
+    iterations = 0
+    change = np.inf
+    r_sq = r * r
+    for iterations in range(1, max_iters + 1):
+        cavity_j = (1.0 + d_j.sum(axis=0))[:, None] - d_j.T
+        cavity_h = (h_norm + d_h.sum(axis=0))[:, None] - d_h.T
+        if np.any(cavity_j[mask] <= 0.0):
+            breakdown = True
+            break
+        new_j = np.where(mask, -r_sq / np.where(mask, cavity_j, 1.0), 0.0)
+        new_h = np.where(mask, r * cavity_h / np.where(mask, cavity_j, 1.0), 0.0)
+        change = max(float(np.max(np.abs(new_j - d_j), initial=0.0)),
+                     float(np.max(np.abs(new_h - d_h), initial=0.0)))
+        d_j, d_h = new_j, new_h
+        if change <= tol:
+            converged = True
+            break
+    belief_j = 1.0 + d_j.sum(axis=0)
+    belief_h = h_norm + d_h.sum(axis=0)
+    if np.any(belief_j <= 0.0):
+        breakdown = True
+        belief_j = np.where(belief_j > 0.0, belief_j, np.nan)
+    return {
+        "variances": (1.0 / belief_j) / (scale * scale),
+        "means": (belief_h / belief_j) / scale,
+        "converged": converged and not breakdown,
+        "iterations": iterations,
+        "final_change": change,
+        "breakdown": breakdown,
+        "message_precisions": d_j,
+        "message_potentials": d_h,
+    }

@@ -307,3 +307,33 @@ def test_config_block_key_errors_fail_cleanly(tmp_path, command, payload, messag
     cfg = write_config(tmp_path / "cfg.json", payload)
     proc = run_cli_subprocess(cfg, tmp_path / "out", command)
     assert_clean_error(proc, f"Error: {message}")
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("sweep", {"configs": [{"ensemble": CHAIN, "estimator": {"eta": "2"}}]},
+     "EstimatorConfig block key 'eta' must be int, got str '2'"),
+    ("sweep", {"configs": [{"ensemble": {"kind": "chain", "p": "6"}}]},
+     "EnsembleConfig block key 'p' must be int | None, got str '6'"),
+    ("sweep", {"configs": [{"ensemble": CHAIN, "n": True}]}, "TrialConfig block key 'n' must be int, got bool True"),
+    ("sweep", {"configs": [{"ensemble": {"kind": "explicit", "p": 3, "edges": [[0, 1, 2]]}}]},
+     "EnsembleConfig block key 'edges' must be tuple[tuple[int, int], ...] | None, got list [[0, 1, 2]]"),
+    ("learn", {"samples": "unused", "estimator": {"xi": "0.1"}},
+     "EstimatorConfig block key 'xi' must be float | None, got str '0.1'"),
+    ("bounds", {"p": 50, "c": 2.0, "alpha": False}, "BoundsConfig block key 'alpha' must be float, got bool False"),
+    ("bounds", {"p": 50.0, "c": 2.0, "alpha": 0.5}, "BoundsConfig block key 'p' must be int, got float 50.0"),
+    ("bounds", {"p": [64, "x"], "c": 2.0, "alpha": 0.5}, "BoundsConfig block key 'p' must be int, got str 'x'"),
+], ids=["estimator-eta-str", "ensemble-p-str", "trial-n-bool", "ensemble-edge-triple", "learn-xi-str",
+        "bounds-alpha-bool", "bounds-p-float", "bounds-grid-p-str"])
+def test_config_value_type_errors_fail_cleanly(tmp_path, command, payload, message):
+    cfg = write_config(tmp_path / "cfg.json", payload)
+    proc = run_cli_subprocess(cfg, tmp_path / "out", command)
+    assert_clean_error(proc, f"Error: {message}")
+
+
+def test_config_accepts_json_integers_for_floats_and_arrays_for_tuples(runner, tmp_path):
+    edges = [[0, 1], [1, 2], [2, 3], [3, 0]]
+    cfg = write_config(tmp_path / "sweep.json", {"configs": [{
+        "ensemble": {"kind": "explicit", "p": 4, "edges": edges}, "diagonal": 1, "n": 50, "trials": 1,
+        "estimator": {"xi": 1, "kappa": 2}}]})
+    result = runner.invoke(main, ["sweep", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output

@@ -209,6 +209,44 @@ def test_separators_match_brute_force(g, gamma):
         assert local_separator(g, i, j, gamma) == sep
 
 
+@st.composite
+def sparse_graphs(draw):
+    """A ring through all p <= 14 vertices in a drawn order, minus at most
+    two ring edges, plus chords, keeping every degree at most 3: minimum
+    separators of two or three vertices are common."""
+    p = draw(st.integers(4, 14))
+    order = draw(st.permutations(range(p)))
+    dropped = draw(st.sets(st.integers(0, p - 1), max_size=2))
+    ring = [(order[k], order[(k + 1) % p]) for k in range(p) if k not in dropped]
+    chords = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=p))
+    degree = [0] * p
+    edges = set()
+    for u, v in ring + chords:
+        e = (min(u, v), max(u, v))
+        if u != v and e not in edges and degree[u] < 3 and degree[v] < 3:
+            edges.add(e)
+            degree[u] += 1
+            degree[v] += 1
+    return Graph(p, edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_graphs(), st.integers(0, 4))
+def test_separators_match_brute_force_on_sparse_graphs(g, gamma):
+    test_separators_match_brute_force.hypothesis.inner_test(g, gamma)
+
+
+@pytest.mark.parametrize("g", [torus_grid(6, 2), generate_er(40, 2.5, seed=3)], ids=["torus6x6", "er40"])
+def test_separation_profile_pinned_to_brute_force(g):
+    expected = {
+        (i, j): brute_force_local_separator(g, i, j, 3)
+        for i, j in combinations(range(g.p), 2) if not g.has_edge(i, j)
+    }
+    prof = separation_profile(g, 3)
+    assert list(prof.separators.items()) == list(expected.items())
+    assert prof.eta == max(map(len, expected.values())) == 4
+
+
 def test_separation_profile_cycle_and_complete():
     c6 = cycle_graph(6)
     assert separation_profile(c6, 2).eta == 1

@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggmlearn import (
     GaussianModel,
     Graph,
     InvalidParameter,
     cycle_graph,
+    generate_er,
     lbp_run,
     lbp_variance_error,
     synthesize_model,
+    torus_grid,
 )
+
+from helpers import dense_lbp
 
 
 def random_tree(p, seed):
@@ -99,15 +104,19 @@ def test_lbp_unnormalized_diagonal_rescaling():
     assert np.max(np.abs(res_scaled.means - res_base.means / 3.0)) < 1e-12
 
 
-def test_lbp_breakdown_reported_not_raised():
-    # frustrated complete graph: positive definite but far from
-    # walk-summable; the cavity precision goes nonpositive
+def frustrated_k4():
+    # positive definite but far from walk-summable; the cavity precision
+    # goes nonpositive
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     signs = [1.0, 1.0, 1.0, -1.0, -1.0, -1.0]
     j = np.eye(4)
     for (u, v), s in zip(edges, signs):
         j[u, v] = j[v, u] = -0.4 * s
-    m = GaussianModel(Graph(4, edges), j)
+    return GaussianModel(Graph(4, edges), j)
+
+
+def test_lbp_breakdown_reported_not_raised():
+    m = frustrated_k4()
     assert m.alpha > 1.0
     res = lbp_run(m)
     assert res.breakdown
@@ -115,11 +124,18 @@ def test_lbp_breakdown_reported_not_raised():
 
 
 def test_lbp_message_layout():
-    m = synthesize_model(cycle_graph(5), 0.4)
-    res = lbp_run(m)
-    adj = m.graph.adjacency_matrix() > 0
-    assert np.all(res.message_precisions[~adj] == 0.0)
-    assert np.all(res.message_precisions[adj] < 0.0)
+    # graph.edges forward, then the same edges reversed
+    m = model_on_graph(random_tree(7, 4), 4, alpha=0.6, diag_range=(1.0, 3.0))
+    h = np.random.default_rng(4).normal(size=7)
+    res = lbp_run(m, h)
+    dense = dense_lbp(m, h)
+    forward = np.array(m.graph.edges)
+    source = np.concatenate([forward[:, 0], forward[:, 1]])
+    target = np.concatenate([forward[:, 1], forward[:, 0]])
+    assert res.message_precisions.shape == res.message_potentials.shape == (2 * m.graph.n_edges,)
+    assert np.all(res.message_precisions < 0.0)
+    for name in ("message_precisions", "message_potentials"):
+        np.testing.assert_allclose(getattr(res, name), dense[name][source, target], rtol=0.0, atol=1e-12)
 
 
 def test_lbp_validation():
@@ -137,3 +153,36 @@ def test_lbp_max_iters_cutoff():
     res = lbp_run(m, max_iters=2)
     assert not res.converged
     assert res.iterations == 2
+
+
+@st.composite
+def lbp_cases(draw):
+    """A model, a potential vector and an iteration budget: trees, cycles,
+    ER graphs and tori with random signs, magnitudes and diagonals, or the
+    frustrated K4 that breaks down."""
+    kind = draw(st.sampled_from(["tree", "cycle", "er", "torus", "k4"]))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "k4":
+        m = frustrated_k4()
+    else:
+        size = draw(st.integers(3, 12))
+        g = {"tree": random_tree(size, seed), "cycle": cycle_graph(size),
+             "er": generate_er(3 * size, 2.5, seed), "torus": torus_grid(size, 2)}[kind]
+        if g.n_edges == 0:
+            g = cycle_graph(size)
+        diag = draw(st.sampled_from([(1.0, 1.0), (0.2, 5.0)]))
+        m = model_on_graph(g, seed, alpha=draw(st.floats(0.1, 0.95)), diag_range=diag)
+    h = np.random.default_rng(seed).normal(size=m.p)
+    return m, h, draw(st.sampled_from([1, 2, 5, 10000]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(lbp_cases())
+def test_lbp_matches_dense_messages(case):
+    m, h, max_iters = case
+    res = lbp_run(m, h, max_iters=max_iters)
+    ref = dense_lbp(m, h, max_iters=max_iters)
+    assert (res.iterations, res.converged, res.breakdown) == (
+        ref["iterations"], ref["converged"], ref["breakdown"])
+    for name in ("means", "variances", "final_change"):
+        np.testing.assert_allclose(getattr(res, name), ref[name], rtol=0.0, atol=1e-12)
