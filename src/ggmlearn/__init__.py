@@ -13,7 +13,6 @@ thresholding (:mod:`ggmlearn.estimator`), Gaussian belief propagation
 __version__ = "0.1.0"
 
 from .errors import (
-    ConditioningFailure,
     GenerationFailed,
     GgmError,
     InvalidParameter,
@@ -58,9 +57,6 @@ from .estimator import (
     OracleGap,
     PairDecision,
     cmit,
-    conditional_covariance,
-    conditional_correlation,
-    conditional_mutual_information,
     default_threshold,
     min_conditional_statistic,
     oracle_gap,

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundsConfig, bounds_report
-from .errors import GgmError, InvalidParameter
+from .errors import GgmError, InvalidParameter, check_type
 from .estimator import EstimatorConfig, cmit
 from .graph import EnsembleConfig
 from .harness import LANE_SIGNS, TrialConfig, lane_seed, run_manifest, sweep
@@ -60,6 +60,15 @@ def _read_config(path: str, allow_list: bool = False):
     raise InvalidParameter(f"configuration {path} must hold a JSON object, got {type(data).__name__}")
 
 
+def _typed(config, key: str, hint, default=...):
+    """``config[key]``, or ``default`` when the key is absent and a default
+    is given, checked against ``hint`` like a configuration block value."""
+    if key not in config and default is not ...:
+        return default
+    check_type(f"configuration key {key!r}", config[key], hint)
+    return config[key]
+
+
 def _out_dir(path: str) -> Path:
     d = Path(path)
     d.mkdir(parents=True, exist_ok=True)
@@ -93,7 +102,7 @@ def generate(config_path, out_path, seed, fmt):
     """Draw a graph from an ensemble and write its edge list."""
     config = _read_config(config_path)
     ensemble = EnsembleConfig.from_dict({k: v for k, v in config.items() if k != "seed"})
-    effective_seed = seed if seed is not None else config.get("seed", 0)
+    effective_seed = seed if seed is not None else _typed(config, "seed", int, 0)
     graph = ensemble.build(effective_seed)
     out = _out_dir(out_path)
     write_edge_list(graph, out / "graph.edges")
@@ -106,16 +115,16 @@ def generate(config_path, out_path, seed, fmt):
 def synthesize(config_path, out_path, seed, fmt):
     """Build a model on a graph with a target walk-summability number."""
     config = _read_config(config_path)
-    effective_seed = seed if seed is not None else config.get("seed", 0)
+    effective_seed = seed if seed is not None else _typed(config, "seed", int, 0)
     if "graph" in config:
-        graph = read_edge_list(config["graph"])
+        graph = read_edge_list(_typed(config, "graph", str))
     else:
         graph = EnsembleConfig.from_dict(config["ensemble"]).build(effective_seed)
     model = synthesize_model(
         graph,
-        config["target_alpha"],
-        sign_pattern=config.get("sign_pattern", "attractive"),
-        diagonal=config.get("diagonal", 1.0),
+        _typed(config, "target_alpha", float),
+        sign_pattern=_typed(config, "sign_pattern", str, "attractive"),
+        diagonal=_typed(config, "diagonal", float, 1.0),
         seed=lane_seed(effective_seed, 0, LANE_SIGNS),
     )
     out = _out_dir(out_path)
@@ -129,9 +138,9 @@ def synthesize(config_path, out_path, seed, fmt):
 def sample_cmd(config_path, out_path, seed, fmt):
     """Draw i.i.d. samples from a saved model."""
     config = _read_config(config_path)
-    model = load_model(config["model"])
-    effective_seed = seed if seed is not None else config.get("seed", 0)
-    samples = sample(model, config["n"], effective_seed)
+    n = _typed(config, "n", int)
+    effective_seed = seed if seed is not None else _typed(config, "seed", int, 0)
+    samples = sample(load_model(_typed(config, "model", str)), n, effective_seed)
     out = _out_dir(out_path)
     save_samples(samples, out)
     _write_manifest(out, "sample", config, effective_seed)
@@ -145,9 +154,9 @@ def learn(config_path, out_path, seed, fmt):
     config = _read_config(config_path)
     est_cfg = EstimatorConfig.from_dict(config.get("estimator", {}))
     if est_cfg.exact_mode:
-        source = load_model(config["model"])
+        source = load_model(_typed(config, "model", str))
     else:
-        source = load_samples(config["samples"])
+        source = load_samples(_typed(config, "samples", str))
     result = cmit(source, est_cfg)
     out = _out_dir(out_path)
     write_json(result.to_dict(), out / "result.json")
@@ -161,14 +170,11 @@ def learn(config_path, out_path, seed, fmt):
 def lbp_cmd(config_path, out_path, seed, fmt):
     """Run belief propagation on a saved model."""
     config = _read_config(config_path)
-    model = load_model(config["model"])
-    h = np.asarray(config["h"], dtype=float) if "h" in config else None
-    result = lbp_run(
-        model,
-        h=h,
-        tol=config.get("tol", LBP_TOL),
-        max_iters=config.get("max_iters", LBP_MAX_ITERS),
-    )
+    h = _typed(config, "h", tuple[float, ...], None)
+    tol = _typed(config, "tol", float, LBP_TOL)
+    max_iters = _typed(config, "max_iters", int, LBP_MAX_ITERS)
+    model = load_model(_typed(config, "model", str))
+    result = lbp_run(model, h=None if h is None else np.asarray(h, dtype=float), tol=tol, max_iters=max_iters)
     out = _out_dir(out_path)
     write_json(
         {
@@ -217,8 +223,8 @@ def bounds_cmd(config_path, out_path, seed, fmt):
 def sweep_cmd(config_path, out_path, seed, fmt):
     """Run a grid of trial configurations and tabulate error rates."""
     config = _read_config(config_path, allow_list=True)
-    entries = config["configs"] if isinstance(config, dict) else config
-    include_fano = bool(config.get("include_fano", False)) if isinstance(config, dict) else False
+    entries = _typed(config, "configs", list) if isinstance(config, dict) else config
+    include_fano = _typed(config, "include_fano", bool, False) if isinstance(config, dict) else False
     trial_configs = []
     for entry in entries:
         if seed is not None:

@@ -27,10 +27,6 @@ class NotPositiveDefinite(NumericFailure):
     """A matrix required to be positive definite is not."""
 
 
-class ConditioningFailure(NumericFailure):
-    """A linear system was too ill conditioned to solve reliably."""
-
-
 class SynthesisFailed(GgmError, RuntimeError):
     """Model synthesis could not meet the requested target."""
 
@@ -58,6 +54,13 @@ def _fits(value, hint) -> bool:
     return isinstance(value, hint)
 
 
+def check_type(label: str, value, hint) -> None:
+    """Raise InvalidParameter naming ``label`` unless ``value`` fits ``hint``."""
+    if not _fits(value, hint):
+        expected = hint.__name__ if isinstance(hint, type) else str(hint)
+        raise InvalidParameter(f"{label} must be {expected}, got {type(value).__name__} {value!r}")
+
+
 def config_kwargs(cls, data, ignore=()) -> dict:
     """A configuration block as keyword arguments of the dataclass ``cls``,
     minus ``ignore``; a non-object block, unknown key, missing required
@@ -75,10 +78,6 @@ def config_kwargs(cls, data, ignore=()) -> dict:
             raise InvalidParameter(f"{name} block is missing the required key {key!r}")
     hints = typing.get_type_hints(cls)
     for key, value in data.items():
-        if key in ignore:
-            continue
-        hint = hints[key]
-        if not _fits(value, hint):
-            expected = hint.__name__ if isinstance(hint, type) else str(hint)
-            raise InvalidParameter(f"{name} block key {key!r} must be {expected}, got {type(value).__name__} {value!r}")
+        if key not in ignore:
+            check_type(f"{name} block key {key!r}", value, hints[key])
     return {k: v for k, v in data.items() if k not in ignore}

@@ -20,6 +20,8 @@ paper's O(p^(eta+2)) time: O(p^eta) sets at O(p^2) each; memory is
 O((eta+1) p^2), one conditional matrix per level of the walk.
 ``min_conditional_statistic`` runs the same recursion for a single pair in
 O(p^max(eta, 1)) time and returns the same value, set and status as ``cmit``.
+The conditional covariance for one fixed set is
+``model.conditional_covariance_exact``.
 
 A set S is skipped when its block Sigma[S, S] fails the conditioning
 guard: |S| = 1 needs a positive variance, |S| = 2 a positive smallest
@@ -48,7 +50,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import ConditioningFailure, InvalidParameter, NumericFailure, config_kwargs
+from .errors import InvalidParameter, config_kwargs
 from .graph import Graph, separation_profile
 from .model import GaussianModel, _check_pair, conditional_covariance_exact
 from .sampler import SampleSet, empirical_covariance
@@ -204,46 +206,6 @@ class EstimationResult:
             status=status,
             sets=list(sets),
         )
-
-
-def conditional_covariance(sigma, i: int, j: int, cond_set=(), cond_limit: float = DEFAULT_COND_LIMIT) -> float:
-    """Schur-complement conditional covariance with a conditioning guard.
-
-    Unlike the exact-model variant, this treats an ill-conditioned block
-    (condition number above ``cond_limit``, or singular) as a failure,
-    since it is meant for empirical covariance input.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    cond = _check_pair(sigma, i, j, cond_set)
-    if not cond:
-        return float(sigma[i, j])
-    block = sigma[np.ix_(cond, cond)]
-    svals = np.linalg.svd(block, compute_uv=False)
-    smin, smax = float(svals[-1]), float(svals[0])
-    if smin <= 0.0 or smax > cond_limit * smin:
-        raise ConditioningFailure(
-            f"conditioning block for S={cond} has condition number above {cond_limit:.1e}"
-        )
-    solved = np.linalg.solve(block, sigma[cond, j])
-    return float(sigma[i, j] - sigma[i, cond] @ solved)
-
-
-def conditional_correlation(sigma, i: int, j: int, cond_set=(), cond_limit: float = DEFAULT_COND_LIMIT) -> float:
-    """rho(i, j | S) = Sigma(i, j | S) / sqrt(Sigma(i, i | S) Sigma(j, j | S))."""
-    cov = conditional_covariance(sigma, i, j, cond_set, cond_limit)
-    var_i = conditional_covariance(sigma, i, i, cond_set, cond_limit)
-    var_j = conditional_covariance(sigma, j, j, cond_set, cond_limit)
-    if var_i <= 0.0 or var_j <= 0.0:
-        raise NumericFailure(f"nonpositive conditional variance for S={tuple(cond_set)}")
-    return cov / math.sqrt(var_i * var_j)
-
-
-def conditional_mutual_information(sigma, i: int, j: int, cond_set=(), cond_limit: float = DEFAULT_COND_LIMIT) -> float:
-    """Gaussian conditional mutual information in nats."""
-    rho = conditional_correlation(sigma, i, j, cond_set, cond_limit)
-    if abs(rho) >= 1.0:
-        raise NumericFailure(f"conditional correlation magnitude {abs(rho):.3f} not below 1")
-    return -0.5 * math.log1p(-rho * rho)
 
 
 class _Guard:

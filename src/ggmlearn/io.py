@@ -3,13 +3,15 @@ JSON helpers.
 
 Edge list: first line ``<p> <edge-count>``, then one ``u v`` line per edge
 with u < v, lines sorted.  Matrix CSV: first line ``<p>``, then p rows of p
-comma-separated values printed with 17 significant digits so float64 values
-round-trip exactly.
+comma-separated values written by ``np.savetxt(fmt="%.17g")`` (the bytes of
+``f"{x:.17g}"``) and read by ``np.loadtxt``, so float64 values round-trip
+exactly; unlike ``float``, the reader rejects underscore literals (``1_0``).
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from pathlib import Path
 
@@ -58,27 +60,25 @@ def read_edge_list(path) -> Graph:
 
 
 def format_matrix_csv(m: np.ndarray) -> str:
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise InvalidParameter("matrix must be 2-dimensional")
-    rows = [str(m.shape[0])]
-    rows.extend(",".join(f"{x:.17g}" for x in row) for row in m)
-    return "\n".join(rows) + "\n"
+    buf = io.StringIO()
+    write_matrix_csv(m, buf)
+    return buf.getvalue()
 
 
 def write_matrix_csv(m: np.ndarray, path) -> None:
-    Path(path).write_text(format_matrix_csv(m))
+    """Write a matrix file to ``path``, a file path or a text stream."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2:
+        raise InvalidParameter("matrix must be 2-dimensional")
+    np.savetxt(path, m, fmt="%.17g", delimiter=",", header=str(m.shape[0]), comments="")
 
 
 def parse_matrix_csv(text: str) -> np.ndarray:
-    """Parse a matrix file; the header line declares the row count.
-
-    Square p x p model matrices and rectangular n x p sample matrices share
-    this container.
-    """
+    """Parse a matrix file whose header line declares the row count: a
+    square p x p model matrix or a rectangular n x p sample matrix."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise InvalidParameter("empty matrix file")
+    if len(lines) < 2:
+        raise InvalidParameter("matrix file has no rows")
     try:
         nrows = int(lines[0])
     except ValueError as exc:
@@ -86,10 +86,9 @@ def parse_matrix_csv(text: str) -> np.ndarray:
     if len(lines) - 1 != nrows:
         raise InvalidParameter(f"matrix file declares {nrows} rows but has {len(lines) - 1}")
     try:
-        m = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]], dtype=float)
+        return np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise InvalidParameter(f"malformed matrix file: {exc}") from exc
-    return m
 
 
 def read_matrix_csv(path) -> np.ndarray:
@@ -112,9 +111,6 @@ def config_hash(obj) -> str:
 
 def save_model(model, directory) -> None:
     """Write a model directory: graph.edges, precision.csv, model.json."""
-    from .model import GaussianModel  # local import keeps module load light
-
-    assert isinstance(model, GaussianModel)
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     write_edge_list(model.graph, d / "graph.edges")

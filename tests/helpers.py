@@ -44,12 +44,19 @@ def separates(adj: list[int], i: int, j: int, blocked: int) -> bool:
 
 def brute_force_local_separator(g: Graph, i: int, j: int, gamma: int) -> tuple[int, ...]:
     """First separating subset in (size, lexicographic) order, enumerated
-    exhaustively over the ball-restricted edge set."""
+    exhaustively over the ball-restricted edge set.
+
+    Only subsets of the ball minus {i, j} are tried.  Every i-j path in the
+    ball's edges stays inside the ball, so a separator that holds a vertex
+    outside it still separates without that vertex; a minimum separator
+    therefore lies inside the ball, and the first separating subset in
+    (size, lexicographic) order over all p - 2 other vertices is the same.
+    """
     if gamma == 0:
         return ()
     inside = set(ball(g, i, gamma))
     adj = bitmask_adjacency(g, [e for e in g.edges if e[0] in inside and e[1] in inside])
-    others = [v for v in range(g.p) if v != i and v != j]
+    others = sorted(inside - {i, j})
     for size in range(len(others) + 1):
         for subset in combinations(others, size):
             blocked = 0
@@ -58,6 +65,13 @@ def brute_force_local_separator(g: Graph, i: int, j: int, gamma: int) -> tuple[i
             if separates(adj, i, j, blocked):
                 return subset
     raise AssertionError("every pair is separated by removing all other vertices")
+
+
+def reference_format_matrix_csv(m: np.ndarray) -> str:
+    """Matrix CSV written one float at a time with Python's ``f"{x:.17g}"``."""
+    rows = [str(m.shape[0])]
+    rows.extend(",".join(f"{x:.17g}" for x in row) for row in m)
+    return "\n".join(rows) + "\n"
 
 
 def dense_alpha(j: np.ndarray) -> float:

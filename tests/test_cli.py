@@ -322,8 +322,27 @@ def test_config_block_key_errors_fail_cleanly(tmp_path, command, payload, messag
     ("bounds", {"p": 50, "c": 2.0, "alpha": False}, "BoundsConfig block key 'alpha' must be float, got bool False"),
     ("bounds", {"p": 50.0, "c": 2.0, "alpha": 0.5}, "BoundsConfig block key 'p' must be int, got float 50.0"),
     ("bounds", {"p": [64, "x"], "c": 2.0, "alpha": 0.5}, "BoundsConfig block key 'p' must be int, got str 'x'"),
+    ("synthesize", {"ensemble": CHAIN, "target_alpha": "0.5"},
+     "configuration key 'target_alpha' must be float, got str '0.5'"),
+    ("synthesize", {"ensemble": CHAIN, "target_alpha": 0.5, "sign_pattern": 1},
+     "configuration key 'sign_pattern' must be str, got int 1"),
+    ("synthesize", {"ensemble": CHAIN, "target_alpha": 0.5, "diagonal": "2"},
+     "configuration key 'diagonal' must be float, got str '2'"),
+    ("synthesize", {"ensemble": CHAIN, "target_alpha": 0.5, "seed": 1.5},
+     "configuration key 'seed' must be int, got float 1.5"),
+    ("lbp", {"model": "unused", "tol": "x"}, "configuration key 'tol' must be float, got str 'x'"),
+    ("lbp", {"model": "unused", "max_iters": 2.5}, "configuration key 'max_iters' must be int, got float 2.5"),
+    ("lbp", {"model": "unused", "h": "x"}, "configuration key 'h' must be tuple[float, ...], got str 'x'"),
+    ("sample", {"model": "unused", "n": "10"}, "configuration key 'n' must be int, got str '10'"),
+    ("sample", {"model": "unused", "n": 10, "seed": "3"}, "configuration key 'seed' must be int, got str '3'"),
+    ("generate", {"kind": "chain", "p": 6, "seed": 1.5}, "configuration key 'seed' must be int, got float 1.5"),
+    ("sweep", {"configs": [], "include_fano": "yes"},
+     "configuration key 'include_fano' must be bool, got str 'yes'"),
 ], ids=["estimator-eta-str", "ensemble-p-str", "trial-n-bool", "ensemble-edge-triple", "learn-xi-str",
-        "bounds-alpha-bool", "bounds-p-float", "bounds-grid-p-str"])
+        "bounds-alpha-bool", "bounds-p-float", "bounds-grid-p-str", "synthesize-target-alpha-str",
+        "synthesize-sign-pattern-int", "synthesize-diagonal-str", "synthesize-seed-float", "lbp-tol-str",
+        "lbp-max-iters-float", "lbp-h-str", "sample-n-str", "sample-seed-str", "generate-seed-float",
+        "sweep-include-fano-str"])
 def test_config_value_type_errors_fail_cleanly(tmp_path, command, payload, message):
     cfg = write_config(tmp_path / "cfg.json", payload)
     proc = run_cli_subprocess(cfg, tmp_path / "out", command)

@@ -8,18 +8,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ggmlearn import (
-    ConditioningFailure,
     EstimationResult,
     EstimatorConfig,
     InvalidParameter,
-    NumericFailure,
     PairDecision,
     chain_graph,
     cmit,
-    conditional_covariance,
-    conditional_correlation,
     conditional_covariance_exact,
-    conditional_mutual_information,
     cycle_graph,
     default_threshold,
     edit_distance,
@@ -63,15 +58,14 @@ def test_default_threshold_value_and_validation():
     (0, 1, (9,), r"conditioning set \[9\] out of range for p=4"),
 ])
 def test_pair_validation_shared_with_exact_model(i, j, cond, message):
-    for fn in (conditional_covariance, conditional_covariance_exact):
-        with pytest.raises(InvalidParameter, match=f"^{message}$"):
-            fn(np.eye(4), i, j, cond)
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        conditional_covariance_exact(np.eye(4), i, j, cond)
 
 
 def test_conditional_covariance_empty_set_is_entry():
     m = chain_model()
     sigma = m.sigma()
-    assert conditional_covariance(sigma, 2, 5) == float(sigma[2, 5])
+    assert conditional_covariance_exact(sigma, 2, 5) == float(sigma[2, 5])
 
 
 def test_conditional_covariance_matches_exact_variant():
@@ -79,7 +73,7 @@ def test_conditional_covariance_matches_exact_variant():
     sigma = np.asarray(m.sigma())
     j = np.asarray(m.precision)
     for i, jj, cond in ((0, 4, (1,)), (2, 6, (3, 5)), (1, 3, ())):
-        got = conditional_covariance(sigma, i, jj, cond)
+        got = conditional_covariance_exact(sigma, i, jj, cond)
         assert got == pytest.approx(marginal_precision_conditional_cov(j, i, jj, cond), abs=1e-10)
 
 
@@ -90,28 +84,20 @@ def test_conditional_covariance_flags_singular_block():
         [0.5, 0.9, 1.0, 1.0],
         [0.5, 0.9, 1.0, 1.0],
     ])
-    with pytest.raises(ConditioningFailure):
-        conditional_covariance(sigma, 0, 1, (2, 3))
-    # a well conditioned subset still works
-    conditional_covariance(sigma, 0, 1, (2,))
-
-
-def test_conditional_correlation_two_node():
-    r = 0.37
-    sigma = np.array([[1.0, r], [r, 1.0]])
-    assert conditional_correlation(sigma, 0, 1) == pytest.approx(r, abs=1e-15)
+    # Sigma[(2, 3), (2, 3)] is singular, so the guard skips S = (2, 3); the
+    # well conditioned S = (2,) gives 0.5 - 0.5 * 0.9 = 0.05
+    dec = min_conditional_statistic(sigma, 0, 1, eta=2)
+    assert dec.subset == (2,) and dec.status == "ok"
+    assert dec.value == pytest.approx(0.05, abs=1e-15)
 
 
 def test_conditional_mutual_information_values():
     sigma = np.array([[1.0, 0.6], [0.6, 1.0]])
     # -0.5 ln(1 - 0.36) = ln(1.25)
-    assert conditional_mutual_information(sigma, 0, 1) == pytest.approx(
-        0.22314355131420976, rel=1e-14)
+    dec = min_conditional_statistic(sigma, 0, 1, eta=0, statistic="mutual_information")
+    assert dec.value == pytest.approx(0.22314355131420976, rel=1e-14)
     zero = np.eye(3)
-    assert conditional_mutual_information(zero, 0, 2) == 0.0
-    degenerate = np.array([[1.0, 1.0], [1.0, 1.0]])
-    with pytest.raises(NumericFailure):
-        conditional_mutual_information(degenerate, 0, 1)
+    assert min_conditional_statistic(zero, 0, 2, eta=0, statistic="mutual_information").value == 0.0
 
 
 def test_min_statistic_chain_separator_found():

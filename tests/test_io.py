@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ggmlearn import InvalidParameter
 from ggmlearn.io import (
@@ -11,6 +13,13 @@ from ggmlearn.io import (
     write_json,
     write_matrix_csv,
 )
+
+from helpers import reference_format_matrix_csv
+
+# +-0, the smallest subnormal, the largest subnormal and smallest normal,
+# the extremes, +-inf and nan
+SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+           1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan]
 
 
 def test_matrix_csv_round_trip_is_exact():
@@ -45,6 +54,34 @@ def test_matrix_csv_rejects_malformed_input():
         parse_matrix_csv("x\n1,2\n")  # header is not a row count
     with pytest.raises(InvalidParameter):
         format_matrix_csv(np.zeros(3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
+              elements=st.one_of(st.sampled_from(SPECIAL), st.floats())))
+@example(np.array([SPECIAL]))
+@example(np.array([SPECIAL]).T)
+def test_matrix_csv_codec_matches_reference_writer_and_round_trips_bits(m):
+    text = format_matrix_csv(m)
+    assert text == reference_format_matrix_csv(m)
+    back = parse_matrix_csv(text)
+    assert back.shape == m.shape
+    nan = np.isnan(m)
+    assert np.array_equal(np.isnan(back), nan)
+    # sign bits included: -0.0 and the negative subnormals come back as written
+    assert np.array_equal(back[~nan].view(np.int64), m[~nan].view(np.int64))
+
+
+@pytest.mark.parametrize("text", [
+    "2\n1,2\n3\n",        # ragged rows
+    "1\n1,,2\n",           # empty field
+    "1\n1,x\n",            # non-numeric field
+    "1\n1_0,2\n",          # underscore literal: Python's float accepts it, np.loadtxt does not
+    "1\n",                 # no rows
+])
+def test_matrix_csv_malformed_rows_raise_invalid_parameter(text):
+    with pytest.raises(InvalidParameter):
+        parse_matrix_csv(text)
 
 
 def test_matrix_csv_file_round_trip(tmp_path):
