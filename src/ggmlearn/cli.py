@@ -227,7 +227,7 @@ def sweep_cmd(config_path, out_path, seed, fmt):
     include_fano = _typed(config, "include_fano", bool, False) if isinstance(config, dict) else False
     trial_configs = []
     for entry in entries:
-        if seed is not None:
+        if seed is not None and isinstance(entry, dict):
             entry = {**entry, "seed": seed}
         trial_configs.append(TrialConfig.from_dict(entry))
     result = sweep(trial_configs, include_fano=include_fano)

@@ -23,6 +23,16 @@ O(p^max(eta, 1)) time and returns the same value, set and status as ``cmit``.
 The conditional covariance for one fixed set is
 ``model.conditional_covariance_exact``.
 
+The per-set step allocates nothing: each level of the walk writes its
+conditional matrix into one preallocated p x p buffer, with the same
+floating point operations in the same order as ``sigma - np.outer(c, c) /
+c[k]``, and the all-pairs scan keeps its statistic and comparison arrays
+preallocated too.  Mutual information is minimized on its key rho^2 =
+cov^2 / (var_i var_j), on which it is increasing, and each pair's minimum
+is converted to -0.5 * ln(1 - rho^2) once at the end, not at every set;
+ties are therefore ties of rho^2.  Each level of the walk judges the
+guard of all the sets that extend its prefix by one vertex with one call.
+
 A set S is skipped when its block Sigma[S, S] fails the conditioning
 guard: |S| = 1 needs a positive variance, |S| = 2 a positive smallest
 eigenvalue (closed form) and condition number at most ``cond_limit``,
@@ -230,23 +240,18 @@ class _Guard:
 
     def passes(self, prefix: tuple[int, ...], *last: np.ndarray) -> np.ndarray:
         """Verdict for every set prefix + (last[0][t], ..., last[-1][t])."""
-        if not prefix and len(last) == 1:
-            return self.d[last[0]] > 0.0
-        if not prefix and len(last) == 2:
-            return self.pair_ok[last[0], last[1]]
+        cols = (*prefix, *last)
+        if len(cols) == 1:
+            return self.d[cols[0]] > 0.0
+        if len(cols) == 2:
+            return self.pair_ok[cols[0], cols[1]]
         sets = np.column_stack([np.full(len(last[0]), v) for v in prefix] + list(last))
         svals = np.linalg.svd(self.sigma[sets[:, :, None], sets[:, None, :]], compute_uv=False)
         return (svals[:, -1] > 0.0) & (svals[:, 0] <= self.cond_limit * svals[:, -1])
 
-    def passes_one(self, subset: tuple[int, ...]) -> bool:
-        if len(subset) == 1:
-            return bool(self.d[subset[0]] > 0.0)
-        if len(subset) == 2:
-            return bool(self.pair_ok[subset])
-        return bool(self.passes(subset[:-1], np.array(subset[-1:]))[0])
 
-
-def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: list[int], members=(), start=0):
+def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: np.ndarray, members=(), start=0,
+          bufs=None):
     """Yield (S, Sigma(., . | S)) for every set S of ``size`` vertices from
     the ascending ``candidates`` that passes the guard, in lexicographic
     order; ``sigma`` is conditioned on ``members`` already, and sets extend
@@ -254,32 +259,57 @@ def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: list[int], me
 
     Depth first, one rank-1 Schur step per level:
     Sigma(., . | S + k) = Sigma(., . | S) - c c^T / c_k with
-    c = Sigma(., k | S).  A set that fails the guard is skipped with all its
-    supersets: for a positive semidefinite input their blocks are at least
-    as ill conditioned (Cauchy interlacing).
+    c = Sigma(., k | S), written into that level's slice of ``bufs``, so
+    the walk allocates nothing per set and a yielded matrix is valid only
+    until the next one.  Each level judges the sets of all its candidates
+    with one guard call.  A set that fails the guard is skipped with all
+    its supersets: for a positive semidefinite input their blocks are at
+    least as ill conditioned (Cauchy interlacing).
     """
     if len(members) == size:
         yield members, sigma
         return
-    for pos in range(start, len(candidates) - (size - len(members)) + 1):
-        k = candidates[pos]
-        subset = members + (k,)
-        if guard.passes_one(subset):
-            c = sigma[:, k]
-            yield from _walk(sigma - np.outer(c, c) / c[k], size, guard, candidates, subset, pos + 1)
+    if bufs is None:
+        bufs = np.empty((size, *sigma.shape))
+    buf = bufs[len(members)]
+    ks = candidates[start:len(candidates) - (size - len(members)) + 1]
+    for pos in np.flatnonzero(guard.passes(members, ks)).tolist():
+        k = int(ks[pos])
+        c = sigma[:, k]
+        # the operations of sigma - np.outer(c, c) / c[k], in place
+        np.multiply(c[:, None], c, out=buf)
+        np.divide(buf, c[k], out=buf)
+        np.subtract(sigma, buf, out=buf)
+        yield from _walk(buf, size, guard, candidates, members + (k,), start + pos + 1, bufs)
 
 
-def _statistic(cov, var_i, var_j, statistic: str):
-    """The statistic from the conditional 2 x 2 block of a pair; infinite
-    where mutual information is undefined (variance product not positive,
-    or squared correlation not below one).  Callers silence the floating
-    point warnings of the undefined entries."""
+def _key(cov, var_i, var_j, statistic: str, out=None, den=None, bad=None):
+    """The key a pair's statistic is minimized on, from its conditional
+    2 x 2 block: |cov| for covariance, rho^2 = cov^2 / (var_i var_j) for
+    mutual information, which is increasing in rho^2 (``_value``).  The
+    key is infinite where mutual information is undefined (variance product
+    not positive, or rho^2 not below one).  Array inputs; ``out``, ``den``
+    and ``bad`` are optional scratch arrays of the result's shape (float,
+    float, bool).  Callers silence the floating point warnings of the
+    undefined entries."""
     if statistic == "covariance":
-        return np.abs(cov)
-    den = var_i * var_j
-    rho2 = cov * cov / den
-    value = -0.5 * np.log1p(-rho2)
-    return np.where((den > 0.0) & (rho2 < 1.0), value, np.inf)
+        return np.abs(cov, out=out)
+    den = np.multiply(var_i, var_j, out=den)
+    key = np.multiply(cov, cov, out=out)
+    np.divide(key, den, out=key)
+    bad = np.less_equal(den, 0.0, out=bad)
+    np.copyto(key, np.inf, where=bad)
+    np.copyto(key, np.inf, where=np.logical_not(np.less(key, 1.0, out=bad), out=bad))
+    return key
+
+
+def _value(key, statistic: str):
+    """The statistic of a key: the key itself for covariance, and
+    -0.5 * ln(1 - rho^2) for mutual information, infinite for an infinite
+    key."""
+    if statistic == "covariance":
+        return key
+    return np.where(key < 1.0, -0.5 * np.log1p(-key), np.inf)
 
 
 def _max_size(eta: int, n: int | None) -> int:
@@ -289,53 +319,55 @@ def _max_size(eta: int, n: int | None) -> int:
 
 def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
               threshold: float | None):
-    """Minimize the statistic of every pair at once.
+    """Minimize the key of every pair at once.
 
-    Each size class is one walk.  At every set the statistic of all pairs is
-    read off the conditional matrix, with the rows and columns of the set's
-    members masked, and a strict ``<`` keeps the first set in canonical
-    order among ties.
+    Each size class is one walk.  At every set the key of all pairs is
+    read off the conditional matrix into preallocated scratch arrays, with
+    the rows and columns of the set's members masked, and a strict ``<``
+    keeps the first set in canonical order among ties.
 
     With a ``threshold`` (early exit) a pair is frozen after the first size
-    class that brings its minimum to the threshold or below.  From size 2
-    on, once at most a quarter of the pairs are still open, they are
-    finished one at a time by ``_scan_pair``, whose cost no longer grows
-    with the number of frozen pairs.
+    class that brings its minimum statistic to the threshold or below.
+    From size 2 on, once at most a quarter of the pairs are still open,
+    they are finished one at a time by ``_scan_pair``, whose cost no longer
+    grows with the number of frozen pairs.
 
-    Returns p x p arrays, read above the diagonal (the minimum, the index of
-    the argmin set in the returned list or -1, and the early-exit flag),
-    and the list of sets.
+    Returns p x p arrays, read above the diagonal (the minimum key, the
+    index of the argmin set in the returned list or -1, and the early-exit
+    flag), and the list of sets.
     """
     p = sigma.shape[0]
     best = np.full((p, p), np.inf)
     arg = np.full((p, p), -1, dtype=np.intp)
+    stat, den = np.empty((p, p)), np.empty((p, p))
+    better, bad = np.empty((p, p), dtype=bool), np.empty((p, p), dtype=bool)
     lower = np.tri(p, dtype=bool)
     # the diagonal and lower triangle start frozen, so ~frozen lists the open pairs
     frozen = lower.copy()
     winners: list[tuple[int, ...]] = []
-    vertices = list(range(p))
+    vertices = np.arange(p)
     size = 0
     while size <= max_size:
         if threshold is not None:
             still_open = np.count_nonzero(~frozen)
             if still_open == 0 or (size >= 2 and 8 * still_open <= p * (p - 1)):
                 break
+            open_pairs = ~frozen
         for subset, cond in _walk(sigma, size, guard, vertices):
-            d = np.diag(cond)
-            stat = _statistic(cond, d[:, None], d[None, :], statistic)
-            better = stat < best
-            if subset:
-                members = list(subset)
-                better[members, :] = False
-                better[:, members] = False
+            d = cond.diagonal()
+            _key(cond, d[:, None], d, statistic, stat, den, bad)
+            np.less(stat, best, out=better)
+            for k in subset:
+                better[k] = False
+                better[:, k] = False
             if threshold is not None:
-                better &= ~frozen
+                better &= open_pairs
             if better.any():
                 np.copyto(best, stat, where=better)
-                arg[better] = len(winners)
+                np.copyto(arg, len(winners), where=better)
                 winners.append(subset)
         if threshold is not None:
-            frozen |= best <= threshold
+            frozen |= _value(best, statistic) <= threshold
         size += 1
     if size <= max_size:
         for i, j in np.argwhere(~frozen).tolist():
@@ -350,23 +382,23 @@ def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
 
 def _scan_pair(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
                guard: _Guard, threshold: float | None = None, resume=None):
-    """Minimize the statistic of one pair with the same recursion as
-    ``_scan_all`` and the same arithmetic, so values agree bit for bit.
+    """Minimize the key of one pair with the same recursion as
+    ``_scan_all`` and the same arithmetic, so keys agree bit for bit.
 
     Only the pair's 2 x 2 block is needed, so the last conditioning vertex
     (size 1) or the last two (size >= 2) of every set are applied to whole
     vectors at once; the walk supplies the rest of the set.  Time per pair
     is O(p^max(eta, 1)) instead of O(p^(eta+2)).
 
-    ``resume`` = (size, minimum, argmin set) continues a pair whose smaller
-    sizes are done; a ``threshold`` stops after the first size class that
-    brings the minimum to it or below (early exit).  Returns the minimum,
-    the argmin set and whether the pair stopped early; a failed pair has an
-    infinite minimum and no set.
+    ``resume`` = (size, minimum key, argmin set) continues a pair whose
+    smaller sizes are done; a ``threshold`` stops after the first size
+    class that brings the minimum statistic to it or below (early exit).
+    Returns the minimum key, the argmin set and whether the pair stopped
+    early; a failed pair has an infinite key and no set.
     """
     others = np.delete(np.arange(sigma.shape[0]), [i, j])
     if resume is None:
-        resume = (1, float(_statistic(sigma[i, j], sigma[i, i], sigma[j, j], statistic)), ())
+        resume = (1, float(_key(sigma[[i], [j]], sigma[[i], [i]], sigma[[j], [j]], statistic)[0]), ())
     first, best, best_subset = resume
     if max_size >= 2:
         # (m, l) position pairs in row-major order; the pairs of a suffix
@@ -374,7 +406,7 @@ def _scan_pair(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
         m_pos, l_pos = np.triu_indices(len(others), 1)
     for size in range(first, max_size + 1):
         batch = min(size, 2)
-        for prefix, cond in _walk(sigma, size - batch, guard, others.tolist()):
+        for prefix, cond in _walk(sigma, size - batch, guard, others):
             ci, cj, dg = cond[i], cond[j], np.diagonal(cond)
             if batch == 1:
                 last = (others,)
@@ -397,13 +429,13 @@ def _scan_pair(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
             if statistic == "covariance":
                 values = np.abs(c_ij - a * b / piv)
             else:
-                values = _statistic(c_ij - a * b / piv, c_ii - a * a / piv, c_jj - b * b / piv, statistic)
+                values = _key(c_ij - a * b / piv, c_ii - a * a / piv, c_jj - b * b / piv, statistic)
             values = np.where(guard.passes(prefix, *last) & ~np.isnan(values), values, np.inf)
             pos = int(np.argmin(values)) if len(values) else 0
             if len(values) and values[pos] < best:
                 best = float(values[pos])
                 best_subset = prefix + tuple(int(col[pos]) for col in last)
-        if threshold is not None and best <= threshold:
+        if threshold is not None and _value(best, statistic) <= threshold:
             return best, best_subset, True
     return best, None if math.isinf(best) else best_subset, False
 
@@ -432,7 +464,8 @@ def min_conditional_statistic(
     if eta < 0:
         raise InvalidParameter("eta must be nonnegative")
     with np.errstate(divide="ignore", invalid="ignore"):
-        value, subset, _ = _scan_pair(sigma, i, j, _max_size(eta, n), statistic, _Guard(sigma, cond_limit))
+        key, subset, _ = _scan_pair(sigma, i, j, _max_size(eta, n), statistic, _Guard(sigma, cond_limit))
+        value = float(_value(key, statistic))
     return PairDecision(value, subset, STATUSES[int(math.isinf(value))])
 
 
@@ -476,13 +509,13 @@ def cmit(source, config: EstimatorConfig) -> EstimationResult:
         raise InvalidParameter("need at least two variables")
     xi = _resolve_threshold(config, n, p)
     threshold = xi * xi if config.statistic == "mutual_information" else xi
+    iu, ju = np.triu_indices(p, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         best, arg, early, winners = _scan_all(
             sigma, _max_size(config.eta, n), config.statistic,
             _Guard(sigma, config.cond_limit), threshold if config.early_exit else None,
         )
-    iu, ju = np.triu_indices(p, 1)
-    values = best[iu, ju]
+        values = _value(best[iu, ju], config.statistic)
     is_edge = np.isfinite(values) & (values > threshold)
     return EstimationResult(
         p=p,

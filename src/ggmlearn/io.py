@@ -6,6 +6,9 @@ with u < v, lines sorted.  Matrix CSV: first line ``<p>``, then p rows of p
 comma-separated values written by ``np.savetxt(fmt="%.17g")`` (the bytes of
 ``f"{x:.17g}"``) and read by ``np.loadtxt``, so float64 values round-trip
 exactly; unlike ``float``, the reader rejects underscore literals (``1_0``).
+
+The readers raise InvalidParameter naming the path when a file cannot be
+read or, for JSON, parsed.
 """
 
 from __future__ import annotations
@@ -19,6 +22,13 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .graph import Graph
+
+
+def _read_text(path) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParameter(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def format_edge_list(g: Graph) -> str:
@@ -56,7 +66,7 @@ def parse_edge_list(text: str) -> Graph:
 
 
 def read_edge_list(path) -> Graph:
-    return parse_edge_list(Path(path).read_text())
+    return parse_edge_list(_read_text(path))
 
 
 def format_matrix_csv(m: np.ndarray) -> str:
@@ -92,7 +102,7 @@ def parse_matrix_csv(text: str) -> np.ndarray:
 
 
 def read_matrix_csv(path) -> np.ndarray:
-    return parse_matrix_csv(Path(path).read_text())
+    return parse_matrix_csv(_read_text(path))
 
 
 def write_json(obj, path) -> None:
@@ -100,7 +110,11 @@ def write_json(obj, path) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text())
+    text = _read_text(path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InvalidParameter(f"{path} is not valid JSON: {exc}") from exc
 
 
 def config_hash(obj) -> str:

@@ -241,10 +241,12 @@ def test_missing_config_file_fails(runner, tmp_path):
 
 
 def run_cli_subprocess(cfg: str, out: Path, command: str = "learn") -> subprocess.CompletedProcess:
+    """Run ``ggmlearn <command> --config cfg --out out``; ``command`` may
+    carry options after the subcommand name."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, "-m", "ggmlearn.cli", command, "--config", cfg, "--out", str(out)],
+        [sys.executable, "-m", "ggmlearn.cli", *command.split(), "--config", cfg, "--out", str(out)],
         capture_output=True, text=True, env=env, timeout=120,
     )
 
@@ -301,12 +303,30 @@ CHAIN = {"kind": "chain", "p": 6}
     ("learn", {"samples": "unused", "estimator": {"eta": 1, "xii": 0.1}},
      "EstimatorConfig block has unknown key 'xii'"),
     ("bounds", {"p": 50, "c": 2.0}, "BoundsConfig block is missing the required key 'alpha'"),
+    ("sweep --seed 3", {"configs": [3]}, "TrialConfig block must be an object, got int"),
+    ("sweep --seed 3", [[{"n": 100}]], "TrialConfig block must be an object, got list"),
 ], ids=["estimator-unknown", "ensemble-no-kind", "trial-unknown", "trial-no-ensemble", "estimator-not-object",
-        "generate-unknown", "learn-unknown", "bounds-missing"])
+        "generate-unknown", "learn-unknown", "bounds-missing", "seed-override-entry-int",
+        "seed-override-entry-list"])
 def test_config_block_key_errors_fail_cleanly(tmp_path, command, payload, message):
     cfg = write_config(tmp_path / "cfg.json", payload)
     proc = run_cli_subprocess(cfg, tmp_path / "out", command)
     assert_clean_error(proc, f"Error: {message}")
+
+
+@pytest.mark.parametrize("command, extra, key, missing_file", [
+    ("learn", {}, "samples", "samples.csv"),
+    ("learn", {"estimator": {"exact_mode": True, "xi": 0.1}}, "model", "graph.edges"),
+    ("sample", {"n": 10}, "model", "graph.edges"),
+    ("lbp", {}, "model", "graph.edges"),
+    ("synthesize", {"target_alpha": 0.5}, "graph", None),
+], ids=["learn-samples", "learn-exact-model", "sample-model", "lbp-model", "synthesize-graph"])
+def test_missing_input_path_fails_cleanly(tmp_path, command, extra, key, missing_file):
+    missing = tmp_path / "nope"
+    cfg = write_config(tmp_path / "cfg.json", {**extra, key: str(missing)})
+    proc = run_cli_subprocess(cfg, tmp_path / "out", command)
+    target = missing if missing_file is None else missing / missing_file
+    assert_clean_error(proc, f"Error: cannot read {target}: No such file or directory")
 
 
 @pytest.mark.parametrize("command, payload, message", [

@@ -128,11 +128,14 @@ def test_min_statistic_canonical_tie_break():
 
 
 def test_min_statistic_failed_status_for_degenerate_mi():
-    sigma = np.diag([0.0, 1.0])
-    dec = min_conditional_statistic(sigma, 0, 1, eta=0, statistic="mutual_information")
-    assert dec.status == "failed"
-    assert math.isinf(dec.value)
-    assert dec.subset is None
+    # variance products of zero and below zero
+    for sigma in (np.diag([0.0, 1.0]), np.array([[-1.0, 0.5], [0.5, 1.0]])):
+        dec = min_conditional_statistic(sigma, 0, 1, eta=0, statistic="mutual_information")
+        assert dec.status == "failed"
+        assert math.isinf(dec.value)
+        assert dec.subset is None
+        cfg = EstimatorConfig(eta=0, statistic="mutual_information", xi=0.1, exact_mode=True)
+        assert cmit(sigma, cfg).pairs[(0, 1)] == dec
 
 
 def test_min_statistic_validation():
@@ -309,18 +312,27 @@ def test_cmit_sample_size_caps_subset_size():
 def scan_cases(draw):
     """(cmit source, config, covariance it scans, largest set size, whether
     exact ties make the canonical argmin observable)."""
-    p = draw(st.integers(2, 9))
+    kind = draw(st.sampled_from(["sample", "exact", "identity", "blocks", "degenerate"]))
+    p = draw(st.integers(3 if kind == "degenerate" else 2, 9))
     eta = draw(st.integers(0, 3))
     statistic = draw(st.sampled_from(["covariance", "mutual_information"]))
-    kind = draw(st.sampled_from(["sample", "exact", "identity", "blocks"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "sample":
+    if kind in ("sample", "degenerate"):
         # n below eta + 1 caps the set size at n - 1
-        n = draw(st.integers(2, p + 3))
+        n = draw(st.integers(2, p + 3) if kind == "sample" else st.integers(1, 2))
         data = rng.standard_normal((n, p))
+        if kind == "degenerate":
+            # a zero column (variance products of zero) and two equal
+            # columns (rho^2 of one); the scan and the oracle both get
+            # these entries exactly, since the equal columns have unit
+            # variance and n <= 2 allows sets of at most one vertex
+            zero, a, b = draw(st.permutations(range(p)))[:3]
+            data[:, zero] = 0.0
+            data[:, a] = data[:, b] = rng.choice([-1.0, 1.0], n)
         sigma = data.T @ data / n
         sigma = (sigma + sigma.T) / 2.0
-        return data, EstimatorConfig(eta=eta, statistic=statistic, xi=0.3), sigma, min(eta, n - 1), False
+        cfg = EstimatorConfig(eta=eta, statistic=statistic, xi=0.3)
+        return data, cfg, sigma, min(eta, n - 1), kind == "degenerate"
     if kind == "exact":
         x = rng.standard_normal((p + 2, p))
         sigma = x.T @ x / (p + 2)
@@ -336,7 +348,7 @@ def scan_cases(draw):
     return sigma, cfg, sigma, eta, kind != "exact"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=75, deadline=None)
 @given(scan_cases())
 def test_scan_matches_naive_enumeration(case):
     source, cfg, sigma, max_size, tie_heavy = case

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -8,6 +10,7 @@ from ggmlearn.io import (
     config_hash,
     format_matrix_csv,
     parse_matrix_csv,
+    read_edge_list,
     read_json,
     read_matrix_csv,
     write_json,
@@ -96,6 +99,21 @@ def test_json_round_trip(tmp_path):
     text = (tmp_path / "x.json").read_text()
     assert text.index('"a"') < text.index('"b"')  # sorted keys
     assert read_json(tmp_path / "x.json") == payload
+
+
+@pytest.mark.parametrize("reader", [read_matrix_csv, read_edge_list, read_json])
+def test_readers_name_the_path_they_cannot_read(tmp_path, reader):
+    missing = tmp_path / "nope"
+    with pytest.raises(InvalidParameter, match=re.escape(f"cannot read {missing}: No such file or directory")):
+        reader(missing)
+    with pytest.raises(InvalidParameter, match=re.escape(f"cannot read {tmp_path}: ")):
+        reader(tmp_path)  # a directory
+
+
+def test_read_json_names_a_malformed_file(tmp_path):
+    (tmp_path / "x.json").write_text("{")
+    with pytest.raises(InvalidParameter, match="x.json is not valid JSON"):
+        read_json(tmp_path / "x.json")
 
 
 def test_config_hash_is_order_insensitive():
