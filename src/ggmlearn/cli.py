@@ -85,9 +85,13 @@ def common_options(fn):
     fn = click.option("--out", "out_path", required=True, type=click.Path(),
                       help="Output directory; created if missing.")(fn)
     fn = click.option("--seed", type=int, default=None, help="Override the configured seed.")(fn)
-    fn = click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
-                      show_default=True, help="Tabular output format where applicable.")(fn)
     return fn
+
+
+def format_option(fn):
+    """``--format`` for the commands that write a table: bounds and sweep."""
+    return click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv",
+                        show_default=True, help="Tabular output format.")(fn)
 
 
 @click.group()
@@ -98,7 +102,7 @@ def main():
 
 @main.command()
 @common_options
-def generate(config_path, out_path, seed, fmt):
+def generate(config_path, out_path, seed):
     """Draw a graph from an ensemble and write its edge list."""
     config = _read_config(config_path)
     ensemble = EnsembleConfig.from_dict({k: v for k, v in config.items() if k != "seed"})
@@ -112,7 +116,7 @@ def generate(config_path, out_path, seed, fmt):
 
 @main.command()
 @common_options
-def synthesize(config_path, out_path, seed, fmt):
+def synthesize(config_path, out_path, seed):
     """Build a model on a graph with a target walk-summability number."""
     config = _read_config(config_path)
     effective_seed = seed if seed is not None else _typed(config, "seed", int, 0)
@@ -135,7 +139,7 @@ def synthesize(config_path, out_path, seed, fmt):
 
 @main.command(name="sample")
 @common_options
-def sample_cmd(config_path, out_path, seed, fmt):
+def sample_cmd(config_path, out_path, seed):
     """Draw i.i.d. samples from a saved model."""
     config = _read_config(config_path)
     n = _typed(config, "n", int)
@@ -149,7 +153,7 @@ def sample_cmd(config_path, out_path, seed, fmt):
 
 @main.command()
 @common_options
-def learn(config_path, out_path, seed, fmt):
+def learn(config_path, out_path, seed):
     """Estimate a graph from samples (or from a model in exact mode)."""
     config = _read_config(config_path)
     est_cfg = EstimatorConfig.from_dict(config.get("estimator", {}))
@@ -159,7 +163,7 @@ def learn(config_path, out_path, seed, fmt):
         source = load_samples(_typed(config, "samples", str))
     result = cmit(source, est_cfg)
     out = _out_dir(out_path)
-    write_json(result.to_dict(), out / "result.json")
+    (out / "result.json").write_text(result.to_json())
     write_edge_list(result.graph, out / "estimate.edges")
     _write_manifest(out, "learn", config, seed)
     click.echo(f"estimated {len(result.edges)} edges at threshold {result.threshold:.6g}")
@@ -167,7 +171,7 @@ def learn(config_path, out_path, seed, fmt):
 
 @main.command(name="lbp")
 @common_options
-def lbp_cmd(config_path, out_path, seed, fmt):
+def lbp_cmd(config_path, out_path, seed):
     """Run belief propagation on a saved model."""
     config = _read_config(config_path)
     h = _typed(config, "h", tuple[float, ...], None)
@@ -194,6 +198,7 @@ def lbp_cmd(config_path, out_path, seed, fmt):
 
 @main.command(name="bounds")
 @common_options
+@format_option
 def bounds_cmd(config_path, out_path, seed, fmt):
     """Evaluate sample-size bounds; a list-valued p produces a grid."""
     config = _read_config(config_path)
@@ -220,6 +225,7 @@ def bounds_cmd(config_path, out_path, seed, fmt):
 
 @main.command(name="sweep")
 @common_options
+@format_option
 def sweep_cmd(config_path, out_path, seed, fmt):
     """Run a grid of trial configurations and tabulate error rates."""
     config = _read_config(config_path, allow_list=True)

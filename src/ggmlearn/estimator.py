@@ -30,8 +30,18 @@ c[k]``, and the all-pairs scan keeps its statistic and comparison arrays
 preallocated too.  Mutual information is minimized on its key rho^2 =
 cov^2 / (var_i var_j), on which it is increasing, and each pair's minimum
 is converted to -0.5 * ln(1 - rho^2) once at the end, not at every set;
-ties are therefore ties of rho^2.  Each level of the walk judges the
-guard of all the sets that extend its prefix by one vertex with one call.
+ties are therefore ties of rho^2.  The all-pairs running minimum of
+rho^2 starts at 1, above every defined key, so an undefined one (rho^2 >=
+1 or NaN) never wins unmasked; the mask of a variance product <= 0 runs
+only at a set that leaves a conditional variance <= 0 (-0.0 included) off
+its own rows, since two positive variances have a nonnegative product.
+Each level of the walk judges the guard of all the sets that extend its
+prefix by one vertex with one call.
+
+``EstimationResult.to_json`` writes the text of ``result.json``, byte for
+byte ``json.dumps(to_dict(), indent=2, sort_keys=True) + "\\n"``, with the
+pair records formatted from the result's arrays instead of one dict per
+pair through the pure-Python indenting encoder.
 
 A set S is skipped when its block Sigma[S, S] fails the conditioning
 guard: |S| = 1 needs a positive variance, |S| = 2 a positive smallest
@@ -52,6 +62,7 @@ The scan ends once every pair has stopped.
 
 from __future__ import annotations
 
+import json
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -128,6 +139,21 @@ class PairDecision:
 STATUSES = ("ok", "failed", "early_exit")
 
 
+def _json_value(x: float) -> str:
+    """A pair value as ``json.dumps`` writes ``to_dict``'s: null when
+    infinite, NaN when not a number, else ``float.__repr__``."""
+    if math.isfinite(x):
+        return repr(x)
+    return "null" if math.isinf(x) else "NaN"
+
+
+def _json_set(subset: tuple[int, ...]) -> str:
+    """A pair's set as ``json.dumps(indent=2)`` writes it in ``result.json``."""
+    if not subset:
+        return "[]"
+    return "[\n" + ",\n".join(f"        {k}" for k in subset) + "\n      ]"
+
+
 @dataclass(eq=False)
 class EstimationResult:
     """Outcome of ``cmit``.
@@ -166,7 +192,8 @@ class EstimationResult:
     def pairs(self) -> MappingProxyType:
         return MappingProxyType({(u, v): PairDecision(*rec) for u, v, *rec in self._records()})
 
-    def to_dict(self) -> dict:
+    def _header(self) -> dict:
+        """Every field of ``to_dict`` but ``pairs``."""
         return {
             "p": self.p,
             "edges": [list(e) for e in self.edges],
@@ -176,6 +203,11 @@ class EstimationResult:
             "n": self.n,
             "elapsed_s": self.elapsed_s,
             "config": self.config.to_dict(),
+        }
+
+    def to_dict(self) -> dict:
+        return {
+            **self._header(),
             "pairs": {
                 f"{u},{v}": {
                     "value": None if math.isinf(value) else value,
@@ -185,6 +217,26 @@ class EstimationResult:
                 for u, v, value, subset, status in self._records()
             },
         }
+
+    def to_json(self) -> str:
+        """The text of ``json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        + "\\n"``, the ``result.json`` layout, without building a dict per
+        pair: the header goes through ``json.dumps``, each pair record is
+        one f-string over the arrays, and each set is formatted once."""
+        text = json.dumps({**self._header(), "pairs": {}}, indent=2, sort_keys=True) + "\n"
+        if not len(self.values):
+            return text
+        sets = [_json_set(s) for s in self.sets] + ["null"]
+        records = [
+            f'    "{u},{v}": {{\n      "status": "{STATUSES[c]}",\n      "subset": {sets[a]},\n'
+            f'      "value": {_json_value(x)}\n    }}'
+            for u, v, x, a, c in zip(*(k.tolist() for k in np.triu_indices(self.p, 1)), self.values.tolist(),
+                                     self.set_index.tolist(), self.status.tolist())
+        ]
+        # a record is its key, a closing quote, then the rest; the quote sorts
+        # below ',' and the digits, so sorting records sorts keys as sort_keys does
+        records.sort()
+        return text.replace('\n  "pairs": {}', '\n  "pairs": {\n' + ",\n".join(records) + "\n  }", 1)
 
     @classmethod
     def from_dict(cls, data: dict) -> "EstimationResult":
@@ -283,20 +335,24 @@ def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: np.ndarray, m
         yield from _walk(buf, size, guard, candidates, members + (k,), start + pos + 1, bufs)
 
 
-def _key(cov, var_i, var_j, statistic: str, out=None, den=None, bad=None):
+def _key(cov, var_i, var_j, statistic: str, out=None, den=None, bad=None, masked=True):
     """The key a pair's statistic is minimized on, from its conditional
     2 x 2 block: |cov| for covariance, rho^2 = cov^2 / (var_i var_j) for
     mutual information, which is increasing in rho^2 (``_value``).  The
     key is infinite where mutual information is undefined (variance product
     not positive, or rho^2 not below one).  Array inputs; ``out``, ``den``
     and ``bad`` are optional scratch arrays of the result's shape (float,
-    float, bool).  Callers silence the floating point warnings of the
-    undefined entries."""
+    float, bool).  ``masked=False`` leaves the undefined entries as
+    computed, for a caller that has ruled out a variance product <= 0 and
+    whose running minimum starts at 1, so a key >= 1 or NaN never wins.
+    Callers silence the floating point warnings of the undefined entries."""
     if statistic == "covariance":
         return np.abs(cov, out=out)
     den = np.multiply(var_i, var_j, out=den)
     key = np.multiply(cov, cov, out=out)
     np.divide(key, den, out=key)
+    if not masked:
+        return key
     bad = np.less_equal(den, 0.0, out=bad)
     np.copyto(key, np.inf, where=bad)
     np.copyto(key, np.inf, where=np.logical_not(np.less(key, 1.0, out=bad), out=bad))
@@ -324,7 +380,9 @@ def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
     Each size class is one walk.  At every set the key of all pairs is
     read off the conditional matrix into preallocated scratch arrays, with
     the rows and columns of the set's members masked, and a strict ``<``
-    keeps the first set in canonical order among ties.
+    keeps the first set in canonical order among ties.  A mutual
+    information minimum starts at 1 (module docstring), and pairs that no
+    set improved end with an infinite key.
 
     With a ``threshold`` (early exit) a pair is frozen after the first size
     class that brings its minimum statistic to the threshold or below.
@@ -337,10 +395,12 @@ def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
     flag), and the list of sets.
     """
     p = sigma.shape[0]
-    best = np.full((p, p), np.inf)
+    mi = statistic == "mutual_information"
+    best = np.full((p, p), 1.0 if mi else np.inf)
     arg = np.full((p, p), -1, dtype=np.intp)
     stat, den = np.empty((p, p)), np.empty((p, p))
     better, bad = np.empty((p, p), dtype=bool), np.empty((p, p), dtype=bool)
+    low = np.empty(p, dtype=bool)
     lower = np.tri(p, dtype=bool)
     # the diagonal and lower triangle start frozen, so ~frozen lists the open pairs
     frozen = lower.copy()
@@ -355,7 +415,11 @@ def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
             open_pairs = ~frozen
         for subset, cond in _walk(sigma, size, guard, vertices):
             d = cond.diagonal()
-            _key(cond, d[:, None], d, statistic, stat, den, bad)
+            if mi:
+                # the set's own rows and columns are masked below
+                np.less_equal(d, 0.0, out=low)
+                low[list(subset)] = False
+            _key(cond, d[:, None], d, statistic, stat, den, bad, masked=mi and low.any())
             np.less(stat, best, out=better)
             for k in subset:
                 better[k] = False
@@ -369,6 +433,7 @@ def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
         if threshold is not None:
             frozen |= _value(best, statistic) <= threshold
         size += 1
+    np.copyto(best, np.inf, where=arg < 0)  # pairs no set improved
     if size <= max_size:
         for i, j in np.argwhere(~frozen).tolist():
             resume = (size, float(best[i, j]), winners[arg[i, j]] if arg[i, j] >= 0 else None)

@@ -8,7 +8,8 @@ comma-separated values written by ``np.savetxt(fmt="%.17g")`` (the bytes of
 exactly; unlike ``float``, the reader rejects underscore literals (``1_0``).
 
 The readers raise InvalidParameter naming the path when a file cannot be
-read or, for JSON, parsed.
+read or, for JSON, parsed; the model and sample loaders also when a JSON
+sidecar is not an object or lacks a key or holds one of the wrong type.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_type
 from .graph import Graph
 
 
@@ -45,18 +46,18 @@ def parse_edge_list(text: str) -> Graph:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidParameter("empty edge list")
-    head = lines[0].split()
-    if len(head) != 2:
-        raise InvalidParameter(f"bad edge list header {lines[0]!r}; expected '<p> <count>'")
-    p, count = int(head[0]), int(head[1])
+    try:  # a wrong field count fails the unpacking, a non-integer field int()
+        p, count = (int(x) for x in lines[0].split())
+    except ValueError as exc:
+        raise InvalidParameter(f"bad edge list header {lines[0]!r}; expected '<p> <count>'") from exc
     if count != len(lines) - 1:
         raise InvalidParameter(f"edge list declares {count} edges but has {len(lines) - 1}")
     edges = []
     for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise InvalidParameter(f"bad edge line {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+        try:
+            u, v = (int(x) for x in ln.split())
+        except ValueError as exc:
+            raise InvalidParameter(f"bad edge line {ln!r}; expected 'u v'") from exc
         if u >= v:
             raise InvalidParameter(f"edge line {ln!r} must satisfy u < v")
         edges.append((u, v))
@@ -117,6 +118,21 @@ def read_json(path):
         raise InvalidParameter(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _read_sidecar(path, required: dict) -> dict:
+    """The JSON object in ``path``, holding every key of ``required`` with
+    a value of the type it maps to, and an optional ``meta`` object;
+    anything else raises InvalidParameter naming the path."""
+    data = read_json(path)
+    if not isinstance(data, dict):
+        raise InvalidParameter(f"{path} must hold a JSON object, got {type(data).__name__}")
+    for key, hint in {**required, "meta": dict}.items():
+        if key in data:
+            check_type(f"{path} key {key!r}", data[key], hint)
+        elif key in required:
+            raise InvalidParameter(f"{path} is missing the required key {key!r}")
+    return data
+
+
 def config_hash(obj) -> str:
     """Stable SHA-256 over the canonical JSON form of a configuration."""
     blob = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
@@ -149,8 +165,8 @@ def load_model(directory):
     d = Path(directory)
     graph = read_edge_list(d / "graph.edges")
     precision = read_matrix_csv(d / "precision.csv")
-    meta = read_json(d / "model.json").get("meta", {})
-    return GaussianModel(graph, precision, meta=meta)
+    sidecar = _read_sidecar(d / "model.json", {})
+    return GaussianModel(graph, precision, meta=sidecar.get("meta", {}))
 
 
 def save_samples(samples, directory) -> None:
@@ -169,7 +185,7 @@ def load_samples(directory):
 
     d = Path(directory)
     data = read_matrix_csv(d / "samples.csv")
-    sidecar = read_json(d / "samples.json")
+    sidecar = _read_sidecar(d / "samples.json", {"n": int, "p": int, "seed": int})
     if data.shape != (sidecar["n"], sidecar["p"]):
         raise InvalidParameter(
             f"sample sidecar declares shape ({sidecar['n']}, {sidecar['p']}) but data is {data.shape}"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ggmlearn import EnsembleConfig, synthesize_model
+from ggmlearn import EnsembleConfig, EstimatorConfig, cmit, synthesize_model
 from ggmlearn.cli import main
 from ggmlearn.harness import LANE_SIGNS, lane_seed
 from ggmlearn.io import load_model, load_samples, read_edge_list
@@ -124,9 +124,14 @@ def test_sample_and_learn_round_trip(runner, tmp_path):
     estimate = read_edge_list(learn_dir / "estimate.edges")
     truth = load_model(model_dir).graph
     assert estimate == truth
-    payload = json.loads((learn_dir / "result.json").read_text())
+    text = (learn_dir / "result.json").read_text()
+    payload = json.loads(text)
     assert payload["n"] == 4000
     assert payload["statistic"] == "covariance"
+    # the file's bytes are json.dumps of the library result's to_dict
+    result = cmit(samples, EstimatorConfig(eta=1))
+    result.elapsed_s = payload["elapsed_s"]
+    assert text == json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def test_learn_exact_mode(runner, tmp_path):
@@ -176,6 +181,9 @@ def test_bounds_scalar_and_grid(runner, tmp_path):
     assert lines[0].startswith("p,c,alpha,epsilon,distortion,n_exact")
     assert len(lines) == 4
     assert json.loads((grid_out / "bounds.json").read_text())[2]["config"]["p"] == 256
+    json_out = tmp_path / "bounds_grid_json"
+    invoke_ok(runner, ["bounds", "--config", grid_cfg, "--out", str(json_out), "--format", "json"])
+    assert (json_out / "bounds.json").exists() and not (json_out / "bounds.csv").exists()
 
 
 def test_sweep_command_csv_and_json(runner, tmp_path):
@@ -205,6 +213,15 @@ def test_threads_option_is_rejected(runner, tmp_path, command):
     result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "x"), "--threads", "2"])
     assert result.exit_code == 2
     assert "No such option" in result.output and "--threads" in result.output
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "synthesize", "sample", "learn", "lbp"])
+def test_format_option_only_on_tabular_commands(runner, tmp_path, command):
+    cfg = write_config(tmp_path / "c.json", {})
+    result = runner.invoke(main, [command, "--config", cfg, "--out", str(tmp_path / "x"), "--format", "json"])
+    assert result.exit_code == 2
+    assert "No such option" in result.output and "--format" in result.output
     assert not (tmp_path / "x").exists()
 
 
@@ -327,6 +344,55 @@ def test_missing_input_path_fails_cleanly(tmp_path, command, extra, key, missing
     proc = run_cli_subprocess(cfg, tmp_path / "out", command)
     target = missing if missing_file is None else missing / missing_file
     assert_clean_error(proc, f"Error: cannot read {target}: No such file or directory")
+
+
+def write_sample_dir(directory: Path, sidecar: str) -> None:
+    directory.mkdir()
+    (directory / "samples.csv").write_text("2\n0.5,1.5\n-0.5,1.0\n")
+    (directory / "samples.json").write_text(sidecar)
+
+
+def write_model_dir(directory: Path, sidecar: str, edges: str = "3 1\n0 1\n") -> None:
+    directory.mkdir()
+    (directory / "graph.edges").write_text(edges)
+    (directory / "precision.csv").write_text("3\n1,0.2,0\n0.2,1,0\n0,0,1\n")
+    (directory / "model.json").write_text(sidecar)
+
+
+@pytest.mark.parametrize("kind, sidecar, message", [
+    ("samples", '{"p": 2, "seed": 0}', "samples.json is missing the required key 'n'"),
+    ("samples", '[2, 2, 0]', "samples.json must hold a JSON object, got list"),
+    ("samples", '{"n": "2", "p": 2, "seed": 0}', "samples.json key 'n' must be int, got str '2'"),
+    ("samples", '{"n": 2, "p": 2, "seed": null}', "samples.json key 'seed' must be int, got NoneType None"),
+    ("samples", '{"n": 2, "p": 2, "seed": 0, "meta": []}', "samples.json key 'meta' must be dict, got list []"),
+    ("model", '[]', "model.json must hold a JSON object, got list"),
+    ("model", '{"meta": 3}', "model.json key 'meta' must be dict, got int 3"),
+], ids=["samples-no-n", "samples-list", "samples-n-str", "samples-seed-null", "samples-meta-list", "model-list",
+        "model-meta-int"])
+def test_malformed_sidecar_fails_cleanly(tmp_path, kind, sidecar, message):
+    directory = tmp_path / kind
+    if kind == "samples":
+        write_sample_dir(directory, sidecar)
+        cfg = write_config(tmp_path / "cfg.json", {"samples": str(directory)})
+        command = "learn"
+    else:
+        write_model_dir(directory, sidecar)
+        cfg = write_config(tmp_path / "cfg.json", {"model": str(directory), "n": 5})
+        command = "sample"
+    proc = run_cli_subprocess(cfg, tmp_path / "out", command)
+    assert_clean_error(proc, f"Error: {directory}/{message}")
+
+
+@pytest.mark.parametrize("edges, message", [
+    ("five 4\n", "bad edge list header 'five 4'; expected '<p> <count>'"),
+    ("five\n", "bad edge list header 'five'; expected '<p> <count>'"),
+    ("3 1\n0 x\n", "bad edge line '0 x'; expected 'u v'"),
+    ("3 1\n0 1 2\n", "bad edge line '0 1 2'; expected 'u v'"),
+], ids=["header", "header-one-field", "edge-line", "edge-line-three-fields"])
+def test_non_integer_edge_list_fails_cleanly(tmp_path, edges, message):
+    write_model_dir(tmp_path / "model", "{}", edges)
+    cfg = write_config(tmp_path / "cfg.json", {"model": str(tmp_path / "model"), "n": 5})
+    assert_clean_error(run_cli_subprocess(cfg, tmp_path / "out", "sample"), f"Error: {message}")
 
 
 @pytest.mark.parametrize("command, payload, message", [

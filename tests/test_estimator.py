@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ggmlearn import (
     EstimationResult,
@@ -136,6 +136,42 @@ def test_min_statistic_failed_status_for_degenerate_mi():
         assert dec.subset is None
         cfg = EstimatorConfig(eta=0, statistic="mutual_information", xi=0.1, exact_mode=True)
         assert cmit(sigma, cfg).pairs[(0, 1)] == dec
+
+
+def _indefinite_covariances():
+    # conditioning on 4 leaves Var(0 | 4) = 1 - 2^2 = -3 and Var(2 | 4) =
+    # 1 - 1^2 = 0; the first puts a negative variance product on row 0
+    conditioned = np.eye(5)
+    for i, j, c in [(0, 4, 2.0), (2, 4, 1.0), (0, 1, 0.3), (1, 4, 0.5), (2, 3, 0.4), (1, 2, 0.2), (0, 3, 0.1)]:
+        conditioned[i, j] = conditioned[j, i] = c
+    # a variance of -0.0 makes the variance products of its row -0.0
+    signed_zero = np.eye(4)
+    signed_zero[3, 3] = -0.0
+    for i, j, c in [(0, 3, 0.5), (1, 3, 0.2), (0, 1, 0.3)]:
+        signed_zero[i, j] = signed_zero[j, i] = c
+    return [(conditioned, 1), (conditioned, 2), (signed_zero, 0), (signed_zero, 1)]
+
+
+@pytest.mark.parametrize("sigma, eta", _indefinite_covariances(),
+                         ids=["negative-eta1", "negative-eta2", "signed-zero-eta0", "signed-zero-eta1"])
+def test_mi_scan_masks_nonpositive_conditional_variances(sigma, eta):
+    if len(sigma) == 5:
+        c = sigma[[0, 2], 4]
+        assert (np.diag(sigma)[[0, 2]] - c * c / sigma[4, 4]).tolist() == [-3.0, 0.0]
+    cfg = EstimatorConfig(eta=eta, statistic="mutual_information", xi=0.1, exact_mode=True)
+    result = cmit(sigma, cfg)
+    statuses = set()
+    for (u, v), dec in result.pairs.items():
+        table = naive_conditional_statistics(sigma, u, v, eta, cfg.statistic)
+        best = min(value for value, _ in table)
+        assert min_conditional_statistic(sigma, u, v, eta, cfg.statistic) == dec
+        statuses.add(dec.status)
+        if math.isinf(best):
+            assert dec == PairDecision(value=math.inf, subset=None, status="failed")
+        else:
+            assert dec.value == pytest.approx(best, rel=1e-12) and dec.value >= 0.0
+            assert dec.subset == next(subset for value, subset in table if value <= best + 1e-12)
+    assert statuses == {"ok", "failed"}
 
 
 def test_min_statistic_validation():
@@ -384,6 +420,51 @@ def test_scan_matches_naive_enumeration(case):
         else:
             assert dec.status == "early_exit"
             assert dec.value == pytest.approx(stop, rel=1e-9, abs=1e-12)
+
+
+def json_reference(result: EstimationResult) -> str:
+    return json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def pair_sets(result: EstimationResult) -> list:
+    return [None if a < 0 else result.sets[a] for a in result.set_index.tolist()]
+
+
+# failed mutual information pairs (three zero columns and a duplicated
+# one), empty sets at eta 0, early exits at xi = 1.5;
+# p = 12 puts "0,10" and "0,11" between "0,1" and "0,2"
+DEGENERATE = np.zeros((2, 12))
+DEGENERATE[:, 3:] = np.arange(18.0).reshape(2, 9) ** 1.5
+DEGENERATE[:, 7] = DEGENERATE[:, 5]
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_cases())
+@example((DEGENERATE, EstimatorConfig(eta=0, statistic="mutual_information", xi=0.3), None, 0, True))
+@example((DEGENERATE, EstimatorConfig(eta=1, statistic="mutual_information", xi=1.5), None, 1, True))
+def test_to_json_is_json_dumps_of_to_dict(case):
+    source, cfg = case[:2]
+    for early_exit in (False, True):
+        result = cmit(source, replace(cfg, early_exit=early_exit))
+        # a -0.0 value is written with its sign
+        values = result.values.copy()
+        values[::5] = np.where(np.isinf(values[::5]), values[::5], -0.0)
+        for res in (result, replace(result, values=values)):
+            text = res.to_json()
+            assert text == json_reference(res)
+            back = EstimationResult.from_dict(json.loads(text))
+            assert np.array_equal(back.values, res.values)
+            assert np.array_equal(np.signbit(back.values), np.signbit(res.values))
+            assert np.array_equal(back.status, res.status)
+            assert pair_sets(back) == pair_sets(res)
+
+
+def test_to_json_examples_cover_every_record_kind():
+    result = cmit(DEGENERATE, EstimatorConfig(eta=0, statistic="mutual_information", xi=0.3))
+    assert {"ok", "failed"} <= {d.status for d in result.pairs.values()}
+    assert () in result.sets and -1 in result.set_index
+    early = cmit(DEGENERATE, EstimatorConfig(eta=1, statistic="mutual_information", xi=1.5, early_exit=True))
+    assert {"ok", "early_exit", "failed"} <= {d.status for d in early.pairs.values()}
 
 
 def test_estimation_result_json_round_trip():
