@@ -66,7 +66,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 
 import numpy as np
@@ -445,6 +445,16 @@ def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
     return best, arg, frozen & ~lower, winners
 
 
+@lru_cache(maxsize=4)  # a scan uses one length, p - 2
+def _position_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(k, 1)``, built once per length and read-only: the
+    (m, l) position pairs, m < l, in row-major order."""
+    pairs = np.triu_indices(k, 1)
+    for a in pairs:
+        a.flags.writeable = False
+    return pairs
+
+
 def _scan_pair(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
                guard: _Guard, threshold: float | None = None, resume=None):
     """Minimize the key of one pair with the same recursion as
@@ -466,9 +476,8 @@ def _scan_pair(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
         resume = (1, float(_key(sigma[[i], [j]], sigma[[i], [i]], sigma[[j], [j]], statistic)[0]), ())
     first, best, best_subset = resume
     if max_size >= 2:
-        # (m, l) position pairs in row-major order; the pairs of a suffix
-        # others[start:] are the tail with m >= start
-        m_pos, l_pos = np.triu_indices(len(others), 1)
+        # the pairs of a suffix others[start:] are the tail with m >= start
+        m_pos, l_pos = _position_pairs(len(others))
     for size in range(first, max_size + 1):
         batch = min(size, 2)
         for prefix, cond in _walk(sigma, size - batch, guard, others):
@@ -642,14 +651,19 @@ def oracle_gap(model: GaussianModel, eta: int, gamma: int) -> OracleGap:
         if value < c_min:
             c_min = value
             c_min_pair = (u, v)
-    c_max = 0.0
-    c_max_pair = None
-    # separators come in row-major pair order, so ties keep the first pair
-    for (u, v), sep in separation_profile(g, gamma).separators.items():
-        val = abs(conditional_covariance_exact(sigma, u, v, sep))
-        if val > c_max:
-            c_max = val
-            c_max_pair = (u, v)
+    separators = separation_profile(g, gamma).separators
+    pairs = list(separators)
+    u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    values = np.abs(sigma[u, v])  # an empty separator leaves Sigma[u, v]
+    for k, sep in enumerate(separators.values()):
+        if sep:
+            values[k] = abs(conditional_covariance_exact(sigma, *pairs[k], sep))
+    # pairs come in row-major order and argmax keeps the first maximum, so
+    # ties keep the first pair; NaN never wins (fmax) and 0 names no pair
+    values = np.fmax(values, 0.0)
+    k = int(np.argmax(values)) if pairs else -1
+    c_max_pair = pairs[k] if k >= 0 and values[k] > 0.0 else None
+    c_max = float(values[k]) if c_max_pair else 0.0
     return OracleGap(
         c_min=c_min,
         c_max=c_max,

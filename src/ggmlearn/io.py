@@ -1,15 +1,21 @@
-"""Text formats shared by the CLI and the library: edge lists, matrix CSV,
-JSON helpers.
+"""File formats shared by the CLI and the library: edge lists, matrix CSV,
+sample matrices, JSON helpers.
 
 Edge list: first line ``<p> <edge-count>``, then one ``u v`` line per edge
-with u < v, lines sorted.  Matrix CSV: first line ``<p>``, then p rows of p
+with u < v, lines sorted.  Matrix CSV, used for model matrices
+(``precision.csv``) only: first line ``<p>``, then p rows of p
 comma-separated values written by ``np.savetxt(fmt="%.17g")`` (the bytes of
 ``f"{x:.17g}"``) and read by ``np.loadtxt``, so float64 values round-trip
 exactly; unlike ``float``, the reader rejects underscore literals (``1_0``).
+Sample matrix: ``samples.npy``, the n x p float64 array in numpy's npy
+format, written by ``np.save`` and read by ``np.load`` without pickles, so
+values round-trip bit for bit and loading costs no decimal parsing.
 
 The readers raise InvalidParameter naming the path when a file cannot be
-read or, for JSON, parsed; the model and sample loaders also when a JSON
-sidecar is not an object or lacks a key or holds one of the wrong type.
+read or, for JSON and npy, parsed; the model and sample loaders also when a
+JSON sidecar is not an object or lacks a key or holds one of the wrong
+type, and the sample loader when ``samples.npy`` is not a 2-D float64 array
+of the sidecar's shape.
 """
 
 from __future__ import annotations
@@ -25,11 +31,15 @@ from .errors import InvalidParameter, check_type
 from .graph import Graph
 
 
+def _cannot_read(path, exc: Exception) -> InvalidParameter:
+    return InvalidParameter(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+
+
 def _read_text(path) -> str:
     try:
         return Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidParameter(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+        raise _cannot_read(path, exc) from exc
 
 
 def format_edge_list(g: Graph) -> str:
@@ -86,7 +96,8 @@ def write_matrix_csv(m: np.ndarray, path) -> None:
 
 def parse_matrix_csv(text: str) -> np.ndarray:
     """Parse a matrix file whose header line declares the row count: a
-    square p x p model matrix or a rectangular n x p sample matrix."""
+    square p x p model matrix, or a rectangular one such as the n x p
+    ``samples.csv`` of sample directories written before ``samples.npy``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if len(lines) < 2:
         raise InvalidParameter("matrix file has no rows")
@@ -170,21 +181,48 @@ def load_model(directory):
 
 
 def save_samples(samples, directory) -> None:
-    """Write a sample directory: samples.csv plus a provenance sidecar."""
+    """Write a sample directory: samples.npy plus a provenance sidecar."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(samples.data, d / "samples.csv")
+    data = np.ascontiguousarray(samples.data, dtype=np.float64)
+    if data.ndim != 2:
+        raise InvalidParameter("sample matrix must be 2-dimensional")
+    np.save(d / "samples.npy", data, allow_pickle=False)
     write_json(
         {"n": samples.n, "p": samples.p, "seed": samples.seed, "meta": samples.meta},
         d / "samples.json",
     )
 
 
+def _read_sample_matrix(path: Path) -> np.ndarray:
+    """The 2-D float64 array in the npy file ``path``, C-ordered in native
+    byte order, as the CSV reader returned it."""
+    legacy = path.with_suffix(".csv")
+    if not path.exists() and legacy.exists():
+        raise InvalidParameter(
+            f"{path} is missing; sample matrices are now .npy files, not {legacy.name}; convert with "
+            f"python -c \"import numpy as np; from ggmlearn.io import read_matrix_csv; "
+            f"np.save('{path}', read_matrix_csv('{legacy}'))\""
+        )
+    try:
+        data = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise _cannot_read(path, exc) from exc
+    except (ValueError, EOFError) as exc:  # truncated, text, pickled or object data
+        raise InvalidParameter(f"{path} is not a valid .npy array: {exc}") from exc
+    if not isinstance(data, np.ndarray):  # a zip archive loads as an open NpzFile
+        data.close()
+        raise InvalidParameter(f"{path} is a {type(data).__name__} archive, not a .npy array")
+    if data.ndim != 2 or data.dtype.kind != "f" or data.dtype.itemsize != 8:
+        raise InvalidParameter(f"{path} must hold a 2-D float64 array, got a {data.ndim}-D {data.dtype} array")
+    return np.ascontiguousarray(data, dtype=np.float64)
+
+
 def load_samples(directory):
     from .sampler import SampleSet
 
     d = Path(directory)
-    data = read_matrix_csv(d / "samples.csv")
+    data = _read_sample_matrix(d / "samples.npy")
     sidecar = _read_sidecar(d / "samples.json", {"n": int, "p": int, "seed": int})
     if data.shape != (sidecar["n"], sidecar["p"]):
         raise InvalidParameter(

@@ -257,14 +257,18 @@ def test_missing_config_file_fails(runner, tmp_path):
     assert result.exit_code != 0
 
 
+def src_env() -> dict:
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def run_cli_subprocess(cfg: str, out: Path, command: str = "learn") -> subprocess.CompletedProcess:
     """Run ``ggmlearn <command> --config cfg --out out``; ``command`` may
     carry options after the subcommand name."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
         [sys.executable, "-m", "ggmlearn.cli", *command.split(), "--config", cfg, "--out", str(out)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=src_env(), timeout=120,
     )
 
 
@@ -277,10 +281,11 @@ def assert_clean_error(proc: subprocess.CompletedProcess, prefix: str) -> None:
 def test_package_error_prints_message_without_traceback(tmp_path):
     samples = tmp_path / "samples"
     samples.mkdir()
-    (samples / "samples.csv").write_text("2\n0.5,1.5\n0.5,oops\n")
+    (samples / "samples.npy").write_text("2\n0.5,1.5\n0.5,oops\n")
     (samples / "samples.json").write_text(json.dumps({"n": 2, "p": 2, "seed": 0}))
     cfg = write_config(tmp_path / "learn.json", {"samples": str(samples), "estimator": {"eta": 1}})
-    assert_clean_error(run_cli_subprocess(cfg, tmp_path / "out"), "Error: malformed matrix file")
+    assert_clean_error(run_cli_subprocess(cfg, tmp_path / "out"),
+                       f"Error: {samples / 'samples.npy'} is not a valid .npy array")
 
 
 def test_config_that_is_not_json_fails_cleanly(tmp_path):
@@ -332,7 +337,7 @@ def test_config_block_key_errors_fail_cleanly(tmp_path, command, payload, messag
 
 
 @pytest.mark.parametrize("command, extra, key, missing_file", [
-    ("learn", {}, "samples", "samples.csv"),
+    ("learn", {}, "samples", "samples.npy"),
     ("learn", {"estimator": {"exact_mode": True, "xi": 0.1}}, "model", "graph.edges"),
     ("sample", {"n": 10}, "model", "graph.edges"),
     ("lbp", {}, "model", "graph.edges"),
@@ -348,7 +353,7 @@ def test_missing_input_path_fails_cleanly(tmp_path, command, extra, key, missing
 
 def write_sample_dir(directory: Path, sidecar: str) -> None:
     directory.mkdir()
-    (directory / "samples.csv").write_text("2\n0.5,1.5\n-0.5,1.0\n")
+    np.save(directory / "samples.npy", np.array([[0.5, 1.5], [-0.5, 1.0]]))
     (directory / "samples.json").write_text(sidecar)
 
 
@@ -381,6 +386,56 @@ def test_malformed_sidecar_fails_cleanly(tmp_path, kind, sidecar, message):
         command = "sample"
     proc = run_cli_subprocess(cfg, tmp_path / "out", command)
     assert_clean_error(proc, f"Error: {directory}/{message}")
+
+
+def write_truncated_npy(path: Path) -> None:
+    np.save(path, np.array([[0.5, 1.5], [-0.5, 1.0]]))
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def write_zip_as_npy(path: Path) -> None:
+    np.savez(path.with_suffix(".npz"), np.array([[0.5, 1.5], [-0.5, 1.0]]))
+    path.with_suffix(".npz").rename(path)
+
+
+@pytest.mark.parametrize("write, message", [
+    (None, "samples.npy is missing; sample matrices are now .npy files, not samples.csv; convert with python -c "
+           "\"import numpy as np; from ggmlearn.io import read_matrix_csv; np.save("),
+    (write_truncated_npy, "samples.npy is not a valid .npy array: "),
+    (write_zip_as_npy, "samples.npy is a NpzFile archive, not a .npy array"),
+    (lambda path: np.save(path, np.array([[0.5, "x"]], dtype=object)),
+     "samples.npy is not a valid .npy array: Object arrays cannot be loaded when allow_pickle=False"),
+    (lambda path: np.save(path, np.array([0.5, 1.5])), "samples.npy must hold a 2-D float64 array, got a 1-D float64"),
+    (lambda path: np.save(path, np.array([[1, 2], [3, 4]], dtype=np.int64)),
+     "samples.npy must hold a 2-D float64 array, got a 2-D int64"),
+    (lambda path: np.save(path, np.zeros((3, 2))), "sample sidecar declares shape (2, 2) but data is (3, 2)"),
+], ids=["legacy-csv-only", "truncated", "zip-archive", "pickled-objects", "one-dimensional", "int64",
+        "shape-mismatch"])
+def test_malformed_sample_matrix_fails_cleanly(tmp_path, write, message):
+    directory = tmp_path / "samples"
+    directory.mkdir()
+    (directory / "samples.json").write_text(json.dumps({"n": 2, "p": 2, "seed": 0}))
+    if write is None:
+        (directory / "samples.csv").write_text("2\n0.5,1.5\n-0.5,1.0\n")
+    else:
+        write(directory / "samples.npy")
+    cfg = write_config(tmp_path / "cfg.json", {"samples": str(directory)})
+    proc = run_cli_subprocess(cfg, tmp_path / "out")
+    prefix = "Error: " if message.startswith("sample sidecar") else f"Error: {directory}/"
+    assert_clean_error(proc, prefix + message)
+    assert proc.stderr.count("\n") == 1  # one line
+
+
+def test_legacy_sample_conversion_command_runs(tmp_path):
+    directory = tmp_path / "samples"
+    directory.mkdir()
+    (directory / "samples.csv").write_text("2\n0.5,1.5\n-0.5,1.0\n")
+    (directory / "samples.json").write_text(json.dumps({"n": 2, "p": 2, "seed": 0}))
+    cfg = write_config(tmp_path / "cfg.json", {"samples": str(directory)})
+    stderr = run_cli_subprocess(cfg, tmp_path / "out").stderr
+    code = stderr[stderr.index("python -c ") + len("python -c "):].strip().strip('"')
+    subprocess.run([sys.executable, "-c", code], check=True, env=src_env(), timeout=60)
+    assert np.array_equal(load_samples(directory).data, [[0.5, 1.5], [-0.5, 1.0]])
 
 
 @pytest.mark.parametrize("edges, message", [

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ggmlearn import InvalidParameter
+from ggmlearn import InvalidParameter, SampleSet
 from ggmlearn.io import (
     config_hash,
     format_matrix_csv,
+    load_samples,
     parse_matrix_csv,
     read_edge_list,
     read_json,
     read_matrix_csv,
+    save_samples,
     write_json,
     write_matrix_csv,
 )
@@ -59,20 +61,60 @@ def test_matrix_csv_rejects_malformed_input():
         format_matrix_csv(np.zeros(3))
 
 
-@settings(max_examples=200, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
-              elements=st.one_of(st.sampled_from(SPECIAL), st.floats())))
-@example(np.array([SPECIAL]))
-@example(np.array([SPECIAL]).T)
-def test_matrix_csv_codec_matches_reference_writer_and_round_trips_bits(m):
-    text = format_matrix_csv(m)
-    assert text == reference_format_matrix_csv(m)
-    back = parse_matrix_csv(text)
+FLOAT_MATRICES = arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
+                        elements=st.one_of(st.sampled_from(SPECIAL), st.floats()))
+
+
+def assert_same_bits(back, m):
     assert back.shape == m.shape
     nan = np.isnan(m)
     assert np.array_equal(np.isnan(back), nan)
     # sign bits included: -0.0 and the negative subnormals come back as written
     assert np.array_equal(back[~nan].view(np.int64), m[~nan].view(np.int64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(FLOAT_MATRICES)
+@example(np.array([SPECIAL]))
+@example(np.array([SPECIAL]).T)
+def test_matrix_csv_codec_matches_reference_writer_and_round_trips_bits(m):
+    text = format_matrix_csv(m)
+    assert text == reference_format_matrix_csv(m)
+    assert_same_bits(parse_matrix_csv(text), m)
+
+
+@settings(max_examples=100, deadline=None)
+@given(FLOAT_MATRICES, st.sampled_from(["C", "F", "strided"]), st.integers(0, 2**63 - 1),
+       st.dictionaries(st.text(max_size=5), st.integers() | st.text(max_size=5), max_size=3))
+@example(np.array([SPECIAL]), "C", 0, {})
+@example(np.array([SPECIAL]).T, "F", 7, {"model": "x"})
+def test_sample_directory_round_trips_bits(tmp_path_factory, m, layout, seed, meta):
+    if layout == "F":
+        data = np.asfortranarray(m)
+    elif layout == "strided":  # a non-contiguous view: every other row and column of a larger array
+        data = np.repeat(np.repeat(m, 2, axis=0), 2, axis=1)[::2, ::2]
+        assert data.size == 1 or not (data.flags.c_contiguous or data.flags.f_contiguous)
+    else:
+        data = m
+    directory = tmp_path_factory.mktemp("samples")
+    save_samples(SampleSet(data=data, seed=seed, meta=meta), directory)
+    back = load_samples(directory)
+    assert_same_bits(back.data, m)
+    assert back.data.flags.c_contiguous
+    assert back.seed == seed
+    assert back.meta == meta
+
+
+@pytest.mark.parametrize("stored", [">f8", "<f8-fortran"])
+def test_load_samples_returns_native_c_ordered_float64(tmp_path, stored):
+    # a hand-written samples.npy may be big-endian or Fortran-ordered
+    m = np.array([[0.1, -0.0, 5e-324], [np.inf, 2.5, -1e308]])
+    data = np.asfortranarray(m) if stored.endswith("fortran") else m.astype(stored)
+    np.save(tmp_path / "samples.npy", data)
+    (tmp_path / "samples.json").write_text('{"n": 2, "p": 3, "seed": 0}')
+    back = load_samples(tmp_path).data
+    assert back.dtype == np.float64 and back.dtype.isnative and back.flags.c_contiguous
+    assert_same_bits(back, m)
 
 
 @pytest.mark.parametrize("text", [
