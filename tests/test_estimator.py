@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import json
 import math
 from dataclasses import replace
@@ -18,6 +19,8 @@ from ggmlearn import (
     cycle_graph,
     default_threshold,
     edit_distance,
+    empirical_covariance,
+    generate_er,
     local_separator,
     min_conditional_statistic,
     oracle_gap,
@@ -25,6 +28,7 @@ from ggmlearn import (
     synthesize_model,
     torus_grid,
 )
+from ggmlearn.estimator import STATISTICS
 from ggmlearn.graph import Graph
 
 from helpers import (
@@ -313,6 +317,218 @@ def test_cmit_pairs_match_single_pair_scan():
         result = cmit(data, EstimatorConfig(eta=eta, statistic=statistic))
         for (u, v), dec in result.pairs.items():
             assert min_conditional_statistic(sigma, u, v, eta, statistic, n=800) == dec
+
+
+def _quantized(x, step):
+    # inputs on a coarse binary grid make X^T X exact, so the scanned
+    # covariances do not depend on the BLAS summation order
+    return np.round(np.asarray(x) / step) * step
+
+
+def _digest_runs(family: str) -> dict:
+    """eta -> (cmit source, n or None, exact-mode xi or None) of a family:
+    ER c=4 models (p = 40, 40, 30, 20 for eta = 0..3), whose open pairs
+    after a size class range from far above to below a quarter of all
+    pairs, and a 12-cycle, whose n=3 samples cap the sets at two vertices."""
+    kind, mode = family.split("-")
+    if kind == "er":
+        models = {eta: synthesize_model(generate_er(p, 4.0, 1), 0.8, sign_pattern="random", seed=2)
+                  for eta, p in ((0, 40), (1, 40), (2, 30), (3, 20))}
+    else:
+        models = dict.fromkeys(range(4), synthesize_model(cycle_graph(12), 0.5))
+    if mode == "exact":
+        xi = 0.01 if kind == "er" else 0.05
+        return {eta: (_quantized(m.sigma(), 2.0**-30), None, xi) for eta, m in models.items()}
+    n = 3 if mode == "n3" else 5000 if kind == "er" else 800
+    return {eta: (_quantized(sample(m, n, 3).data, 2.0**-6), n, None) for eta, m in models.items()}
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+def _scan_digests(family: str, runs: dict) -> dict:
+    """Digests of ``cmit`` (``to_dict`` but ``elapsed_s``, values as
+    ``float.hex``) for every eta, statistic and ``early_exit``, and of
+    ``min_conditional_statistic`` on every 7th pair."""
+    out = {}
+    for eta, (source, n, xi) in runs.items():
+        for statistic in STATISTICS:
+            for early_exit in (False, True):
+                cfg = EstimatorConfig(eta=eta, statistic=statistic, xi=xi, exact_mode=n is None,
+                                      early_exit=early_exit)
+                d = cmit(source, cfg).to_dict()
+                del d["elapsed_s"]
+                d["threshold"] = _hex(d["threshold"])
+                for rec in d["pairs"].values():
+                    rec["value"] = _hex(rec["value"])
+                out[f"{family}/cmit/{eta}/{statistic}/{int(early_exit)}"] = _digest(d)
+            sigma = source if n is None else empirical_covariance(source)
+            p = len(sigma)
+            pairs = [(u, v) for u in range(p) for v in range(u + 1, p)][::7]
+            decisions = [min_conditional_statistic(sigma, u, v, eta, statistic, n=n) for u, v in pairs]
+            out[f"{family}/min/{eta}/{statistic}"] = _digest(
+                [[_hex(d.value), d.subset, d.status] for d in decisions])
+    return out
+
+
+# recorded with the per-pair early-exit scan and single-pair recursion that
+# the pair-set completion replaced; every entry must stay the same
+SCAN_DIGESTS = {
+    "er-sample/cmit/0/covariance/0": "73c25ea85ec0521d",
+    "er-sample/cmit/0/covariance/1": "58989f4db2d0fd3e",
+    "er-sample/min/0/covariance": "363d180d96817cf4",
+    "er-sample/cmit/0/mutual_information/0": "6a9fd9fa94358eaa",
+    "er-sample/cmit/0/mutual_information/1": "e9f19f17f9d73011",
+    "er-sample/min/0/mutual_information": "6fe7c9fbca5287a8",
+    "er-sample/cmit/1/covariance/0": "aa28cb34cdf84c8f",
+    "er-sample/cmit/1/covariance/1": "cc2b1f91629abf03",
+    "er-sample/min/1/covariance": "efc4bb5a25785e4b",
+    "er-sample/cmit/1/mutual_information/0": "209a2a1dbc3be46f",
+    "er-sample/cmit/1/mutual_information/1": "abf8709fee5a2356",
+    "er-sample/min/1/mutual_information": "908e965c62112fd5",
+    "er-sample/cmit/2/covariance/0": "e4915bd1a6dad75a",
+    "er-sample/cmit/2/covariance/1": "d7b9eb1e1e580a2c",
+    "er-sample/min/2/covariance": "b2cf51ffb9067721",
+    "er-sample/cmit/2/mutual_information/0": "d39a5f87225fe038",
+    "er-sample/cmit/2/mutual_information/1": "aee00b45bf7b5759",
+    "er-sample/min/2/mutual_information": "40890901b32413bb",
+    "er-sample/cmit/3/covariance/0": "20112e61c1644576",
+    "er-sample/cmit/3/covariance/1": "ef3da1a50f022d5d",
+    "er-sample/min/3/covariance": "1077f57df1d7065f",
+    "er-sample/cmit/3/mutual_information/0": "25779adebc00a509",
+    "er-sample/cmit/3/mutual_information/1": "2cec18ca9039da36",
+    "er-sample/min/3/mutual_information": "39dfeab21e71e290",
+    "er-exact/cmit/0/covariance/0": "6a21e6c917786a06",
+    "er-exact/cmit/0/covariance/1": "08f059d06bff136f",
+    "er-exact/min/0/covariance": "39d4428f2a76c521",
+    "er-exact/cmit/0/mutual_information/0": "1882440d55f15b90",
+    "er-exact/cmit/0/mutual_information/1": "f132c92a8d9d6738",
+    "er-exact/min/0/mutual_information": "1afb4c8b5c693c7e",
+    "er-exact/cmit/1/covariance/0": "8cc80e4d16834eac",
+    "er-exact/cmit/1/covariance/1": "8cb3a13c8bd08a24",
+    "er-exact/min/1/covariance": "27b4474357c19089",
+    "er-exact/cmit/1/mutual_information/0": "af40b9723e81e556",
+    "er-exact/cmit/1/mutual_information/1": "20b6ec4c9a7bb1eb",
+    "er-exact/min/1/mutual_information": "23d50527e703eb80",
+    "er-exact/cmit/2/covariance/0": "d074ea28c7043f4f",
+    "er-exact/cmit/2/covariance/1": "392e863dbde43a6b",
+    "er-exact/min/2/covariance": "1faa4ecfcfb162b5",
+    "er-exact/cmit/2/mutual_information/0": "ea84251d4fceb84e",
+    "er-exact/cmit/2/mutual_information/1": "9f534286d16471ae",
+    "er-exact/min/2/mutual_information": "b66f8d4abafb0dd4",
+    "er-exact/cmit/3/covariance/0": "60118e1adf3855a7",
+    "er-exact/cmit/3/covariance/1": "f164c3cd0bc666cc",
+    "er-exact/min/3/covariance": "49844802411bd186",
+    "er-exact/cmit/3/mutual_information/0": "cfc3011c35b5c51b",
+    "er-exact/cmit/3/mutual_information/1": "e477aad566bf4d14",
+    "er-exact/min/3/mutual_information": "68fb07fa8393a923",
+    "cycle-sample/cmit/0/covariance/0": "7e263610458eb6e3",
+    "cycle-sample/cmit/0/covariance/1": "35a02b8f5412da4a",
+    "cycle-sample/min/0/covariance": "d3a8b69703c1a992",
+    "cycle-sample/cmit/0/mutual_information/0": "df12f6a6495f440a",
+    "cycle-sample/cmit/0/mutual_information/1": "f94ee71edba5dbf2",
+    "cycle-sample/min/0/mutual_information": "331f17efed3ea295",
+    "cycle-sample/cmit/1/covariance/0": "1de21f7bc96d7088",
+    "cycle-sample/cmit/1/covariance/1": "84ad50b5acf74949",
+    "cycle-sample/min/1/covariance": "1ef7cb1b54590277",
+    "cycle-sample/cmit/1/mutual_information/0": "ea39065105a07351",
+    "cycle-sample/cmit/1/mutual_information/1": "625b86eea36fd924",
+    "cycle-sample/min/1/mutual_information": "9ab12f05d28c39a4",
+    "cycle-sample/cmit/2/covariance/0": "3ff26c6bae223a1f",
+    "cycle-sample/cmit/2/covariance/1": "cc96f83c8422eb0b",
+    "cycle-sample/min/2/covariance": "5049ea2196e98ec4",
+    "cycle-sample/cmit/2/mutual_information/0": "6300276002a6e008",
+    "cycle-sample/cmit/2/mutual_information/1": "5675d4c6d792f25d",
+    "cycle-sample/min/2/mutual_information": "a7c18627d3e61157",
+    "cycle-sample/cmit/3/covariance/0": "d08f138e6a454fa4",
+    "cycle-sample/cmit/3/covariance/1": "08984e201acc123a",
+    "cycle-sample/min/3/covariance": "631e90c869f64595",
+    "cycle-sample/cmit/3/mutual_information/0": "0d44db9040a4017b",
+    "cycle-sample/cmit/3/mutual_information/1": "f19f384e27c30854",
+    "cycle-sample/min/3/mutual_information": "4ff5f2d546577479",
+    "cycle-n3/cmit/0/covariance/0": "27e513b5a3e26be7",
+    "cycle-n3/cmit/0/covariance/1": "92fcd5da7a1a46ad",
+    "cycle-n3/min/0/covariance": "aae9f2e7ae3d1236",
+    "cycle-n3/cmit/0/mutual_information/0": "4b15d734400af9a5",
+    "cycle-n3/cmit/0/mutual_information/1": "981aed5c93b4fbe4",
+    "cycle-n3/min/0/mutual_information": "920b128788c8c4e8",
+    "cycle-n3/cmit/1/covariance/0": "7f90490480fa9947",
+    "cycle-n3/cmit/1/covariance/1": "9d93b0048cf5c132",
+    "cycle-n3/min/1/covariance": "53d1fa084d0b521e",
+    "cycle-n3/cmit/1/mutual_information/0": "208de8791082bb6b",
+    "cycle-n3/cmit/1/mutual_information/1": "8222a47fd53bbb6f",
+    "cycle-n3/min/1/mutual_information": "1968287be75ce7c0",
+    "cycle-n3/cmit/2/covariance/0": "b49a75931e894dc9",
+    "cycle-n3/cmit/2/covariance/1": "0778fef8f3f34e68",
+    "cycle-n3/min/2/covariance": "f222f6a2ccba5948",
+    "cycle-n3/cmit/2/mutual_information/0": "0ca03766a231318e",
+    "cycle-n3/cmit/2/mutual_information/1": "f202483edfa91167",
+    "cycle-n3/min/2/mutual_information": "1968287be75ce7c0",
+    "cycle-n3/cmit/3/covariance/0": "0f0704d72ca7fd39",
+    "cycle-n3/cmit/3/covariance/1": "0d1bb0f3ee2443b8",
+    "cycle-n3/min/3/covariance": "f222f6a2ccba5948",
+    "cycle-n3/cmit/3/mutual_information/0": "1ddeb096f4dd29b0",
+    "cycle-n3/cmit/3/mutual_information/1": "87aadc0351465a91",
+    "cycle-n3/min/3/mutual_information": "1968287be75ce7c0",
+    "cycle-exact/cmit/0/covariance/0": "39716e0a18bfdc87",
+    "cycle-exact/cmit/0/covariance/1": "df3647aac1d57e61",
+    "cycle-exact/min/0/covariance": "4db63049b43c4b88",
+    "cycle-exact/cmit/0/mutual_information/0": "cd6bd3a4ec964fde",
+    "cycle-exact/cmit/0/mutual_information/1": "6c507281767a2a5a",
+    "cycle-exact/min/0/mutual_information": "d1e61412446b333f",
+    "cycle-exact/cmit/1/covariance/0": "41b693df7507c7f4",
+    "cycle-exact/cmit/1/covariance/1": "37f625d388452201",
+    "cycle-exact/min/1/covariance": "261fbcff2bc2fa76",
+    "cycle-exact/cmit/1/mutual_information/0": "e32962eb13687b98",
+    "cycle-exact/cmit/1/mutual_information/1": "87d98a854d3a808f",
+    "cycle-exact/min/1/mutual_information": "1de81847ef04cf97",
+    "cycle-exact/cmit/2/covariance/0": "781c85a876610e35",
+    "cycle-exact/cmit/2/covariance/1": "76bed7ab240b41c2",
+    "cycle-exact/min/2/covariance": "7f00a1bb58da99e7",
+    "cycle-exact/cmit/2/mutual_information/0": "61aa6b6efb5f678f",
+    "cycle-exact/cmit/2/mutual_information/1": "f153017f431f3dbb",
+    "cycle-exact/min/2/mutual_information": "bfa69ec46530a77a",
+    "cycle-exact/cmit/3/covariance/0": "fdd98c4b36c8b8d8",
+    "cycle-exact/cmit/3/covariance/1": "abd381b11701f358",
+    "cycle-exact/min/3/covariance": "22b1713c956e974a",
+    "cycle-exact/cmit/3/mutual_information/0": "cd5b5df3df152c70",
+    "cycle-exact/cmit/3/mutual_information/1": "5be825b46348b878",
+    "cycle-exact/min/3/mutual_information": "9878da2a13e030c5",
+}
+
+ORACLE_GAP_DIGESTS = {
+    "torus6x6/1/2": "2e2a09ca977a0257",
+    "torus6x6/2/2": "ed550e16aab11c02",
+    "cycle6/1/2": "cfbdd1e563822db4",
+    "cycle6/2/5": "8092e74291bb8567",
+}
+
+
+@pytest.mark.parametrize("family", ["er-sample", "er-exact", "cycle-sample", "cycle-n3", "cycle-exact"])
+def test_scan_digests_pinned(family):
+    got = _scan_digests(family, _digest_runs(family))
+    assert got == {k: v for k, v in SCAN_DIGESTS.items() if k.startswith(family + "/")}
+
+
+def _oracle_gap_digests() -> dict:
+    out = {}
+    for name, graph, runs in (("torus6x6", torus_grid(6, 2), ((1, 2), (2, 2))),
+                              ("cycle6", cycle_graph(6), ((1, 2), (2, 5)))):
+        m = synthesize_model(graph, 0.5)
+        for eta, gamma in runs:
+            gap = oracle_gap(m, eta=eta, gamma=gamma)
+            out[f"{name}/{eta}/{gamma}"] = _digest([_hex(gap.c_min), _hex(gap.c_max), gap.separable,
+                                                    gap.c_min_pair, gap.c_max_pair])
+    return out
+
+
+def test_oracle_gap_digests_pinned():
+    assert _oracle_gap_digests() == ORACLE_GAP_DIGESTS
 
 
 def test_cmit_mi_exact_recovery():
