@@ -9,39 +9,36 @@ exceeds the threshold xi.  Statistics:
 * ``mutual_information``: -0.5 * ln(1 - rho(i, j | S)^2) in nats, compared
   against xi squared.
 
-The scan conditions on one vertex at a time, as in the partial-correlation
-recursion of the PC algorithm: Sigma(., . | S + k) = Sigma(., . | S) -
-c c^T / c_k with c = Sigma(., k | S).  ``cmit`` applies each step to the
-whole p x p matrix and reads the statistic of every pair off it.  Sets are
-visited in canonical order (sizes ascending, one depth-first walk per size,
-lexicographic within a size) and a running minimum keeps the first set in
-that order among ties, so results are deterministic.  The cost is the
-paper's O(p^(eta+2)) time: O(p^eta) sets at O(p^2) each; memory is
-O((eta+1) p^2), one conditional matrix per level of the walk.
-``min_conditional_statistic`` runs the same recursion for a single pair in
-O(p^max(eta, 1)) time and returns the same value, set and status as ``cmit``.
+One scan serves ``cmit`` (every pair), ``min_conditional_statistic`` (one
+pair) and ``oracle_gap`` (the edges).  It conditions on one vertex at a
+time, as in the partial-correlation recursion of the PC algorithm:
+Sigma(., . | S + k) = Sigma(., . | S) - c c^T / c_k with c = Sigma(., k | S).
+Sets are visited in canonical order (sizes ascending, one depth-first walk
+per size, lexicographic within a size) and a running minimum keeps the
+first set in that order among ties, so results are deterministic.  Size 0,
+and every size at which more than a quarter of all pairs are open, is the
+full-matrix step: each rank-1 step updates the whole p x p matrix and every
+pair's statistic is read off it, the paper's O(p^(eta+2)) time (O(p^eta)
+sets at O(p^2) each) in O((eta+1) p^2) memory.  From size 1 on, once at
+most a quarter of the pairs are open, the pair-set completion finishes
+them together: it walks each prefix (a set but its last one or two
+vertices) once, judges the guard of the prefix's sets with one call, and
+applies the last vertices elementwise to the open pairs' 2 x 2 blocks.
+Size s then costs O(p^s) per open pair plus O(p^s) for the walk and the
+guard, in chunks of at most 2^15 (pair, set) entries, 256 KB per scratch
+array whatever p.  Both steps share their floating point operations and
+their order, so they agree bit for bit, and neither allocates per set.
 The conditional covariance for one fixed set is
 ``model.conditional_covariance_exact``.
 
-The per-set step allocates nothing: each level of the walk writes its
-conditional matrix into one preallocated p x p buffer, with the same
-floating point operations in the same order as ``sigma - np.outer(c, c) /
-c[k]``, and the all-pairs scan keeps its statistic and comparison arrays
-preallocated too.  Mutual information is minimized on its key rho^2 =
-cov^2 / (var_i var_j), on which it is increasing, and each pair's minimum
-is converted to -0.5 * ln(1 - rho^2) once at the end, not at every set;
-ties are therefore ties of rho^2.  The all-pairs running minimum of
-rho^2 starts at 1, above every defined key, so an undefined one (rho^2 >=
-1 or NaN) never wins unmasked; the mask of a variance product <= 0 runs
-only at a set that leaves a conditional variance <= 0 (-0.0 included) off
-its own rows, since two positive variances have a nonnegative product.
-Each level of the walk judges the guard of all the sets that extend its
-prefix by one vertex with one call.
-
-``EstimationResult.to_json`` writes the text of ``result.json``, byte for
-byte ``json.dumps(to_dict(), indent=2, sort_keys=True) + "\\n"``, with the
-pair records formatted from the result's arrays instead of one dict per
-pair through the pure-Python indenting encoder.
+Mutual information is minimized on its key rho^2 = cov^2 / (var_i var_j),
+on which it is increasing, and each pair's minimum is converted to
+-0.5 * ln(1 - rho^2) once at the end; ties are therefore ties of rho^2.
+The running minimum of rho^2 starts at 1, above every defined key, so an
+undefined one (rho^2 >= 1 or NaN) never wins unmasked; the full-matrix
+step masks a variance product <= 0 only at a set that leaves a
+conditional variance <= 0 (-0.0 included) off its own rows, since two
+positive variances have a nonnegative product.
 
 A set S is skipped when its block Sigma[S, S] fails the conditioning
 guard: |S| = 1 needs a positive variance, |S| = 2 a positive smallest
@@ -57,7 +54,8 @@ which its running minimum is at or below the threshold, so the edge set is
 that of the full scan.  The pair is reported with status ``early_exit`` and
 that minimum, an upper bound of its full minimum; this is the smallest
 value of that size class, not the first set found below the threshold.
-The scan ends once every pair has stopped.
+Stopped pairs leave the open count, so the completion takes over once at
+most a quarter remain, and the scan ends once every pair has stopped.
 """
 
 from __future__ import annotations
@@ -73,7 +71,7 @@ import numpy as np
 
 from .errors import InvalidParameter, config_kwargs
 from .graph import Graph, separation_profile
-from .model import GaussianModel, _check_pair, conditional_covariance_exact
+from .model import GaussianModel, _as_square, _check_pair, conditional_covariance_exact
 from .sampler import SampleSet, empirical_covariance
 
 DEFAULT_KAPPA = 2.0
@@ -89,6 +87,17 @@ def default_threshold(n: int, p: int, kappa: float = DEFAULT_KAPPA) -> float:
     if kappa <= 0:
         raise InvalidParameter("kappa must be positive")
     return kappa * math.sqrt(math.log(p) / n)
+
+
+def _check_scan(eta: int, statistic: str, cond_limit: float) -> None:
+    """Reject a negative eta, an unknown statistic, and a ``cond_limit``
+    below 1 or NaN, which would fail every set of two or more vertices."""
+    if eta < 0:
+        raise InvalidParameter("eta must be nonnegative")
+    if statistic not in STATISTICS:
+        raise InvalidParameter(f"statistic must be one of {STATISTICS}")
+    if not cond_limit >= 1.0:
+        raise InvalidParameter(f"cond_limit must be at least 1, got {cond_limit!r}")
 
 
 @dataclass(frozen=True)
@@ -111,12 +120,9 @@ class EstimatorConfig:
     cond_limit: float = DEFAULT_COND_LIMIT
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise InvalidParameter("eta must be nonnegative")
-        if self.statistic not in STATISTICS:
-            raise InvalidParameter(f"statistic must be one of {STATISTICS}")
-        if self.xi is not None and self.xi < 0:
-            raise InvalidParameter("threshold must be nonnegative")
+        _check_scan(self.eta, self.statistic, self.cond_limit)
+        if self.xi is not None and not self.xi >= 0:
+            raise InvalidParameter(f"threshold must be nonnegative, got {self.xi!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -283,12 +289,18 @@ class _Guard:
         self.sigma = sigma
         self.cond_limit = cond_limit
         self.d = np.diag(sigma).copy()
+
+    @cached_property
+    def pair_ok(self) -> np.ndarray:
+        """The verdict of each set {k, l} at [k, l], built on first use."""
         dk, dl = self.d[:, None], self.d[None, :]
-        tr = dk + dl
-        disc = np.sqrt((dk - dl) ** 2 + 4.0 * sigma * sigma)
-        lam_min = (tr - disc) / 2.0
-        lam_max = (tr + disc) / 2.0
-        self.pair_ok = (lam_min > 0.0) & (lam_max <= cond_limit * lam_min)
+        # eigenvalues (tr -+ sqrt((dk - dl)^2 + 4 s^2)) / 2 with tr = dk + dl, in place
+        tr, disc, lam_min = dk + dl, np.square(dk - dl), np.multiply(4.0, self.sigma)
+        lam_min *= self.sigma
+        np.sqrt(np.add(disc, lam_min, out=disc), out=disc)
+        lam_min = np.divide(np.subtract(tr, disc, out=lam_min), 2.0, out=lam_min)
+        lam_max = np.divide(np.add(tr, disc, out=tr), 2.0, out=tr)
+        return (lam_min > 0.0) & (lam_max <= np.multiply(self.cond_limit, lam_min, out=lam_min))
 
     def passes(self, prefix: tuple[int, ...], *last: np.ndarray) -> np.ndarray:
         """Verdict for every set prefix + (last[0][t], ..., last[-1][t])."""
@@ -296,10 +308,18 @@ class _Guard:
         if len(cols) == 1:
             return self.d[cols[0]] > 0.0
         if len(cols) == 2:
-            return self.pair_ok[cols[0], cols[1]]
+            return self.pair_ok.take(cols[0] * len(self.d) + cols[1])
         sets = np.column_stack([np.full(len(last[0]), v) for v in prefix] + list(last))
         svals = np.linalg.svd(self.sigma[sets[:, :, None], sets[:, None, :]], compute_uv=False)
         return (svals[:, -1] > 0.0) & (svals[:, 0] <= self.cond_limit * svals[:, -1])
+
+
+def _minus(head, x, y, pivot, out: np.ndarray) -> np.ndarray:
+    """head - x * y / pivot into ``out``, the operations of a rank-1 Schur
+    step in one order, which both steps of the scan share."""
+    np.multiply(x, y, out=out)
+    np.divide(out, pivot, out=out)
+    return np.subtract(head, out, out=out)
 
 
 def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: np.ndarray, members=(), start=0,
@@ -309,14 +329,11 @@ def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: np.ndarray, m
     order; ``sigma`` is conditioned on ``members`` already, and sets extend
     them with candidates from position ``start`` on.
 
-    Depth first, one rank-1 Schur step per level:
-    Sigma(., . | S + k) = Sigma(., . | S) - c c^T / c_k with
-    c = Sigma(., k | S), written into that level's slice of ``bufs``, so
-    the walk allocates nothing per set and a yielded matrix is valid only
-    until the next one.  Each level judges the sets of all its candidates
-    with one guard call.  A set that fails the guard is skipped with all
-    its supersets: for a positive semidefinite input their blocks are at
-    least as ill conditioned (Cauchy interlacing).
+    Depth first, one rank-1 Schur step per level into that level's slice
+    of ``bufs``, so a yielded matrix is valid only until the next one.
+    Each level judges its candidates with one guard call, and a set that
+    fails is skipped with its supersets: for a positive semidefinite input
+    their blocks are at least as ill conditioned (Cauchy interlacing).
     """
     if len(members) == size:
         yield members, sigma
@@ -328,24 +345,17 @@ def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: np.ndarray, m
     for pos in np.flatnonzero(guard.passes(members, ks)).tolist():
         k = int(ks[pos])
         c = sigma[:, k]
-        # the operations of sigma - np.outer(c, c) / c[k], in place
-        np.multiply(c[:, None], c, out=buf)
-        np.divide(buf, c[k], out=buf)
-        np.subtract(sigma, buf, out=buf)
+        _minus(sigma, c[:, None], c, c[k], buf)
         yield from _walk(buf, size, guard, candidates, members + (k,), start + pos + 1, bufs)
 
 
 def _key(cov, var_i, var_j, statistic: str, out=None, den=None, bad=None, masked=True):
     """The key a pair's statistic is minimized on, from its conditional
     2 x 2 block: |cov| for covariance, rho^2 = cov^2 / (var_i var_j) for
-    mutual information, which is increasing in rho^2 (``_value``).  The
-    key is infinite where mutual information is undefined (variance product
-    not positive, or rho^2 not below one).  Array inputs; ``out``, ``den``
-    and ``bad`` are optional scratch arrays of the result's shape (float,
-    float, bool).  ``masked=False`` leaves the undefined entries as
-    computed, for a caller that has ruled out a variance product <= 0 and
-    whose running minimum starts at 1, so a key >= 1 or NaN never wins.
-    Callers silence the floating point warnings of the undefined entries."""
+    mutual information, infinite where that is undefined (variance product
+    not positive, or rho^2 not below one) unless ``masked`` is False.
+    ``out``, ``den`` and ``bad`` are optional scratch arrays of the
+    result's shape.  Callers silence the warnings of undefined entries."""
     if statistic == "covariance":
         return np.abs(cov, out=out)
     den = np.multiply(var_i, var_j, out=den)
@@ -373,26 +383,22 @@ def _max_size(eta: int, n: int | None) -> int:
     return eta if n is None else min(eta, n - 1)
 
 
-def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
+_CHUNK = 2**15  # (pair, set) entries per scratch array of the completion: 256 KB
+
+
+def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str, guard: _Guard,
               threshold: float | None):
-    """Minimize the key of every pair at once.
+    """Minimize the key of the pairs that ``todo``, a p x p mask True above
+    the diagonal only, marks; the module docstring gives the two steps.
 
-    Each size class is one walk.  At every set the key of all pairs is
-    read off the conditional matrix into preallocated scratch arrays, with
-    the rows and columns of the set's members masked, and a strict ``<``
-    keeps the first set in canonical order among ties.  A mutual
-    information minimum starts at 1 (module docstring), and pairs that no
-    set improved end with an infinite key.
-
-    With a ``threshold`` (early exit) a pair is frozen after the first size
-    class that brings its minimum statistic to the threshold or below.
-    From size 2 on, once at most a quarter of the pairs are still open,
-    they are finished one at a time by ``_scan_pair``, whose cost no longer
-    grows with the number of frozen pairs.
-
-    Returns p x p arrays, read above the diagonal (the minimum key, the
-    index of the argmin set in the returned list or -1, and the early-exit
-    flag), and the list of sets.
+    The full-matrix step reads the key of all pairs off each set's matrix,
+    masks the rows and columns of the set's members, and keeps the first
+    set in canonical order among ties with a strict ``<``.  With a
+    ``threshold`` (early exit) a pair is frozen after the first size class
+    that brings its minimum statistic to the threshold or below.  Returns,
+    for the marked pairs in row-major order, the minimum key (infinite if
+    no set improved it), the index of its set in the returned list of sets
+    (-1 for none) and the early-exit flag, and that list.
     """
     p = sigma.shape[0]
     mi = statistic == "mutual_information"
@@ -401,117 +407,113 @@ def _scan_all(sigma: np.ndarray, max_size: int, statistic: str, guard: _Guard,
     stat, den = np.empty((p, p)), np.empty((p, p))
     better, bad = np.empty((p, p), dtype=bool), np.empty((p, p), dtype=bool)
     low = np.empty(p, dtype=bool)
-    lower = np.tri(p, dtype=bool)
-    # the diagonal and lower triangle start frozen, so ~frozen lists the open pairs
-    frozen = lower.copy()
+    frozen = ~todo  # so the diagonal, the lower triangle and unmarked pairs never open
     winners: list[tuple[int, ...]] = []
     vertices = np.arange(p)
-    size = 0
-    while size <= max_size:
-        if threshold is not None:
-            still_open = np.count_nonzero(~frozen)
-            if still_open == 0 or (size >= 2 and 8 * still_open <= p * (p - 1)):
-                break
-            open_pairs = ~frozen
-        for subset, cond in _walk(sigma, size, guard, vertices):
-            d = cond.diagonal()
-            if mi:
-                # the set's own rows and columns are masked below
-                np.less_equal(d, 0.0, out=low)
-                low[list(subset)] = False
-            _key(cond, d[:, None], d, statistic, stat, den, bad, masked=mi and low.any())
-            np.less(stat, best, out=better)
-            for k in subset:
-                better[k] = False
-                better[:, k] = False
-            if threshold is not None:
-                better &= open_pairs
-            if better.any():
-                np.copyto(best, stat, where=better)
-                np.copyto(arg, len(winners), where=better)
-                winners.append(subset)
+    for size in range(max_size + 1):
+        open_pairs = ~frozen
+        still_open = np.count_nonzero(open_pairs)
+        if still_open == 0:
+            break
+        if size >= 1 and 8 * still_open <= p * (p - 1):
+            _complete(sigma, size, statistic, guard, *np.divmod(np.flatnonzero(open_pairs), p), best, arg, winners)
+        else:
+            for subset, cond in _walk(sigma, size, guard, vertices):
+                d = cond.diagonal()
+                if mi:
+                    # the set's own rows and columns are masked below
+                    np.less_equal(d, 0.0, out=low)
+                    low[list(subset)] = False
+                _key(cond, d[:, None], d, statistic, stat, den, bad, masked=mi and low.any())
+                np.less(stat, best, out=better)
+                for k in subset:
+                    better[k] = False
+                    better[:, k] = False
+                if 2 * still_open < p * (p - 1):
+                    better &= open_pairs
+                if better.any():
+                    np.copyto(best, stat, where=better)
+                    np.copyto(arg, len(winners), where=better)
+                    winners.append(subset)
         if threshold is not None:
             frozen |= _value(best, statistic) <= threshold
-        size += 1
-    np.copyto(best, np.inf, where=arg < 0)  # pairs no set improved
-    if size <= max_size:
-        for i, j in np.argwhere(~frozen).tolist():
-            resume = (size, float(best[i, j]), winners[arg[i, j]] if arg[i, j] >= 0 else None)
-            best[i, j], subset, frozen[i, j] = _scan_pair(
-                sigma, i, j, max_size, statistic, guard, threshold, resume)
-            if subset is not None:
-                arg[i, j] = len(winners)
-                winners.append(subset)
-    return best, arg, frozen & ~lower, winners
+    marked = np.flatnonzero(todo)
+    keys, sets = best.take(marked), arg.take(marked)
+    keys[sets < 0] = np.inf  # pairs no set improved
+    return keys, sets, frozen.take(marked), winners
 
 
-@lru_cache(maxsize=4)  # a scan uses one length, p - 2
-def _position_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(k, 1)``, built once per length and read-only: the
-    (m, l) position pairs, m < l, in row-major order."""
-    pairs = np.triu_indices(k, 1)
+@lru_cache(maxsize=4)  # a scan uses one p
+def _position_pairs(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex pairs m < l in row-major order, ``np.triu_indices(p, 1)``,
+    and the flat index l * p + m of each; built once per p, read-only."""
+    m, l = np.triu_indices(p, 1)
+    pairs = (m, l, l * p + m)
     for a in pairs:
         a.flags.writeable = False
     return pairs
 
 
-def _scan_pair(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,
-               guard: _Guard, threshold: float | None = None, resume=None):
-    """Minimize the key of one pair with the same recursion as
-    ``_scan_all`` and the same arithmetic, so keys agree bit for bit.
+def _complete(sigma: np.ndarray, size: int, statistic: str, guard: _Guard, us: np.ndarray,
+              vs: np.ndarray, best: np.ndarray, arg: np.ndarray, winners: list):
+    """Merge the sets of ``size`` >= 1 vertices into the running minima of
+    the pairs (us[t], vs[t]) by the pair-set completion.
 
-    Only the pair's 2 x 2 block is needed, so the last conditioning vertex
-    (size 1) or the last two (size >= 2) of every set are applied to whole
-    vectors at once; the walk supplies the rest of the set.  Time per pair
-    is O(p^max(eta, 1)) instead of O(p^(eta+2)).
-
-    ``resume`` = (size, minimum key, argmin set) continues a pair whose
-    smaller sizes are done; a ``threshold`` stops after the first size
-    class that brings the minimum statistic to it or below (early exit).
-    Returns the minimum key, the argmin set and whether the pair stopped
-    early; a failed pair has an infinite key and no set.
+    The sets of a prefix that pass the guard form the set axis of (pair x
+    set) arrays over the open pairs that do not meet the prefix, chunked to
+    at most ``_CHUNK`` entries.  A set holding u or v reads a NaN from the
+    pair's copy of row u, and a NaN key never wins.  The first argmin along
+    the set axis is the first set in canonical order, and a strict ``<``
+    merges it into the running minimum.
     """
-    others = np.delete(np.arange(sigma.shape[0]), [i, j])
-    if resume is None:
-        resume = (1, float(_key(sigma[[i], [j]], sigma[[i], [i]], sigma[[j], [j]], statistic)[0]), ())
-    first, best, best_subset = resume
-    if max_size >= 2:
-        # the pairs of a suffix others[start:] are the tail with m >= start
-        m_pos, l_pos = _position_pairs(len(others))
-    for size in range(first, max_size + 1):
-        batch = min(size, 2)
-        for prefix, cond in _walk(sigma, size - batch, guard, others):
-            ci, cj, dg = cond[i], cond[j], np.diagonal(cond)
+    p = sigma.shape[0]
+    batch = min(size, 2)
+    scratch = np.empty((9, _CHUNK))
+    for prefix, cond in _walk(sigma, size - batch, guard, np.arange(p)):
+        # sets prefix + (l,) at size 1, else prefix + (m, l), m < l; lm = l * p + m
+        m, l, lm = _position_pairs(p)
+        cut = int(np.searchsorted(m, prefix[-1] + 1)) if prefix else 0
+        last = (np.arange(p),) if batch == 1 else (m[cut:], l[cut:], lm[cut:])
+        ok = guard.passes(prefix, *last[:batch])
+        last = last if ok.all() else tuple(col[ok] for col in last)
+        l, dg = last[batch - 1], cond.diagonal()
+        if batch == 2:  # Sigma(m, m | prefix), Sigma(l, m | prefix) and the pivot of l after m
+            m, pm, c_lm = last[0], dg.take(last[0]), cond.take(last[2])
+        piv = dg[l] if batch == 1 else _minus(dg.take(l), c_lm, c_lm, pm, np.empty(len(l)))
+        keep = ~(np.equal.outer(us, prefix).any(axis=1) | np.equal.outer(vs, prefix).any(axis=1))
+        pu, pv = us[keep], vs[keep]
+        width = min(len(l), _CHUNK) or 1
+        group = max(1, min(_CHUNK // width, _CHUNK // p))
+        for t0, k0 in ((t0, k0) for t0 in range(0, len(pu), group) for k0 in range(0, len(l), width)):
+            gu, gv, ks = pu[t0:t0 + group], pv[t0:t0 + group], slice(k0, k0 + width)
+            rows = np.arange(len(gu))
+            ru, rv = cond[gu], cond[gv]
+            ru[rows, gu] = ru[rows, gv] = np.nan
+            shape = (len(gu), len(l[ks]))
+            a, b, am, bm, c_uv, c_uu, c_vv, key, den = (x[:shape[0] * shape[1]].reshape(shape) for x in scratch)
+            np.take(ru, l[ks], axis=1, out=a, mode="clip")
+            np.take(rv, l[ks], axis=1, out=b, mode="clip")
+            heads = cond[gu, gv][:, None], dg[gu][:, None], dg[gv][:, None]
             if batch == 1:
-                last = (others,)
-                c_ij, c_ii, c_jj = cond[i, j], cond[i, i], cond[j, j]
-                a, b, piv = ci[others], cj[others], dg[others]
-            else:
-                # sets prefix + (m, l), m < l: condition on m, then on l
-                start = int(np.searchsorted(others, prefix[-1], side="right")) if prefix else 0
-                cut = int(np.searchsorted(m_pos, start))
-                m, l = others[m_pos[cut:]], others[l_pos[cut:]]
-                last = (m, l)
-                am, bm, pm, c_lm = ci[m], cj[m], dg[m], cond[l, m]
-                c_ij = cond[i, j] - am * bm / pm
+                c_uv, c_uu, c_vv = heads
+            else:  # condition on m, then on l, as the full-matrix step does
+                np.take(ru, m[ks], axis=1, out=am, mode="clip")
+                np.take(rv, m[ks], axis=1, out=bm, mode="clip")
+                c_uv = _minus(heads[0], am, bm, pm[ks], c_uv)
                 if statistic != "covariance":
-                    c_ii = cond[i, i] - am * am / pm
-                    c_jj = cond[j, j] - bm * bm / pm
-                a = ci[l] - am * c_lm / pm
-                b = cj[l] - bm * c_lm / pm
-                piv = dg[l] - c_lm * c_lm / pm
+                    c_uu, c_vv = _minus(heads[1], am, am, pm[ks], c_uu), _minus(heads[2], bm, bm, pm[ks], c_vv)
+                a, b = _minus(a, am, c_lm[ks], pm[ks], am), _minus(b, bm, c_lm[ks], pm[ks], bm)
+            _minus(c_uv, a, b, piv[ks], key)
             if statistic == "covariance":
-                values = np.abs(c_ij - a * b / piv)
+                np.fmin(np.abs(key, out=key), np.inf, out=key)  # NaN -> inf
             else:
-                values = _key(c_ij - a * b / piv, c_ii - a * a / piv, c_jj - b * b / piv, statistic)
-            values = np.where(guard.passes(prefix, *last) & ~np.isnan(values), values, np.inf)
-            pos = int(np.argmin(values)) if len(values) else 0
-            if len(values) and values[pos] < best:
-                best = float(values[pos])
-                best_subset = prefix + tuple(int(col[pos]) for col in last)
-        if threshold is not None and _value(best, statistic) <= threshold:
-            return best, best_subset, True
-    return best, None if math.isinf(best) else best_subset, False
+                _key(key, _minus(c_uu, a, a, piv[ks], a), _minus(c_vv, b, b, piv[ks], b), statistic, key, den)
+            pos = key.argmin(axis=1)
+            low = key[rows, pos]
+            for t in np.flatnonzero(low < best[gu, gv]).tolist():
+                best[gu[t], gv[t]] = low[t]
+                arg[gu[t], gv[t]] = len(winners)
+                winners.append(prefix + tuple(int(col[k0 + pos[t]]) for col in last[:batch]))
 
 
 def min_conditional_statistic(
@@ -529,18 +531,19 @@ def min_conditional_statistic(
     smallest among ties, smaller sizes first), and a status flag; equal to
     the pair's entry in ``cmit`` on the same covariance and settings.
     """
-    sigma = np.asarray(sigma, dtype=float)
+    sigma = _as_square(sigma, "covariance matrix")
     _check_pair(sigma, i, j, ())
     if i == j:
         raise InvalidParameter("pair statistics need distinct vertices")
-    if statistic not in STATISTICS:
-        raise InvalidParameter(f"statistic must be one of {STATISTICS}")
-    if eta < 0:
-        raise InvalidParameter("eta must be nonnegative")
+    _check_scan(eta, statistic, cond_limit)
+    if n is not None and n < 1:
+        raise InvalidParameter(f"need n >= 1 samples, got n={n}")
+    todo = np.zeros(sigma.shape, dtype=bool)
+    todo[min(i, j), max(i, j)] = True
     with np.errstate(divide="ignore", invalid="ignore"):
-        key, subset, _ = _scan_pair(sigma, i, j, _max_size(eta, n), statistic, _Guard(sigma, cond_limit))
+        (key,), (a,), _, sets = _scan_all(sigma, todo, _max_size(eta, n), statistic, _Guard(sigma, cond_limit), None)
         value = float(_value(key, statistic))
-    return PairDecision(value, subset, STATUSES[int(math.isinf(value))])
+    return PairDecision(value, sets[a] if a >= 0 else None, STATUSES[int(math.isinf(value))])
 
 
 def _resolve_source(source, config: EstimatorConfig):
@@ -586,10 +589,10 @@ def cmit(source, config: EstimatorConfig) -> EstimationResult:
     iu, ju = np.triu_indices(p, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         best, arg, early, winners = _scan_all(
-            sigma, _max_size(config.eta, n), config.statistic,
+            sigma, ~np.tri(p, dtype=bool), _max_size(config.eta, n), config.statistic,
             _Guard(sigma, config.cond_limit), threshold if config.early_exit else None,
         )
-        values = _value(best[iu, ju], config.statistic)
+        values = _value(best, config.statistic)
     is_edge = np.isfinite(values) & (values > threshold)
     return EstimationResult(
         p=p,
@@ -601,8 +604,8 @@ def cmit(source, config: EstimatorConfig) -> EstimationResult:
         elapsed_s=time.perf_counter() - start,
         config=config,
         values=values,
-        set_index=arg[iu, ju],  # -1 where no set improved the pair (failed)
-        status=np.where(early[iu, ju], 2, np.isinf(values)).astype(np.int8),  # STATUSES order
+        set_index=arg,  # -1 where no set improved the pair (failed)
+        status=np.where(early, 2, np.isinf(values)).astype(np.int8),  # STATUSES order
         sets=winners,
     )
 
@@ -642,15 +645,14 @@ def oracle_gap(model: GaussianModel, eta: int, gamma: int) -> OracleGap:
     """
     sigma = model.sigma()
     g = model.graph
-    c_min = math.inf
-    c_min_pair = None
-    guard = _Guard(sigma, DEFAULT_COND_LIMIT)
-    for u, v in g.edges:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            value, _, _ = _scan_pair(sigma, u, v, eta, "covariance", guard)
-        if value < c_min:
-            c_min = value
-            c_min_pair = (u, v)
+    todo = np.triu(g.adjacency_matrix() > 0.0, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        edge_values = _scan_all(sigma, todo, eta, "covariance", _Guard(sigma, DEFAULT_COND_LIMIT), None)[0]
+    # values come in row-major order, the order of g.edges, and argmin keeps
+    # the first minimum; an edge whose sets all fail the guard is infinite
+    k = int(np.argmin(edge_values)) if len(edge_values) else -1
+    c_min_pair = g.edges[k] if k >= 0 and edge_values[k] < math.inf else None
+    c_min = float(edge_values[k]) if c_min_pair else math.inf
     separators = separation_profile(g, gamma).separators
     pairs = list(separators)
     u, v = np.array(pairs, dtype=np.intp).reshape(-1, 2).T

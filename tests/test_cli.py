@@ -1,14 +1,19 @@
+import io
 import json
 import os
 import subprocess
 import sys
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from ggmlearn import EnsembleConfig, EstimatorConfig, cmit, synthesize_model
+from ggmlearn import cli
 from ggmlearn.cli import main
 from ggmlearn.harness import LANE_SIGNS, lane_seed
 from ggmlearn.io import load_model, load_samples, read_edge_list
@@ -263,13 +268,37 @@ def src_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
+def cli_args(cfg: str, out: Path, command: str) -> list[str]:
+    """``<command> --config cfg --out out``; ``command`` may carry options
+    after the subcommand name."""
+    return [*command.split(), "--config", cfg, "--out", str(out)]
+
+
 def run_cli_subprocess(cfg: str, out: Path, command: str = "learn") -> subprocess.CompletedProcess:
-    """Run ``ggmlearn <command> --config cfg --out out``; ``command`` may
-    carry options after the subcommand name."""
-    return subprocess.run(
-        [sys.executable, "-m", "ggmlearn.cli", *command.split(), "--config", cfg, "--out", str(out)],
-        capture_output=True, text=True, env=src_env(), timeout=120,
-    )
+    """Run ``python -m ggmlearn.cli <command> --config cfg --out out`` in a
+    fresh interpreter."""
+    return subprocess.run([sys.executable, "-m", "ggmlearn.cli", *cli_args(cfg, out, command)],
+                          capture_output=True, text=True, env=src_env(), timeout=120)
+
+
+def run_cli(cfg: str, out: Path, command: str = "learn") -> subprocess.CompletedProcess:
+    """Run ``ggmlearn <command> --config cfg --out out`` in this process
+    through the console entry point ``cli.run`` with ``sys.argv`` set, and
+    return its exit status and captured output as ``run_cli_subprocess``
+    does.  An exception that escapes ``cli.run`` is printed with its
+    traceback and exits 1, as the interpreter would."""
+    argv = ["ggmlearn", *cli_args(cfg, out, command)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "argv", argv), redirect_stdout(stdout), redirect_stderr(stderr):
+        try:
+            cli.run()
+            code = 0
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 1
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return subprocess.CompletedProcess(argv, code, stdout.getvalue(), stderr.getvalue())
 
 
 def assert_clean_error(proc: subprocess.CompletedProcess, prefix: str) -> None:
@@ -291,14 +320,14 @@ def test_package_error_prints_message_without_traceback(tmp_path):
 def test_config_that_is_not_json_fails_cleanly(tmp_path):
     cfg = tmp_path / "learn.json"
     cfg.write_text("samples: runs/data\n")
-    proc = run_cli_subprocess(str(cfg), tmp_path / "out")
+    proc = run_cli(str(cfg), tmp_path / "out")
     assert_clean_error(proc, "Error: configuration ")
     assert "is not valid JSON" in proc.stderr
 
 
 def test_config_missing_required_key_fails_cleanly(tmp_path):
     cfg = write_config(tmp_path / "learn.json", {"estimator": {"eta": 1}})
-    proc = run_cli_subprocess(cfg, tmp_path / "out")
+    proc = run_cli(cfg, tmp_path / "out")
     assert_clean_error(proc, "Error: configuration is missing the required key 'samples'")
 
 
@@ -332,7 +361,7 @@ CHAIN = {"kind": "chain", "p": 6}
         "seed-override-entry-list"])
 def test_config_block_key_errors_fail_cleanly(tmp_path, command, payload, message):
     cfg = write_config(tmp_path / "cfg.json", payload)
-    proc = run_cli_subprocess(cfg, tmp_path / "out", command)
+    proc = run_cli(cfg, tmp_path / "out", command)
     assert_clean_error(proc, f"Error: {message}")
 
 
@@ -346,7 +375,7 @@ def test_config_block_key_errors_fail_cleanly(tmp_path, command, payload, messag
 def test_missing_input_path_fails_cleanly(tmp_path, command, extra, key, missing_file):
     missing = tmp_path / "nope"
     cfg = write_config(tmp_path / "cfg.json", {**extra, key: str(missing)})
-    proc = run_cli_subprocess(cfg, tmp_path / "out", command)
+    proc = run_cli(cfg, tmp_path / "out", command)
     target = missing if missing_file is None else missing / missing_file
     assert_clean_error(proc, f"Error: cannot read {target}: No such file or directory")
 
@@ -384,7 +413,7 @@ def test_malformed_sidecar_fails_cleanly(tmp_path, kind, sidecar, message):
         write_model_dir(directory, sidecar)
         cfg = write_config(tmp_path / "cfg.json", {"model": str(directory), "n": 5})
         command = "sample"
-    proc = run_cli_subprocess(cfg, tmp_path / "out", command)
+    proc = run_cli(cfg, tmp_path / "out", command)
     assert_clean_error(proc, f"Error: {directory}/{message}")
 
 
@@ -420,7 +449,7 @@ def test_malformed_sample_matrix_fails_cleanly(tmp_path, write, message):
     else:
         write(directory / "samples.npy")
     cfg = write_config(tmp_path / "cfg.json", {"samples": str(directory)})
-    proc = run_cli_subprocess(cfg, tmp_path / "out")
+    proc = run_cli(cfg, tmp_path / "out")
     prefix = "Error: " if message.startswith("sample sidecar") else f"Error: {directory}/"
     assert_clean_error(proc, prefix + message)
     assert proc.stderr.count("\n") == 1  # one line
@@ -447,7 +476,7 @@ def test_legacy_sample_conversion_command_runs(tmp_path):
 def test_non_integer_edge_list_fails_cleanly(tmp_path, edges, message):
     write_model_dir(tmp_path / "model", "{}", edges)
     cfg = write_config(tmp_path / "cfg.json", {"model": str(tmp_path / "model"), "n": 5})
-    assert_clean_error(run_cli_subprocess(cfg, tmp_path / "out", "sample"), f"Error: {message}")
+    assert_clean_error(run_cli(cfg, tmp_path / "out", "sample"), f"Error: {message}")
 
 
 @pytest.mark.parametrize("command, payload, message", [
@@ -486,8 +515,19 @@ def test_non_integer_edge_list_fails_cleanly(tmp_path, edges, message):
         "sweep-include-fano-str"])
 def test_config_value_type_errors_fail_cleanly(tmp_path, command, payload, message):
     cfg = write_config(tmp_path / "cfg.json", payload)
-    proc = run_cli_subprocess(cfg, tmp_path / "out", command)
+    proc = run_cli(cfg, tmp_path / "out", command)
     assert_clean_error(proc, f"Error: {message}")
+
+
+@pytest.mark.parametrize("estimator, message", [
+    ({"cond_limit": 0.5}, "cond_limit must be at least 1, got 0.5"),
+    ({"xi": float("nan")}, "threshold must be nonnegative, got nan"),
+], ids=["cond-limit-below-one", "xi-nan"])
+def test_invalid_estimator_value_fails_cleanly(tmp_path, estimator, message):
+    cfg = write_config(tmp_path / "cfg.json", {"samples": "unused", "estimator": estimator})
+    proc = run_cli(cfg, tmp_path / "out")
+    assert_clean_error(proc, f"Error: {message}")
+    assert proc.stderr.count("\n") == 1  # one line
 
 
 def test_config_accepts_json_integers_for_floats_and_arrays_for_tuples(runner, tmp_path):

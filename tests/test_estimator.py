@@ -187,6 +187,28 @@ def test_min_statistic_validation():
         min_conditional_statistic(np.eye(3), 0, 1, eta=1, statistic="nope")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: EstimatorConfig(cond_limit=-1), "cond_limit must be at least 1, got -1"),
+    (lambda: EstimatorConfig(cond_limit=0.5), "cond_limit must be at least 1, got 0.5"),
+    (lambda: EstimatorConfig(cond_limit=math.nan), "cond_limit must be at least 1, got nan"),
+    (lambda: EstimatorConfig(xi=math.nan), "threshold must be nonnegative, got nan"),
+    (lambda: min_conditional_statistic(np.eye(3), 0, 1, 2, cond_limit=-1), "cond_limit must be at least 1, got -1"),
+    (lambda: min_conditional_statistic(np.eye(3), 0, 1, 2, cond_limit=0.5), "cond_limit must be at least 1, got 0.5"),
+    (lambda: min_conditional_statistic(np.eye(3), 0, 1, 2, cond_limit=math.nan),
+     "cond_limit must be at least 1, got nan"),
+    (lambda: min_conditional_statistic(np.eye(3), 0, 1, 1, n=0), "need n >= 1 samples, got n=0"),
+    (lambda: min_conditional_statistic(np.eye(3), 0, 1, 1, n=-3), "need n >= 1 samples, got n=-3"),
+    (lambda: min_conditional_statistic(np.ones((3, 4)), 0, 1, 1), r"covariance matrix must be square, got shape \(3, 4\)"),
+], ids=["config-cond-limit-negative", "config-cond-limit-half", "config-cond-limit-nan", "config-xi-nan",
+        "pair-cond-limit-negative", "pair-cond-limit-half", "pair-cond-limit-nan", "pair-n-zero", "pair-n-negative",
+        "pair-not-square"])
+def test_invalid_estimator_inputs_are_rejected(call, message):
+    # a condition number is at least 1, so a smaller limit fails every set
+    # of two or more vertices instead of reporting an error
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call()
+
+
 def test_min_statistic_deep_subsets_match_shallow_scan():
     # eta = 3 exercises the generic path; on a chain the eta = 1 minimum is
     # already a separator, so deeper conditioning cannot do better than zero
@@ -308,7 +330,7 @@ def test_cmit_early_exit_same_edges():
 
 
 def test_cmit_pairs_match_single_pair_scan():
-    # the all-pairs walk and the per-pair scan share their arithmetic, so
+    # the full-matrix step and the pair-set completion share their arithmetic, so
     # every pair agrees exactly, on both statistics and through eta = 3
     m = random_sparse_model(9, 4, target_alpha=0.5)
     data = sample(m, 800, seed=5)
@@ -376,8 +398,8 @@ def _scan_digests(family: str, runs: dict) -> dict:
     return out
 
 
-# recorded with the per-pair early-exit scan and single-pair recursion that
-# the pair-set completion replaced; every entry must stay the same
+# digests of _scan_digests and _oracle_gap_digests; a refactor of the scan
+# must leave every entry as it is
 SCAN_DIGESTS = {
     "er-sample/cmit/0/covariance/0": "73c25ea85ec0521d",
     "er-sample/cmit/0/covariance/1": "58989f4db2d0fd3e",
@@ -529,6 +551,29 @@ def _oracle_gap_digests() -> dict:
 
 def test_oracle_gap_digests_pinned():
     assert _oracle_gap_digests() == ORACLE_GAP_DIGESTS
+
+
+@pytest.mark.parametrize("chunk", [5, 64])
+@pytest.mark.parametrize("statistic", STATISTICS)
+def test_completion_chunks_give_the_default_result(monkeypatch, statistic, chunk):
+    # tier-1 inputs never fill a 2^15-entry chunk; 5 entries take one pair
+    # and five sets at a time, 64 split the sets of the size-2 prefix and
+    # group up to three pairs (64 // p) elsewhere, with a shorter last group
+    runs, torus = _digest_runs("er-sample"), synthesize_model(torus_grid(6, 2), 0.5)
+
+    def outputs():
+        out = [oracle_gap(torus, eta=2, gamma=2)]
+        for eta in (2, 3):
+            data, n, _ = runs[eta]
+            result = cmit(data, EstimatorConfig(eta=eta, statistic=statistic, early_exit=True))
+            out.append((result.values.tobytes(), result.status.tobytes(), pair_sets(result)))
+            sigma = empirical_covariance(data)
+            out.extend(min_conditional_statistic(sigma, u, v, eta, statistic, n=n) for u, v in ((0, 1), (2, 17), (5, 19)))
+        return out
+
+    default = outputs()
+    monkeypatch.setattr("ggmlearn.estimator._CHUNK", chunk)
+    assert outputs() == default
 
 
 def test_cmit_mi_exact_recovery():
@@ -705,7 +750,7 @@ def test_cmit_builds_pair_objects_on_demand(monkeypatch):
 
     monkeypatch.setattr("ggmlearn.estimator.PairDecision", CountingDecision)
     data = sample(synthesize_model(cycle_graph(12), 0.5), 800, seed=3)
-    # early exit at eta 2 hands the last open pairs to the per-pair scan
+    # early exit at eta 2 hands the last open pairs to the pair-set completion
     result = cmit(data, EstimatorConfig(eta=2, early_exit=True))
     result.to_dict()
     assert built == []
