@@ -84,8 +84,8 @@ def default_threshold(n: int, p: int, kappa: float = DEFAULT_KAPPA) -> float:
     """xi = kappa * sqrt(ln(p) / n)."""
     if n < 1 or p < 2:
         raise InvalidParameter(f"need n >= 1 and p >= 2, got n={n}, p={p}")
-    if kappa <= 0:
-        raise InvalidParameter("kappa must be positive")
+    if not kappa > 0:
+        raise InvalidParameter(f"kappa must be positive, got {kappa!r}")
     return kappa * math.sqrt(math.log(p) / n)
 
 
@@ -470,10 +470,9 @@ def _complete(sigma: np.ndarray, size: int, statistic: str, guard: _Guard, us: n
     batch = min(size, 2)
     scratch = np.empty((9, _CHUNK))
     for prefix, cond in _walk(sigma, size - batch, guard, np.arange(p)):
-        # sets prefix + (l,) at size 1, else prefix + (m, l), m < l; lm = l * p + m
-        m, l, lm = _position_pairs(p)
-        cut = int(np.searchsorted(m, prefix[-1] + 1)) if prefix else 0
-        last = (np.arange(p),) if batch == 1 else (m[cut:], l[cut:], lm[cut:])
+        # sets prefix + (l,) at size 1 (prefix ()), else prefix + (m, l), m < l, as (m, l, l * p + m)
+        cut = int(np.searchsorted(_position_pairs(p)[0], prefix[-1] + 1)) if prefix else 0
+        last = (np.arange(p),) if batch == 1 else tuple(col[cut:] for col in _position_pairs(p))
         ok = guard.passes(prefix, *last[:batch])
         last = last if ok.all() else tuple(col[ok] for col in last)
         l, dg = last[batch - 1], cond.diagonal()

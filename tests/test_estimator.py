@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import replace
@@ -192,6 +193,7 @@ def test_min_statistic_validation():
     (lambda: EstimatorConfig(cond_limit=0.5), "cond_limit must be at least 1, got 0.5"),
     (lambda: EstimatorConfig(cond_limit=math.nan), "cond_limit must be at least 1, got nan"),
     (lambda: EstimatorConfig(xi=math.nan), "threshold must be nonnegative, got nan"),
+    (lambda: cmit(np.ones((5, 3)), EstimatorConfig(kappa=math.nan)), "kappa must be positive, got nan"),
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 2, cond_limit=-1), "cond_limit must be at least 1, got -1"),
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 2, cond_limit=0.5), "cond_limit must be at least 1, got 0.5"),
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 2, cond_limit=math.nan),
@@ -199,7 +201,7 @@ def test_min_statistic_validation():
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 1, n=0), "need n >= 1 samples, got n=0"),
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 1, n=-3), "need n >= 1 samples, got n=-3"),
     (lambda: min_conditional_statistic(np.ones((3, 4)), 0, 1, 1), r"covariance matrix must be square, got shape \(3, 4\)"),
-], ids=["config-cond-limit-negative", "config-cond-limit-half", "config-cond-limit-nan", "config-xi-nan",
+], ids=["config-cond-limit-negative", "config-cond-limit-half", "config-cond-limit-nan", "config-xi-nan", "kappa-nan",
         "pair-cond-limit-negative", "pair-cond-limit-half", "pair-cond-limit-nan", "pair-n-zero", "pair-n-negative",
         "pair-not-square"])
 def test_invalid_estimator_inputs_are_rejected(call, message):
@@ -554,21 +556,23 @@ def test_oracle_gap_digests_pinned():
 
 
 @pytest.mark.parametrize("chunk", [5, 64])
-@pytest.mark.parametrize("statistic", STATISTICS)
-def test_completion_chunks_give_the_default_result(monkeypatch, statistic, chunk):
+def test_completion_chunks_give_the_default_result(monkeypatch, chunk):
     # tier-1 inputs never fill a 2^15-entry chunk; 5 entries take one pair
     # and five sets at a time, 64 split the sets of the size-2 prefix and
-    # group up to three pairs (64 // p) elsewhere, with a shorter last group
-    runs, torus = _digest_runs("er-sample"), synthesize_model(torus_grid(6, 2), 0.5)
+    # group up to five pairs (64 // p) elsewhere, with a shorter last group.
+    # The completion runs at sizes 1-3 on the 12-cycle, at size 2 (and 1
+    # for mutual information) on the ER model, and on the chain's edges.
+    runs = [(*_digest_runs("cycle-sample")[3][:2], eta) for eta in (2, 3)]
+    runs.append((*_digest_runs("er-sample")[3][:2], 2))
+    chain = synthesize_model(chain_graph(20), 0.5)
 
     def outputs():
-        out = [oracle_gap(torus, eta=2, gamma=2)]
-        for eta in (2, 3):
-            data, n, _ = runs[eta]
+        out = [oracle_gap(chain, eta=2, gamma=2)]
+        for (data, n, eta), statistic in itertools.product(runs, STATISTICS):
             result = cmit(data, EstimatorConfig(eta=eta, statistic=statistic, early_exit=True))
             out.append((result.values.tobytes(), result.status.tobytes(), pair_sets(result)))
             sigma = empirical_covariance(data)
-            out.extend(min_conditional_statistic(sigma, u, v, eta, statistic, n=n) for u, v in ((0, 1), (2, 17), (5, 19)))
+            out.extend(min_conditional_statistic(sigma, u, v, eta, statistic, n=n) for u, v in ((0, 1), (2, 7), (5, 11)))
         return out
 
     default = outputs()
