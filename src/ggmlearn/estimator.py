@@ -60,6 +60,7 @@ most a quarter remain, and the scan ends once every pair has stopped.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import time
@@ -409,7 +410,6 @@ def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str
     low = np.empty(p, dtype=bool)
     frozen = ~todo  # so the diagonal, the lower triangle and unmarked pairs never open
     winners: list[tuple[int, ...]] = []
-    vertices = np.arange(p)
     for size in range(max_size + 1):
         open_pairs = ~frozen
         still_open = np.count_nonzero(open_pairs)
@@ -418,7 +418,7 @@ def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str
         if size >= 1 and 8 * still_open <= p * (p - 1):
             _complete(sigma, size, statistic, guard, *np.divmod(np.flatnonzero(open_pairs), p), best, arg, winners)
         else:
-            for subset, cond in _walk(sigma, size, guard, vertices):
+            for subset, cond in _walk(sigma, size, guard, np.arange(p)):
                 d = cond.diagonal()
                 if mi:
                     # the set's own rows and columns are masked below
@@ -483,7 +483,7 @@ def _complete(sigma: np.ndarray, size: int, statistic: str, guard: _Guard, us: n
         pu, pv = us[keep], vs[keep]
         width = min(len(l), _CHUNK) or 1
         group = max(1, min(_CHUNK // width, _CHUNK // p))
-        for t0, k0 in ((t0, k0) for t0 in range(0, len(pu), group) for k0 in range(0, len(l), width)):
+        for t0, k0 in itertools.product(range(0, len(pu), group), range(0, len(l), width)):
             gu, gv, ks = pu[t0:t0 + group], pv[t0:t0 + group], slice(k0, k0 + width)
             rows = np.arange(len(gu))
             ru, rv = cond[gu], cond[gv]

@@ -13,8 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 from ggmlearn import EnsembleConfig, EstimatorConfig, cmit, synthesize_model
-from ggmlearn import cli
-from ggmlearn.cli import main
+from ggmlearn.cli import main, run
 from ggmlearn.harness import LANE_SIGNS, lane_seed
 from ggmlearn.io import load_model, load_samples, read_edge_list
 
@@ -291,7 +290,7 @@ def run_cli(cfg: str, out: Path, command: str = "learn") -> subprocess.Completed
     stdout, stderr = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "argv", argv), redirect_stdout(stdout), redirect_stderr(stderr):
         try:
-            cli.run()
+            run()
             code = 0
         except SystemExit as exc:
             code = exc.code if isinstance(exc.code, int) else 0 if exc.code is None else 1

@@ -559,7 +559,7 @@ def test_oracle_gap_digests_pinned():
 def test_completion_chunks_give_the_default_result(monkeypatch, chunk):
     # tier-1 inputs never fill a 2^15-entry chunk; 5 entries take one pair
     # and five sets at a time, 64 split the sets of the size-2 prefix and
-    # group up to five pairs (64 // p) elsewhere, with a shorter last group.
+    # group up to 64 // p pairs elsewhere, with a shorter last group.
     # The completion runs at sizes 1-3 on the 12-cycle, at size 2 (and 1
     # for mutual information) on the ER model, and on the chain's edges.
     runs = [(*_digest_runs("cycle-sample")[3][:2], eta) for eta in (2, 3)]
