@@ -22,8 +22,8 @@ pair's statistic is read off it, the paper's O(p^(eta+2)) time (O(p^eta)
 sets at O(p^2) each) in O((eta+1) p^2) memory.  From size 1 on, once at
 most a quarter of the pairs are open, the pair-set completion finishes
 them together: it walks each prefix (a set but its last one or two
-vertices) once, judges the guard of the prefix's sets with one call, and
-applies the last vertices elementwise to the open pairs' 2 x 2 blocks.
+vertices) once, judges the guard of the prefix's sets from their pivots,
+and applies the last vertices elementwise to the open pairs' 2 x 2 blocks.
 Size s then costs O(p^s) per open pair plus O(p^s) for the walk and the
 guard, in chunks of at most 2^15 (pair, set) entries, 256 KB per scratch
 array whatever p.  Both steps share their floating point operations and
@@ -41,11 +41,14 @@ conditional variance <= 0 (-0.0 included) off its own rows, since two
 positive variances have a nonnegative product.
 
 A set S is skipped when its block Sigma[S, S] fails the conditioning
-guard: |S| = 1 needs a positive variance, |S| = 2 a positive smallest
-eigenvalue (closed form) and condition number at most ``cond_limit``,
-|S| >= 3 the same from the singular values.  For a positive semidefinite
-input every superset of a failing set fails too, and the walk skips them
-together.  In sample mode sets with |S| >= n are skipped outright since the
+guard on the Schur pivots Sigma(k, k | the members of S below k) that the
+rank-1 steps divide by: every pivot must be positive (positive
+definiteness, so an indefinite block fails at every size) and the largest
+variance Sigma(k, k) of S at most ``cond_limit`` times the smallest pivot.
+A pivot is at least the block's smallest eigenvalue and a variance at most
+its largest, so no set within the limit on its condition number is
+skipped.  The walk skips a failing set with its supersets, which keep its
+pivots.  In sample mode sets with |S| >= n are skipped outright since the
 empirical block cannot be trusted.  A pair whose sets all fail is reported
 as failed and treated as a non-edge.
 
@@ -92,7 +95,7 @@ def default_threshold(n: int, p: int, kappa: float = DEFAULT_KAPPA) -> float:
 
 def _check_scan(eta: int, statistic: str, cond_limit: float) -> None:
     """Reject a negative eta, an unknown statistic, and a ``cond_limit``
-    below 1 or NaN, which would fail every set of two or more vertices."""
+    below 1 or NaN, which would fail every non-empty set."""
     if eta < 0:
         raise InvalidParameter("eta must be nonnegative")
     if statistic not in STATISTICS:
@@ -110,6 +113,9 @@ class EstimatorConfig:
     explicit threshold.  ``early_exit`` stops scanning a pair after the
     first size class that brings its minimum to the threshold or below;
     reported values are then upper bounds for non-edges, edges unchanged.
+    ``cond_limit`` bounds each conditioning set's largest variance over
+    its smallest Schur pivot, a ratio between 1 and the condition number of
+    its block; a set above it, or with a pivot not positive, is skipped.
     """
 
     eta: int = 1
@@ -277,44 +283,6 @@ class EstimationResult:
         )
 
 
-class _Guard:
-    """The conditioning guard of every set S, judged on the block Sigma[S, S].
-
-    |S| = 1 needs a positive variance; |S| = 2 uses the closed-form
-    eigenvalues of the 2 x 2 block; |S| >= 3 its singular values.  A larger
-    block passes when its smallest eigenvalue (singular value) is positive
-    and its condition number is at most ``cond_limit``.
-    """
-
-    def __init__(self, sigma: np.ndarray, cond_limit: float):
-        self.sigma = sigma
-        self.cond_limit = cond_limit
-        self.d = np.diag(sigma).copy()
-
-    @cached_property
-    def pair_ok(self) -> np.ndarray:
-        """The verdict of each set {k, l} at [k, l], built on first use."""
-        dk, dl = self.d[:, None], self.d[None, :]
-        # eigenvalues (tr -+ sqrt((dk - dl)^2 + 4 s^2)) / 2 with tr = dk + dl, in place
-        tr, disc, lam_min = dk + dl, np.square(dk - dl), np.multiply(4.0, self.sigma)
-        lam_min *= self.sigma
-        np.sqrt(np.add(disc, lam_min, out=disc), out=disc)
-        lam_min = np.divide(np.subtract(tr, disc, out=lam_min), 2.0, out=lam_min)
-        lam_max = np.divide(np.add(tr, disc, out=tr), 2.0, out=tr)
-        return (lam_min > 0.0) & (lam_max <= np.multiply(self.cond_limit, lam_min, out=lam_min))
-
-    def passes(self, prefix: tuple[int, ...], *last: np.ndarray) -> np.ndarray:
-        """Verdict for every set prefix + (last[0][t], ..., last[-1][t])."""
-        cols = (*prefix, *last)
-        if len(cols) == 1:
-            return self.d[cols[0]] > 0.0
-        if len(cols) == 2:
-            return self.pair_ok.take(cols[0] * len(self.d) + cols[1])
-        sets = np.column_stack([np.full(len(last[0]), v) for v in prefix] + list(last))
-        svals = np.linalg.svd(self.sigma[sets[:, :, None], sets[:, None, :]], compute_uv=False)
-        return (svals[:, -1] > 0.0) & (svals[:, 0] <= self.cond_limit * svals[:, -1])
-
-
 def _minus(head, x, y, pivot, out: np.ndarray) -> np.ndarray:
     """head - x * y / pivot into ``out``, the operations of a rank-1 Schur
     step in one order, which both steps of the scan share."""
@@ -323,31 +291,41 @@ def _minus(head, x, y, pivot, out: np.ndarray) -> np.ndarray:
     return np.subtract(head, out, out=out)
 
 
-def _walk(sigma: np.ndarray, size: int, guard: _Guard, candidates: np.ndarray, members=(), start=0,
-          bufs=None):
-    """Yield (S, Sigma(., . | S)) for every set S of ``size`` vertices from
-    the ascending ``candidates`` that passes the guard, in lexicographic
-    order; ``sigma`` is conditioned on ``members`` already, and sets extend
-    them with candidates from position ``start`` on.
+def _guard(pivot, var, lo, hi, cond_limit: float):
+    """The guard verdicts of sets whose last pivot is ``pivot`` and last
+    variance ``var``, given the smallest pivot ``lo`` and the largest
+    variance ``hi`` of the vertices before them, then the sets' own
+    smallest pivots and largest variances."""
+    lo, hi = np.minimum(pivot, lo), np.maximum(var, hi)
+    return (pivot > 0.0) & (hi <= cond_limit * lo), lo, hi
+
+
+def _walk(sigma: np.ndarray, size: int, cond_limit: float, var=None, members=(), start=0, lo=math.inf,
+          hi=0.0, bufs=None):
+    """Yield (S, Sigma(., . | S), smallest pivot, largest variance) for
+    every set S of ``size`` vertices that passes the guard, in
+    lexicographic order; ``sigma`` is conditioned on ``members`` already,
+    whose smallest pivot is ``lo`` and largest variance (``var`` is the
+    input's diagonal) ``hi``, and sets extend them from vertex ``start`` on.
 
     Depth first, one rank-1 Schur step per level into that level's slice
-    of ``bufs``, so a yielded matrix is valid only until the next one.
-    Each level judges its candidates with one guard call, and a set that
-    fails is skipped with its supersets: for a positive semidefinite input
-    their blocks are at least as ill conditioned (Cauchy interlacing).
+    of ``bufs``, so a yielded matrix is valid only until the next one.  A
+    candidate k's pivot is Sigma(k, k | members), on ``sigma``'s diagonal;
+    a set that fails is skipped with its supersets, which keep its pivots.
     """
     if len(members) == size:
-        yield members, sigma
+        yield members, sigma, lo, hi
         return
     if bufs is None:
-        bufs = np.empty((size, *sigma.shape))
-    buf = bufs[len(members)]
-    ks = candidates[start:len(candidates) - (size - len(members)) + 1]
-    for pos in np.flatnonzero(guard.passes(members, ks)).tolist():
-        k = int(ks[pos])
+        var, bufs = sigma.diagonal(), np.empty((size, *sigma.shape))
+    buf, ks = bufs[len(members)], slice(start, len(var) - (size - len(members)) + 1)
+    ok, lows, highs = _guard(sigma.diagonal()[ks], var[ks], lo, hi, cond_limit)
+    lows, highs = lows.tolist(), highs.tolist()
+    for pos in np.flatnonzero(ok).tolist():
+        k = start + pos
         c = sigma[:, k]
         _minus(sigma, c[:, None], c, c[k], buf)
-        yield from _walk(buf, size, guard, candidates, members + (k,), start + pos + 1, bufs)
+        yield from _walk(buf, size, cond_limit, var, members + (k,), k + 1, lows[pos], highs[pos], bufs)
 
 
 def _key(cov, var_i, var_j, statistic: str, out=None, den=None, bad=None, masked=True):
@@ -387,7 +365,7 @@ def _max_size(eta: int, n: int | None) -> int:
 _CHUNK = 2**15  # (pair, set) entries per scratch array of the completion: 256 KB
 
 
-def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str, guard: _Guard,
+def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str, cond_limit: float,
               threshold: float | None):
     """Minimize the key of the pairs that ``todo``, a p x p mask True above
     the diagonal only, marks; the module docstring gives the two steps.
@@ -399,7 +377,8 @@ def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str
     that brings its minimum statistic to the threshold or below.  Returns,
     for the marked pairs in row-major order, the minimum key (infinite if
     no set improved it), the index of its set in the returned list of sets
-    (-1 for none) and the early-exit flag, and that list.
+    (-1 for none) and the early-exit flag, and that list, which holds only
+    the sets some marked pair ends with.
     """
     p = sigma.shape[0]
     mi = statistic == "mutual_information"
@@ -416,9 +395,9 @@ def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str
         if still_open == 0:
             break
         if size >= 1 and 8 * still_open <= p * (p - 1):
-            _complete(sigma, size, statistic, guard, *np.divmod(np.flatnonzero(open_pairs), p), best, arg, winners)
+            _complete(sigma, size, statistic, cond_limit, *np.divmod(np.flatnonzero(open_pairs), p), best, arg, winners)
         else:
-            for subset, cond in _walk(sigma, size, guard, np.arange(p)):
+            for subset, cond, *_ in _walk(sigma, size, cond_limit):
                 d = cond.diagonal()
                 if mi:
                     # the set's own rows and columns are masked below
@@ -440,7 +419,11 @@ def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str
     marked = np.flatnonzero(todo)
     keys, sets = best.take(marked), arg.take(marked)
     keys[sets < 0] = np.inf  # pairs no set improved
-    return keys, sets, frozen.take(marked), winners
+    used = np.zeros(len(winners) + 1, dtype=bool)  # the winners some marked pair still references
+    used[sets] = True
+    used[-1] = False  # the extra last entry is index -1, which stays -1
+    remap = np.where(used, np.cumsum(used) - 1, -1)
+    return keys, remap[sets], frozen.take(marked), list(itertools.compress(winners, used.tolist()))
 
 
 @lru_cache(maxsize=4)  # a scan uses one p
@@ -454,31 +437,40 @@ def _position_pairs(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return pairs
 
 
-def _complete(sigma: np.ndarray, size: int, statistic: str, guard: _Guard, us: np.ndarray,
+def _complete(sigma: np.ndarray, size: int, statistic: str, cond_limit: float, us: np.ndarray,
               vs: np.ndarray, best: np.ndarray, arg: np.ndarray, winners: list):
     """Merge the sets of ``size`` >= 1 vertices into the running minima of
     the pairs (us[t], vs[t]) by the pair-set completion.
 
-    The sets of a prefix that pass the guard form the set axis of (pair x
-    set) arrays over the open pairs that do not meet the prefix, chunked to
-    at most ``_CHUNK`` entries.  A set holding u or v reads a NaN from the
-    pair's copy of row u, and a NaN key never wins.  The first argmin along
-    the set axis is the first set in canonical order, and a strict ``<``
-    merges it into the running minimum.
+    The guard reads the prefix's smallest pivot and largest variance off
+    the walk, and the pivots of the last vertices, the denominators of the
+    steps below.  The sets of a prefix that pass it form the set axis of
+    (pair x set) arrays over the open pairs that do not meet the prefix,
+    chunked to at most ``_CHUNK`` entries.  A set holding u or v reads a
+    NaN from the pair's copy of row u, and a NaN key never wins.  The first
+    argmin along the set axis is the first set in canonical order, and a
+    strict ``<`` merges it into the running minimum.
     """
     p = sigma.shape[0]
     batch = min(size, 2)
     scratch = np.empty((9, _CHUNK))
-    for prefix, cond in _walk(sigma, size - batch, guard, np.arange(p)):
-        # sets prefix + (l,) at size 1 (prefix ()), else prefix + (m, l), m < l, as (m, l, l * p + m)
-        cut = int(np.searchsorted(_position_pairs(p)[0], prefix[-1] + 1)) if prefix else 0
-        last = (np.arange(p),) if batch == 1 else tuple(col[cut:] for col in _position_pairs(p))
-        ok = guard.passes(prefix, *last[:batch])
+    var = sigma.diagonal()
+    for prefix, cond, lo, hi in _walk(sigma, size - batch, cond_limit):
+        dg = cond.diagonal()
+        if batch == 1:  # sets (l,): l and its pivot Sigma(l, l)
+            last = (np.arange(p), dg)
+            ok = _guard(dg, var, lo, hi, cond_limit)[0]
+        else:  # sets prefix + (m, l), m < l: m, l, Sigma(m, m | prefix), Sigma(l, m | prefix), pivot of l
+            cut = int(np.searchsorted(_position_pairs(p)[0], prefix[-1] + 1)) if prefix else 0
+            m, l, flat = (col[cut:] for col in _position_pairs(p))
+            pm, c_lm = dg.take(m), cond.take(flat)
+            last = (m, l, pm, c_lm, _minus(dg.take(l), c_lm, c_lm, pm, np.empty(len(l))))
+            ok, lo_m, hi_m = _guard(pm, var.take(m), lo, hi, cond_limit)
+            ok &= _guard(last[4], var.take(l), lo_m, hi_m, cond_limit)[0]
         last = last if ok.all() else tuple(col[ok] for col in last)
-        l, dg = last[batch - 1], cond.diagonal()
-        if batch == 2:  # Sigma(m, m | prefix), Sigma(l, m | prefix) and the pivot of l after m
-            m, pm, c_lm = last[0], dg.take(last[0]), cond.take(last[2])
-        piv = dg[l] if batch == 1 else _minus(dg.take(l), c_lm, c_lm, pm, np.empty(len(l)))
+        l, piv = last[batch - 1], last[-1]
+        if batch == 2:
+            m, _, pm, c_lm, _ = last
         keep = ~(np.equal.outer(us, prefix).any(axis=1) | np.equal.outer(vs, prefix).any(axis=1))
         pu, pv = us[keep], vs[keep]
         width = min(len(l), _CHUNK) or 1
@@ -540,7 +532,7 @@ def min_conditional_statistic(
     todo = np.zeros(sigma.shape, dtype=bool)
     todo[min(i, j), max(i, j)] = True
     with np.errstate(divide="ignore", invalid="ignore"):
-        (key,), (a,), _, sets = _scan_all(sigma, todo, _max_size(eta, n), statistic, _Guard(sigma, cond_limit), None)
+        (key,), (a,), _, sets = _scan_all(sigma, todo, _max_size(eta, n), statistic, cond_limit, None)
         value = float(_value(key, statistic))
     return PairDecision(value, sets[a] if a >= 0 else None, STATUSES[int(math.isinf(value))])
 
@@ -589,7 +581,7 @@ def cmit(source, config: EstimatorConfig) -> EstimationResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         best, arg, early, winners = _scan_all(
             sigma, ~np.tri(p, dtype=bool), _max_size(config.eta, n), config.statistic,
-            _Guard(sigma, config.cond_limit), threshold if config.early_exit else None,
+            config.cond_limit, threshold if config.early_exit else None,
         )
         values = _value(best, config.statistic)
     is_edge = np.isfinite(values) & (values > threshold)
@@ -646,7 +638,7 @@ def oracle_gap(model: GaussianModel, eta: int, gamma: int) -> OracleGap:
     g = model.graph
     todo = np.triu(g.adjacency_matrix() > 0.0, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        edge_values = _scan_all(sigma, todo, eta, "covariance", _Guard(sigma, DEFAULT_COND_LIMIT), None)[0]
+        edge_values = _scan_all(sigma, todo, eta, "covariance", DEFAULT_COND_LIMIT, None)[0]
     # values come in row-major order, the order of g.edges, and argmin keeps
     # the first minimum; an edge whose sets all fail the guard is infinite
     k = int(np.argmin(edge_values)) if len(edge_values) else -1

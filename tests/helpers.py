@@ -136,15 +136,19 @@ def random_er_model(p: int, seed: int, target_alpha: float, c: float = 2.5,
 
 
 def _guard_passes(sigma: np.ndarray, cond: list[int], cond_limit: float) -> bool:
-    if len(cond) <= 1:
-        return not cond or sigma[cond[0], cond[0]] > 0.0
+    """The conditioning guard of the ascending set ``cond``: every pivot of
+    Sigma[cond, cond], eliminated in that order, is positive, and the
+    largest variance is at most ``cond_limit`` times the smallest pivot.
+    The k-th pivot is the ratio of the k-th to the (k-1)-th leading
+    principal minor, from determinants rather than rank-1 steps."""
     block = sigma[np.ix_(cond, cond)]
-    if len(cond) == 2:
-        lo, hi = np.linalg.eigvalsh(block)
-    else:
-        svals = np.linalg.svd(block, compute_uv=False)
-        lo, hi = svals[-1], svals[0]
-    return lo > 0.0 and hi <= cond_limit * lo
+    minors = [np.linalg.det(block[:k, :k]) for k in range(len(cond) + 1)]
+    pivots = []
+    for k in range(1, len(cond) + 1):
+        pivots.append(minors[k] / minors[k - 1])  # the pivots before, so the minors, are positive
+        if not pivots[-1] > 0.0:
+            return False
+    return not cond or max(np.diag(block)) <= cond_limit * min(pivots)
 
 
 def naive_conditional_statistics(sigma: np.ndarray, i: int, j: int, max_size: int, statistic: str,

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -314,6 +315,17 @@ def test_package_error_prints_message_without_traceback(tmp_path):
     cfg = write_config(tmp_path / "learn.json", {"samples": str(samples), "estimator": {"eta": 1}})
     assert_clean_error(run_cli_subprocess(cfg, tmp_path / "out"),
                        f"Error: {samples / 'samples.npy'} is not a valid .npy array")
+
+
+def test_console_script_is_the_entry_point_run_cli_drives():
+    # the installed ``ggmlearn`` command calls cli.run, so the in-process
+    # cases exercise what the console script runs
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["ggmlearn"]
+    module, _, name = target.partition(":")
+    assert (module, name) == ("ggmlearn.cli", "run")
+    assert getattr(importlib.import_module(module), name) is run
 
 
 def test_config_that_is_not_json_fails_cleanly(tmp_path):

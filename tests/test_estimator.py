@@ -205,8 +205,8 @@ def test_min_statistic_validation():
         "pair-cond-limit-negative", "pair-cond-limit-half", "pair-cond-limit-nan", "pair-n-zero", "pair-n-negative",
         "pair-not-square"])
 def test_invalid_estimator_inputs_are_rejected(call, message):
-    # a condition number is at least 1, so a smaller limit fails every set
-    # of two or more vertices instead of reporting an error
+    # the guard's ratio, largest variance over smallest pivot, is at least 1,
+    # so a smaller limit would fail every non-empty set instead of reporting an error
     with pytest.raises(InvalidParameter, match=f"^{message}$"):
         call()
 
@@ -253,6 +253,19 @@ def test_cond_limit_honoured_for_three_vertex_sets():
     assert dec.value > 1e-3
     assert (0, 1) in result.edges
     assert min_conditional_statistic(sigma, 0, 1, eta=3, cond_limit=1e3) == dec
+    # the guard bounds r = largest variance / smallest pivot (Cholesky
+    # pivots, in ascending order), which is at most the condition number;
+    # relabelling x4 as 2 puts the largest variance before the smallest pivot
+    for order in ([0, 1, 2, 3, 4], [0, 1, 4, 2, 3]):
+        s = sigma[np.ix_(order, order)]
+        block = s[2:, 2:]
+        r = block.diagonal().max() / np.square(np.linalg.cholesky(block).diagonal()).min()
+        assert 1e5 < r <= np.linalg.cond(block)
+        for factor, admitted in ((1 - 1e-6, False), (1 + 1e-6, True)):
+            cfg = replace(strict_cfg, cond_limit=r * factor)
+            dec = min_conditional_statistic(s, 0, 1, eta=3, cond_limit=cfg.cond_limit)
+            assert (dec.subset == (2, 3, 4)) is admitted
+            assert cmit(s, cfg).pairs[(0, 1)] == dec
 
 
 def test_cmit_exact_chain_recovery():
@@ -649,8 +662,22 @@ def scan_cases(draw):
     return sigma, cfg, sigma, eta, kind != "exact"
 
 
+# an indefinite 5 x 5 input whose block on {2, 3, 4} has eigenvalue -0.26
+# while its three 2 x 2 blocks are positive definite; the third pivot of
+# {2, 3, 4} is negative, so that set must not give pair (0, 1) its minimum
+INDEFINITE = np.array([[1, -.77, -.36, -.58, .09], [-.77, 1, -.22, -.17, -.14], [-.36, -.22, 1, -.93, -.17],
+                       [-.58, -.17, -.93, 1, -.72], [.09, -.14, -.17, -.72, 1]])
+
+# x0 = g2 + g3 + e0, x1 = g2 + g3 + e1, x2 = delta g2 with delta^2 = 1e-13,
+# x3 = g3: {2, 3} separates (0, 1) but has pivots 1e-13 then 1, a ratio
+# above the default limit that only the smallest pivot carried past 2 shows
+SMALL_PIVOT_FIRST = (lambda b: b @ b.T)(np.array([[1.0, 0, 1, 1], [0, 1, 1, 1], [0, 0, 1e-13 ** 0.5, 0], [0, 0, 0, 1]]))
+
+
 @settings(max_examples=75, deadline=None)
 @given(scan_cases())
+@example((INDEFINITE, EstimatorConfig(eta=3, xi=0.3, exact_mode=True), INDEFINITE, 3, False))
+@example((SMALL_PIVOT_FIRST, EstimatorConfig(eta=2, xi=0.3, exact_mode=True), SMALL_PIVOT_FIRST, 2, False))
 def test_scan_matches_naive_enumeration(case):
     source, cfg, sigma, max_size, tie_heavy = case
     result = cmit(source, cfg)
@@ -722,6 +749,8 @@ def test_to_json_is_json_dumps_of_to_dict(case):
             assert np.array_equal(np.signbit(back.values), np.signbit(res.values))
             assert np.array_equal(back.status, res.status)
             assert pair_sets(back) == pair_sets(res)
+        # every set the result keeps is some pair's
+        assert np.array_equal(np.unique(result.set_index[result.set_index >= 0]), np.arange(len(result.sets)))
 
 
 def test_to_json_examples_cover_every_record_kind():
