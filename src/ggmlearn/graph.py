@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import Callable
 
 import numpy as np
 
@@ -181,12 +182,7 @@ def generate_smallworld(p: int, d: int, c: float, seed: int) -> Graph:
         raise InvalidParameter("dimension d must be at least 1")
     m = round(p ** (1.0 / d))
     if m < 2 or m**d != p:
-        for cand in (m - 1, m + 1):
-            if cand >= 2 and cand**d == p:
-                m = cand
-                break
-        else:
-            raise InvalidParameter(f"p={p} is not a perfect d-th power with side >= 2 for d={d}")
+        raise InvalidParameter(f"p={p} is not a perfect d-th power with side >= 2 for d={d}")
     grid = torus_grid(m, d)
     overlay = generate_er(p, c, seed)
     return Graph(p, set(grid.edges) | set(overlay.edges))
@@ -401,14 +397,30 @@ def edit_distance(g: Graph, h: Graph) -> int:
     return len(set(g.edges) ^ set(h.edges))
 
 
+# One row per ensemble kind: its builder, the config fields the builder
+# takes in order, and the density field that sweeps report.  A kind with a
+# density field is randomized, and its builder takes the seed last.
+_KINDS: dict[str, tuple[Callable[..., Graph], tuple[str, ...], str | None]] = {
+    "er": (generate_er, ("p", "c"), "c"),
+    "regular": (generate_regular, ("p", "delta"), "delta"),
+    "smallworld": (generate_smallworld, ("p", "d", "c"), "c"),
+    "chain": (chain_graph, ("p",), None),
+    "cycle": (cycle_graph, ("p",), None),
+    "torus": (torus_grid, ("m", "d"), None),
+    "explicit": (Graph, ("p", "edges"), None),
+}
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """Declarative description of a graph source for experiment configs.
 
     Kinds: ``er`` (p, c), ``regular`` (p, delta), ``smallworld`` (p, d, c),
     ``chain`` (p), ``cycle`` (p), ``torus`` (m, d), ``explicit`` (p, edges).
-    Randomized kinds consume the seed passed to :meth:`build`; deterministic
-    kinds ignore it.
+    A kind takes exactly its fields: a missing one or one it does not read
+    raises InvalidParameter.  Randomized kinds (those with a density, c or
+    delta) consume the seed passed to :meth:`build`; deterministic kinds
+    ignore it.
     """
 
     kind: str
@@ -420,78 +432,46 @@ class EnsembleConfig:
     edges: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
-        needed = {
-            "er": ("p", "c"),
-            "regular": ("p", "delta"),
-            "smallworld": ("p", "d", "c"),
-            "chain": ("p",),
-            "cycle": ("p",),
-            "torus": ("m", "d"),
-            "explicit": ("p", "edges"),
-        }
-        if self.kind not in needed:
+        if self.kind not in _KINDS:
             raise InvalidParameter(f"unknown ensemble kind {self.kind!r}")
-        for name in needed[self.kind]:
+        _, taken, _ = _KINDS[self.kind]
+        for name in taken:
             if getattr(self, name) is None:
                 raise InvalidParameter(f"ensemble kind {self.kind!r} requires field {name!r}")
+        for f in fields(self)[1:]:
+            if f.name not in taken and getattr(self, f.name) is not None:
+                raise InvalidParameter(f"ensemble kind {self.kind!r} does not take field {f.name!r}")
 
     @property
     def order(self) -> int:
-        if self.kind == "torus":
-            return self.m**self.d
-        return self.p
+        return self.m**self.d if self.kind == "torus" else self.p
 
     @property
     def density_param(self) -> float:
         """The c-or-delta column reported by sweeps; 0 for fixed graphs."""
-        if self.kind in ("er", "smallworld"):
-            return float(self.c)
-        if self.kind == "regular":
-            return float(self.delta)
-        return 0.0
+        *_, density = _KINDS[self.kind]
+        return 0.0 if density is None else float(getattr(self, density))
 
     @property
     def nominal_degree(self) -> float:
         """Mean degree used when translating this ensemble into a sample
-        complexity bound: the ER rate where one exists, otherwise the exact
-        mean degree of the deterministic graph."""
-        if self.kind in ("er", "smallworld"):
-            base = float(self.c)
-            if self.kind == "smallworld":
-                base += 2.0 * self.d
-            return base
-        if self.kind == "regular":
-            return float(self.delta)
-        if self.kind == "chain":
-            return 2.0 * (self.p - 1) / self.p
-        if self.kind == "cycle":
-            return 2.0
-        if self.kind == "torus":
-            return 2.0 * self.d if self.m > 2 else float(self.d)
-        g = Graph(self.p, self.edges)
-        return 2.0 * g.n_edges / g.p
+        complexity bound: the density (c plus the grid's 2d for a small
+        world, or delta) of a randomized kind, otherwise the exact mean
+        degree 2|E|/p of the deterministic graph."""
+        *_, density = _KINDS[self.kind]
+        if density is None:
+            g = self.build(0)
+            return 2.0 * g.n_edges / g.p
+        rate = float(getattr(self, density))
+        return rate if self.d is None else rate + 2.0 * self.d
 
     def build(self, seed: int) -> Graph:
-        if self.kind == "er":
-            return generate_er(self.p, self.c, seed)
-        if self.kind == "regular":
-            return generate_regular(self.p, self.delta, seed)
-        if self.kind == "smallworld":
-            return generate_smallworld(self.p, self.d, self.c, seed)
-        if self.kind == "chain":
-            return chain_graph(self.p)
-        if self.kind == "cycle":
-            return cycle_graph(self.p)
-        if self.kind == "torus":
-            return torus_grid(self.m, self.d)
-        return Graph(self.p, self.edges)
+        builder, taken, density = _KINDS[self.kind]
+        args = [getattr(self, name) for name in taken]
+        return builder(*args) if density is None else builder(*args, seed)
 
     def to_dict(self) -> dict:
-        out = {"kind": self.kind}
-        for name in ("p", "c", "delta", "d", "m"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
+        out = {f.name: getattr(self, f.name) for f in fields(self) if getattr(self, f.name) is not None}
         if self.edges is not None:
             out["edges"] = [list(e) for e in self.edges]
         return out

@@ -58,6 +58,9 @@ class TrialConfig:
     * ``fixed``: require an explicit xi in the estimator config,
     * ``oracle-midpoint`` / ``oracle-geometric``: set xi per trial from the
       exact-model margin at (eta, gamma); mostly for exact-mode runs.
+
+    ``gamma`` is required by the oracle modes and rejected by the others,
+    which do not read it.
     """
 
     ensemble: EnsembleConfig
@@ -79,8 +82,11 @@ class TrialConfig:
             raise InvalidParameter(f"threshold_mode must be one of {THRESHOLD_MODES}")
         if self.threshold_mode == "fixed" and self.estimator.xi is None:
             raise InvalidParameter("threshold_mode 'fixed' needs an explicit xi")
-        if self.threshold_mode.startswith("oracle") and self.gamma is None:
+        oracle = self.threshold_mode.startswith("oracle")
+        if oracle and self.gamma is None:
             raise InvalidParameter("oracle threshold modes need gamma")
+        if not oracle and self.gamma is not None:
+            raise InvalidParameter(f"threshold_mode {self.threshold_mode!r} does not read gamma")
         if self.distortion < 0:
             raise InvalidParameter("distortion must be nonnegative")
 

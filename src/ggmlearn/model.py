@@ -14,7 +14,6 @@ tolerance.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,8 +153,7 @@ def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
 class GaussianModel:
     """A precision matrix tied to its sparsity graph.
 
-    The covariance is computed lazily on first access and cached under a
-    lock, so sharing one model across worker threads is safe.
+    The covariance is computed lazily on first access and cached.
 
     :param graph: sparsity pattern; J[u, v] must be nonzero exactly on edges.
     :param precision: symmetric positive definite matrix of shape (p, p).
@@ -183,7 +181,6 @@ class GaussianModel:
         self.meta = dict(meta or {})
         self.alpha = walk_summability_alpha(j)
         self._sigma: np.ndarray | None = None
-        self._sigma_lock = threading.Lock()
 
     @property
     def p(self) -> int:
@@ -218,10 +215,9 @@ class GaussianModel:
         return partial_correlation_matrix(self.precision)
 
     def sigma(self) -> np.ndarray:
-        with self._sigma_lock:
-            if self._sigma is None:
-                self._sigma = exact_covariance(self.precision)
-                self._sigma.setflags(write=False)
+        if self._sigma is None:
+            self._sigma = exact_covariance(self.precision)
+            self._sigma.setflags(write=False)
         return self._sigma
 
     def __repr__(self) -> str:

@@ -11,6 +11,7 @@ known to be zero, so no mean is subtracted unless asked for.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,14 +20,14 @@ from .graph import _rng
 from .model import GaussianModel
 
 
-@dataclass
+@dataclass(frozen=True)
 class SampleSet:
-    """An (n, p) data matrix plus the provenance needed to reproduce it."""
+    """An (n, p) data matrix plus the provenance needed to reproduce it.
+    Frozen, so a set made by ``dataclasses.replace`` starts a fresh cache."""
 
     data: np.ndarray
     seed: int
     meta: dict = field(default_factory=dict)
-    _sigma_hat: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -40,9 +41,11 @@ class SampleSet:
         """Cached for the default convention; recomputed when a mean is removed."""
         if subtract_mean:
             return empirical_covariance(self.data, subtract_mean=True)
-        if self._sigma_hat is None:
-            self._sigma_hat = empirical_covariance(self.data)
         return self._sigma_hat
+
+    @cached_property
+    def _sigma_hat(self) -> np.ndarray:
+        return empirical_covariance(self.data)
 
 
 def sample(model: GaussianModel, n: int, seed: int) -> SampleSet:

@@ -305,6 +305,7 @@ def assert_clean_error(proc: subprocess.CompletedProcess, prefix: str) -> None:
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith(prefix), proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_package_error_prints_message_without_traceback(tmp_path):
@@ -362,13 +363,14 @@ CHAIN = {"kind": "chain", "p": 6}
     ("sweep", {"configs": [{"ensemble": CHAIN, "estimator": [1]}]},
      "EstimatorConfig block must be an object, got list"),
     ("generate", {"kind": "chain", "q": 6}, "EnsembleConfig block has unknown key 'q'"),
+    ("generate", {"kind": "chain", "p": 10, "c": 3}, "ensemble kind 'chain' does not take field 'c'"),
     ("learn", {"samples": "unused", "estimator": {"eta": 1, "xii": 0.1}},
      "EstimatorConfig block has unknown key 'xii'"),
     ("bounds", {"p": 50, "c": 2.0}, "BoundsConfig block is missing the required key 'alpha'"),
     ("sweep --seed 3", {"configs": [3]}, "TrialConfig block must be an object, got int"),
     ("sweep --seed 3", [[{"n": 100}]], "TrialConfig block must be an object, got list"),
 ], ids=["estimator-unknown", "ensemble-no-kind", "trial-unknown", "trial-no-ensemble", "estimator-not-object",
-        "generate-unknown", "learn-unknown", "bounds-missing", "seed-override-entry-int",
+        "generate-unknown", "generate-foreign-field", "learn-unknown", "bounds-missing", "seed-override-entry-int",
         "seed-override-entry-list"])
 def test_config_block_key_errors_fail_cleanly(tmp_path, command, payload, message):
     cfg = write_config(tmp_path / "cfg.json", payload)

@@ -324,6 +324,35 @@ def test_ensemble_config_dispatch_and_validation():
         EnsembleConfig(kind="nope", p=10)
     round_trip = EnsembleConfig.from_dict(er.to_dict())
     assert round_trip == er
+    # the mean degree handed to the Fano bounds: the rate of a randomized
+    # kind, the exact 2|E|/p of a deterministic one
+    assert EnsembleConfig(kind="chain", p=7).nominal_degree == 12 / 7
+    assert EnsembleConfig(kind="cycle", p=6).nominal_degree == 2.0
+    assert EnsembleConfig(kind="torus", m=3, d=2).nominal_degree == 4.0
+    assert EnsembleConfig(kind="torus", m=2, d=3).nominal_degree == 3.0  # wrap edges collapse
+    assert EnsembleConfig(kind="smallworld", p=16, d=2, c=1.0).nominal_degree == 5.0
+    assert er.nominal_degree == 2.0
+    assert EnsembleConfig(kind="regular", p=10, delta=3).nominal_degree == 3.0
+    assert explicit.nominal_degree == 2 / 3
+
+
+KIND_FIELDS = {
+    "er": {"p": 10, "c": 2.0},
+    "regular": {"p": 10, "delta": 3},
+    "smallworld": {"p": 16, "d": 2, "c": 1.0},
+    "chain": {"p": 6},
+    "cycle": {"p": 6},
+    "torus": {"m": 3, "d": 2},
+    "explicit": {"p": 3, "edges": ((0, 1),)},
+}
+FIELD_VALUES = {"p": 9, "c": 1.0, "delta": 2, "d": 1, "m": 3, "edges": ((0, 1),)}
+
+
+@pytest.mark.parametrize("kind, name", [
+    (kind, name) for kind, taken in KIND_FIELDS.items() for name in FIELD_VALUES if name not in taken])
+def test_ensemble_config_rejects_fields_its_kind_does_not_take(kind, name):
+    with pytest.raises(InvalidParameter, match=f"ensemble kind '{kind}' does not take field '{name}'"):
+        EnsembleConfig(kind=kind, **KIND_FIELDS[kind], **{name: FIELD_VALUES[name]})
 
 
 def test_regular_generator_retry_exhaustion(monkeypatch):

@@ -99,6 +99,9 @@ def test_trial_config_validation():
         chain_config(threshold_mode="fixed")  # no xi in the estimator
     with pytest.raises(InvalidParameter):
         chain_config(threshold_mode="oracle-midpoint")  # no gamma
+    for mode, extra in (("auto", {}), ("fixed", {"estimator": EstimatorConfig(eta=1, xi=0.1)})):
+        with pytest.raises(InvalidParameter, match=f"threshold_mode '{mode}' does not read gamma"):
+            chain_config(threshold_mode=mode, gamma=2, **extra)
     with pytest.raises(InvalidParameter):
         chain_config(threshold_mode="sorcery")
     with pytest.raises(InvalidParameter):

@@ -1,10 +1,15 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from ggmlearn import (
+    EstimatorConfig,
     Graph,
     InvalidParameter,
     chain_graph,
+    cmit,
+    cycle_graph,
     empirical_covariance,
     sample,
     synthesize_model,
@@ -60,6 +65,19 @@ def test_empirical_covariance_exact_symmetry():
     sig = s.empirical_covariance()
     assert np.array_equal(sig, sig.T)
     assert s.empirical_covariance() is s.empirical_covariance()  # cached
+
+
+def test_replaced_data_gets_its_own_covariance():
+    a = sample(synthesize_model(chain_graph(6), 0.5), 4000, seed=1)
+    b = sample(synthesize_model(cycle_graph(6), 0.5), 4000, seed=2)
+    cfg = EstimatorConfig(eta=1)
+    assert len(cmit(a, cfg).edges) == 5  # fills a's cache
+    swapped = replace(a, data=b.data)
+    assert np.array_equal(swapped.empirical_covariance(), empirical_covariance(b.data))
+    edges = cmit(swapped, cfg).edges
+    assert edges == cmit(b, cfg).edges and len(edges) == 6
+    with pytest.raises(FrozenInstanceError):
+        a.data = b.data
 
 
 def test_concatenation_identity():
