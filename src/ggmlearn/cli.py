@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .bounds import BoundsConfig, bounds_report
 from .errors import GgmError, InvalidParameter, check_type
-from .estimator import EstimatorConfig, cmit
+from .estimator import STATUSES, EstimatorConfig, cmit
 from .graph import EnsembleConfig
 from .harness import LANE_SIGNS, TrialConfig, lane_seed, run_manifest, sweep
 from .io import (
@@ -166,7 +166,9 @@ def learn(config_path, out_path, seed):
     (out / "result.json").write_text(result.to_json())
     write_edge_list(result.graph, out / "estimate.edges")
     _write_manifest(out, "learn", config, seed)
-    click.echo(f"estimated {len(result.edges)} edges at threshold {result.threshold:.6g}")
+    stopped = int(np.count_nonzero(result.status == STATUSES.index("early_exit")))
+    clause = f"; {stopped} of {len(result.status)} pairs stopped early (values are upper bounds)" if stopped else ""
+    click.echo(f"estimated {len(result.edges)} edges at threshold {result.threshold:.6g}{clause}")
 
 
 @main.command(name="lbp")

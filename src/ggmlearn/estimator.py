@@ -52,13 +52,18 @@ pivots.  In sample mode sets with |S| >= n are skipped outright since the
 empirical block cannot be trusted.  A pair whose sets all fail is reported
 as failed and treated as a non-edge.
 
-With ``early_exit`` a pair stops after the first size class at the end of
-which its running minimum is at or below the threshold, so the edge set is
-that of the full scan.  The pair is reported with status ``early_exit`` and
-that minimum, an upper bound of its full minimum; this is the smallest
-value of that size class, not the first set found below the threshold.
-Stopped pairs leave the open count, so the completion takes over once at
-most a quarter remain, and the scan ends once every pair has stopped.
+``cmit`` exits early by default (``early_exit``, as the PC algorithm
+stops testing a pair at its first separating set): a pair stops after the
+first size class at the end of which its running minimum is at or below
+the threshold.  A full scan could only lower that minimum, so the edge set
+is that of the full scan, and edges keep their exact minima and sets.  A
+stopped pair is reported with status ``early_exit`` and that minimum, an
+upper bound of its full minimum; this is the smallest value of that size
+class, not the first set found below the threshold.  Stopped pairs leave
+the open count, so the completion takes over once at most a quarter
+remain, and the scan ends once every pair has stopped.  ``early_exit=False``
+gives every pair its exact minimum, as ``min_conditional_statistic`` and
+``oracle_gap`` always do.
 """
 
 from __future__ import annotations
@@ -110,9 +115,10 @@ class EstimatorConfig:
 
     ``xi=None`` selects the default threshold rule in sample mode; exact
     mode has no sample size to plug into the rule, so it requires an
-    explicit threshold.  ``early_exit`` stops scanning a pair after the
-    first size class that brings its minimum to the threshold or below;
-    reported values are then upper bounds for non-edges, edges unchanged.
+    explicit threshold.  ``early_exit`` (the default) stops scanning a pair
+    after the first size class that brings its minimum to the threshold or
+    below; reported values are then upper bounds for non-edges, edges
+    unchanged.  ``early_exit=False`` scans every pair to its exact minimum.
     ``cond_limit`` bounds each conditioning set's largest variance over
     its smallest Schur pivot, a ratio between 1 and the condition number of
     its block; a set above it, or with a pivot not positive, is skipped.
@@ -123,7 +129,7 @@ class EstimatorConfig:
     kappa: float = DEFAULT_KAPPA
     statistic: str = "covariance"
     exact_mode: bool = False
-    early_exit: bool = False
+    early_exit: bool = True
     cond_limit: float = DEFAULT_COND_LIMIT
 
     def __post_init__(self):
@@ -520,7 +526,10 @@ def min_conditional_statistic(
 
     Returns the minimizing value, the argmin subset (lexicographically
     smallest among ties, smaller sizes first), and a status flag; equal to
-    the pair's entry in ``cmit`` on the same covariance and settings.
+    the pair's entry in ``cmit`` on the same covariance and settings with
+    ``early_exit=False``.  With early exit, ``cmit``'s default, that holds
+    for edges and failed pairs, and a non-edge's value is an upper bound of
+    this one.
     """
     sigma = _as_square(sigma, "covariance matrix")
     _check_pair(sigma, i, j, ())

@@ -175,12 +175,25 @@ def generate_regular(p: int, delta: int, seed: int) -> Graph:
     )
 
 
+def _int_root(p: int, d: int) -> int:
+    """floor(p ** (1 / d)) for integers p >= 1 and d >= 1, exact at any
+    size: Newton's iteration in integers, from a start at or above the root,
+    decreases until it stops at the root."""
+    m = 1 << -(-p.bit_length() // d)
+    while True:
+        nxt = ((d - 1) * m + p // m ** (d - 1)) // d
+        if nxt >= m:
+            return m
+        m = nxt
+
+
 def generate_smallworld(p: int, d: int, c: float, seed: int) -> Graph:
     """Union of a d-dimensional toroidal grid on p = m**d vertices and an
     ER(p, c/p) overlay drawn with the same seed."""
     if d < 1:
         raise InvalidParameter("dimension d must be at least 1")
-    m = round(p ** (1.0 / d))
+    # a side m >= 2 needs p >= 2**d, that is more than d bits
+    m = _int_root(p, d) if p >= 2 and p.bit_length() > d else 0
     if m < 2 or m**d != p:
         raise InvalidParameter(f"p={p} is not a perfect d-th power with side >= 2 for d={d}")
     grid = torus_grid(m, d)

@@ -423,7 +423,7 @@ def test_criterion_12_large_scan_wall_time():
     model = synthesize_model(chain_graph(100), 0.5)
     data = sample(model, 5000, seed=42)
     start = time.perf_counter()
-    result = cmit(data, EstimatorConfig(eta=2))
+    result = cmit(data, EstimatorConfig(eta=2, early_exit=False))  # every pair to its exact minimum
     elapsed = time.perf_counter() - start
     dist = edit_distance(result.graph, model.graph)
     _verdict(

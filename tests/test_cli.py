@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ggmlearn import EnsembleConfig, EstimatorConfig, cmit, synthesize_model
+from ggmlearn import EnsembleConfig, EstimatorConfig, cmit, cycle_graph, sample, synthesize_model
 from ggmlearn.cli import main, run
 from ggmlearn.harness import LANE_SIGNS, lane_seed
-from ggmlearn.io import load_model, load_samples, read_edge_list
+from ggmlearn.io import load_model, load_samples, read_edge_list, save_samples
 
 
 @pytest.fixture
@@ -137,6 +137,26 @@ def test_sample_and_learn_round_trip(runner, tmp_path):
     result = cmit(samples, EstimatorConfig(eta=1))
     result.elapsed_s = payload["elapsed_s"]
     assert text == json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def test_learn_exits_early_by_default(tmp_path):
+    save_samples(sample(synthesize_model(cycle_graph(10), 0.5), 2000, seed=4), tmp_path / "samples")
+    runs = {}
+    for name, estimator in (("default", {"eta": 2}), ("full", {"eta": 2, "early_exit": False})):
+        cfg = write_config(tmp_path / f"{name}.json", {"samples": str(tmp_path / "samples"), "estimator": estimator})
+        proc = run_cli(cfg, tmp_path / name)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads((tmp_path / name / "result.json").read_text())
+        statuses = [rec["status"] for rec in payload["pairs"].values()]
+        summary = f"estimated {len(payload['edges'])} edges at threshold {payload['threshold']:.6g}"
+        runs[name] = (proc.stdout, payload["config"]["early_exit"], statuses.count("early_exit"), summary)
+    stdout, early_exit, stopped, summary = runs["default"]
+    assert early_exit is True and stopped >= 1
+    assert stdout == f"{summary}; {stopped} of 45 pairs stopped early (values are upper bounds)\n"
+    stdout, early_exit, stopped, summary = runs["full"]
+    assert early_exit is False and stopped == 0
+    assert stdout == summary + "\n"
+    assert (tmp_path / "default" / "estimate.edges").read_bytes() == (tmp_path / "full" / "estimate.edges").read_bytes()
 
 
 def test_learn_exact_mode(runner, tmp_path):
@@ -364,14 +384,16 @@ CHAIN = {"kind": "chain", "p": 6}
      "EstimatorConfig block must be an object, got list"),
     ("generate", {"kind": "chain", "q": 6}, "EnsembleConfig block has unknown key 'q'"),
     ("generate", {"kind": "chain", "p": 10, "c": 3}, "ensemble kind 'chain' does not take field 'c'"),
+    ("generate", {"kind": "smallworld", "p": 10**400 + 1, "d": 2, "c": 1.0},
+     f"p={10**400 + 1} is not a perfect d-th power with side >= 2 for d=2"),
     ("learn", {"samples": "unused", "estimator": {"eta": 1, "xii": 0.1}},
      "EstimatorConfig block has unknown key 'xii'"),
     ("bounds", {"p": 50, "c": 2.0}, "BoundsConfig block is missing the required key 'alpha'"),
     ("sweep --seed 3", {"configs": [3]}, "TrialConfig block must be an object, got int"),
     ("sweep --seed 3", [[{"n": 100}]], "TrialConfig block must be an object, got list"),
 ], ids=["estimator-unknown", "ensemble-no-kind", "trial-unknown", "trial-no-ensemble", "estimator-not-object",
-        "generate-unknown", "generate-foreign-field", "learn-unknown", "bounds-missing", "seed-override-entry-int",
-        "seed-override-entry-list"])
+        "generate-unknown", "generate-foreign-field", "generate-huge-non-power", "learn-unknown", "bounds-missing",
+        "seed-override-entry-int", "seed-override-entry-list"])
 def test_config_block_key_errors_fail_cleanly(tmp_path, command, payload, message):
     cfg = write_config(tmp_path / "cfg.json", payload)
     proc = run_cli(cfg, tmp_path / "out", command)

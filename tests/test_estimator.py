@@ -29,7 +29,7 @@ from ggmlearn import (
     synthesize_model,
     torus_grid,
 )
-from ggmlearn.estimator import STATISTICS
+from ggmlearn.estimator import STATISTICS, STATUSES
 from ggmlearn.graph import Graph
 
 from helpers import (
@@ -163,7 +163,7 @@ def test_mi_scan_masks_nonpositive_conditional_variances(sigma, eta):
     if len(sigma) == 5:
         c = sigma[[0, 2], 4]
         assert (np.diag(sigma)[[0, 2]] - c * c / sigma[4, 4]).tolist() == [-3.0, 0.0]
-    cfg = EstimatorConfig(eta=eta, statistic="mutual_information", xi=0.1, exact_mode=True)
+    cfg = EstimatorConfig(eta=eta, statistic="mutual_information", xi=0.1, exact_mode=True, early_exit=False)
     result = cmit(sigma, cfg)
     statuses = set()
     for (u, v), dec in result.pairs.items():
@@ -246,7 +246,7 @@ def test_cond_limit_honoured_for_three_vertex_sets():
     # the default limit admits the block, and it separates the pair
     loose = min_conditional_statistic(sigma, 0, 1, eta=3)
     assert loose.subset == (2, 3, 4) and loose.value < 1e-9
-    strict_cfg = EstimatorConfig(eta=3, xi=1e-3, exact_mode=True, cond_limit=1e3)
+    strict_cfg = EstimatorConfig(eta=3, xi=1e-3, exact_mode=True, cond_limit=1e3, early_exit=False)
     result = cmit(sigma, strict_cfg)
     dec = result.pairs[(0, 1)]
     assert dec.subset != (2, 3, 4)
@@ -334,7 +334,7 @@ def test_cmit_sample_mode_recovers_chain():
 def test_cmit_early_exit_same_edges():
     m = chain_model(12)
     data = sample(m, 2000, seed=3)
-    full = cmit(data, EstimatorConfig(eta=1))
+    full = cmit(data, EstimatorConfig(eta=1, early_exit=False))
     fast = cmit(data, EstimatorConfig(eta=1, early_exit=True))
     assert fast.edges == full.edges
     statuses = {d.status for d in fast.pairs.values()}
@@ -351,7 +351,7 @@ def test_cmit_pairs_match_single_pair_scan():
     data = sample(m, 800, seed=5)
     sigma = data.empirical_covariance()
     for eta, statistic in ((2, "covariance"), (3, "mutual_information")):
-        result = cmit(data, EstimatorConfig(eta=eta, statistic=statistic))
+        result = cmit(data, EstimatorConfig(eta=eta, statistic=statistic, early_exit=False))
         for (u, v), dec in result.pairs.items():
             assert min_conditional_statistic(sigma, u, v, eta, statistic, n=800) == dec
 
@@ -680,7 +680,7 @@ SMALL_PIVOT_FIRST = (lambda b: b @ b.T)(np.array([[1.0, 0, 1, 1], [0, 1, 1, 1], 
 @example((SMALL_PIVOT_FIRST, EstimatorConfig(eta=2, xi=0.3, exact_mode=True), SMALL_PIVOT_FIRST, 2, False))
 def test_scan_matches_naive_enumeration(case):
     source, cfg, sigma, max_size, tie_heavy = case
-    result = cmit(source, cfg)
+    result = cmit(source, replace(cfg, early_exit=False))
     tables = {}
     for (u, v), dec in result.pairs.items():
         table = tables[(u, v)] = naive_conditional_statistics(sigma, u, v, max_size, cfg.statistic)
@@ -712,6 +712,29 @@ def test_scan_matches_naive_enumeration(case):
         else:
             assert dec.status == "early_exit"
             assert dec.value == pytest.approx(stop, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=75, deadline=None)
+@given(scan_cases())
+@example((INDEFINITE, EstimatorConfig(eta=3, xi=0.3, exact_mode=True), INDEFINITE, 3, False))
+def test_default_early_exit_agrees_with_the_full_scan(case):
+    source, cfg, sigma, max_size, _ = case
+    assert cfg.early_exit  # scan_cases leaves the default
+    default, full = cmit(source, cfg), cmit(source, replace(cfg, early_exit=False))
+    assert default.edges == full.edges
+    stopped = default.status == STATUSES.index("early_exit")
+    # edges and failed pairs keep the full scan's value, bit for bit, and set
+    assert default.values[~stopped].tobytes() == full.values[~stopped].tobytes()
+    assert np.array_equal(default.status[~stopped], full.status[~stopped])
+    sets, full_sets = pair_sets(default), pair_sets(full)
+    assert [sets[k] for k in np.flatnonzero(~stopped)] == [full_sets[k] for k in np.flatnonzero(~stopped)]
+    # a stopped pair's value bounds its full minimum from above
+    assert np.all(default.values[stopped] <= default.threshold)
+    assert np.all(default.values[stopped] >= full.values[stopped])
+    # and the oracle's, up to rounding
+    for u, v, bound in zip(*(x[stopped].tolist() for x in np.triu_indices(default.p, 1)), default.values[stopped]):
+        best = min(value for value, _ in naive_conditional_statistics(sigma, u, v, max_size, cfg.statistic))
+        assert bound >= best - 1e-9 * (1.0 + best)
 
 
 def json_reference(result: EstimationResult) -> str:
@@ -803,7 +826,7 @@ def test_scans_leave_no_reference_cycles():
     gc.disable()
     try:
         cmit(data, EstimatorConfig(eta=2, early_exit=True)).pairs
-        cmit(data, EstimatorConfig(eta=3, statistic="mutual_information")).to_dict()
+        cmit(data, EstimatorConfig(eta=3, statistic="mutual_information", early_exit=False)).to_dict()
         min_conditional_statistic(m.sigma(), 0, 5, eta=2)
         oracle_gap(m, eta=1, gamma=2)
         assert gc.collect() == 0

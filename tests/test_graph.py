@@ -24,6 +24,7 @@ from ggmlearn import (
     separation_profile,
     torus_grid,
 )
+from ggmlearn.graph import _int_root
 from ggmlearn.io import format_edge_list, parse_edge_list
 
 from helpers import brute_force_local_separator
@@ -94,6 +95,20 @@ def test_generate_smallworld_contains_grid():
         generate_smallworld(15, 2, 1.0, seed=3)
     ring = generate_smallworld(9, 1, 0.0, seed=0)
     assert ring == cycle_graph(9)
+
+
+def test_smallworld_side_is_an_exact_integer_root():
+    # the side is found in integers, so no p overflows a float and every
+    # p = m**d +- 1 is told apart from m**d
+    assert _int_root(10**400 + 1, 1) == 10**400 + 1
+    for d in range(2, 6):
+        for m in (2, 3, 7, 10**20, 2**100 + 1):
+            assert _int_root(m**d, d) == m
+            assert _int_root(m**d - 1, d) == m - 1
+            assert _int_root(m**d + 1, d) == m
+    for p, d in ((10**400 + 1, 2), (10**400 + 1, 3), (-4, 2), (0, 1), (2**60 - 1, 60), (10**30 + 1, 10**18)):
+        with pytest.raises(InvalidParameter, match="is not a perfect d-th power"):
+            generate_smallworld(p, d, 1.0, seed=0)
 
 
 def test_girth_known_values():
