@@ -1,3 +1,4 @@
+import hashlib
 import math
 from itertools import combinations
 
@@ -260,6 +261,32 @@ def test_separation_profile_pinned_to_brute_force(g):
     prof = separation_profile(g, 3)
     assert list(prof.separators.items()) == list(expected.items())
     assert prof.eta == max(map(len, expected.values())) == 4
+
+
+# sha256 of repr((eta, separator items in order)); a rewrite of the
+# separator search must leave every entry as it is
+SEPARATOR_DIGESTS = {
+    "torus10x10/3": "81b6e069e0c83e8a640adc21cad30608922d610bca251b071151790d1f2553ea",
+    "torus8x8/2": "7567334b12d6d53064b1f63f311f1e0d6d80122ffdb39036e9785d17c4afcddb",
+    "regular100/4": "f44a546f497dc2d11799f56ae43d3ef799557331c4497e26571a56b938d1eeb3",
+    "er80/3": "91d263594be8b0ac8b8212b28c1d349a8d80be9e8988a6fb3ab94f26c6e15170",
+    "torus5^3/2": "f4593158a81d4e08c3e66bcedff94031e2172e4de3ec266c5ac0a69558077444",
+}
+SEPARATOR_DIGEST_CASES = {
+    "torus10x10/3": lambda: (torus_grid(10, 2), 3),
+    "torus8x8/2": lambda: (torus_grid(8, 2), 2),
+    "regular100/4": lambda: (generate_regular(100, 3, seed=1), 4),
+    "er80/3": lambda: (generate_er(80, 3.0, seed=5), 3),
+    "torus5^3/2": lambda: (torus_grid(5, 3), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(SEPARATOR_DIGEST_CASES))
+def test_separation_profile_digests_pinned(name):
+    g, gamma = SEPARATOR_DIGEST_CASES[name]()
+    prof = separation_profile(g, gamma)
+    got = hashlib.sha256(repr((prof.eta, list(prof.separators.items()))).encode()).hexdigest()
+    assert got == SEPARATOR_DIGESTS[name]
 
 
 def test_separation_profile_cycle_and_complete():
