@@ -61,6 +61,14 @@ def check_type(label: str, value, hint) -> None:
         raise InvalidParameter(f"{label} must be {expected}, got {type(value).__name__} {value!r}")
 
 
+def check_nonnegative_int(label: str, value) -> None:
+    """Raise InvalidParameter naming ``label`` unless ``value`` is an integer
+    (not a bool) at least 0."""
+    check_type(label, value, int)
+    if value < 0:
+        raise InvalidParameter(f"{label} must be nonnegative, got {value!r}")
+
+
 def config_kwargs(cls, data, ignore=()) -> dict:
     """A configuration block as keyword arguments of the dataclass ``cls``,
     minus ``ignore``; a non-object block, unknown key, missing required

@@ -78,7 +78,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidParameter, config_kwargs
+from .errors import InvalidParameter, check_nonnegative_int, config_kwargs
 from .graph import Graph, separation_profile
 from .model import GaussianModel, _as_square, _check_pair, conditional_covariance_exact
 from .sampler import SampleSet, empirical_covariance
@@ -643,6 +643,8 @@ def oracle_gap(model: GaussianModel, eta: int, gamma: int) -> OracleGap:
     Edge statistics minimize over every subset of size <= eta; non-edge
     statistics are evaluated at the gamma-local separator of each pair.
     """
+    check_nonnegative_int("eta", eta)
+    check_nonnegative_int("gamma", gamma)
     sigma = model.sigma()
     g = model.graph
     todo = np.triu(g.adjacency_matrix() > 0.0, 1)

@@ -6,8 +6,11 @@ keeps all ``p`` vertices but only the edges inside the radius-``gamma`` ball
 around a vertex, so a separator returned for a pair certifies that every
 short path between the two endpoints is cut.  Separators come from
 Menger's theorem by unit-capacity vertex max-flow on one node-split network
-per ball: a pair costs one max flow, then one residual-graph search per
-candidate vertex that carries flow, so the cost follows the ball's edges.
+per ball.  A pair costs one max flow and one reverse search from the sink;
+the lexicographic tie-break then reads every minimum cut off that one
+residual graph (Picard & Queyranne, 1980), with candidate searches confined
+to the nodes between the source and sink sides, so the cost follows the
+ball's edges.
 
 Randomized generators take an explicit integer seed and use the Philox
 counter-based generator, so outputs are reproducible across platforms.
@@ -22,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GenerationFailed, InvalidParameter, config_kwargs
+from .errors import GenerationFailed, InvalidParameter, check_nonnegative_int, check_type, config_kwargs
 
 REGULAR_RETRY_BUDGET = 1000
 
@@ -234,10 +237,10 @@ def girth(g: Graph) -> float:
 
 def ball(g: Graph, i: int, gamma: int) -> tuple[int, ...]:
     """Sorted vertices within BFS distance gamma of i (including i)."""
+    check_type("vertex", i, int)
     if not 0 <= i < g.p:
         raise InvalidParameter(f"vertex {i} out of range")
-    if gamma < 0:
-        raise InvalidParameter("gamma must be nonnegative")
+    check_nonnegative_int("gamma", gamma)
     dist = {i: 0}
     queue = deque([i])
     while queue:
@@ -263,90 +266,95 @@ def is_locally_treelike(g: Graph, i: int, gamma: int) -> bool:
     return girth(gamma_subgraph(g, i, gamma)) == math.inf
 
 
-def _ball_network(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[int, dict[int, int]]]:
-    """The radius-gamma ball around i and the residual capacities of its
-    node-split flow network, with no flow yet.
+def _ball_network(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[int, int], list, list[int]]:
+    """The radius-gamma ball around i, its vertices' local indices, and
+    its node-split flow network with no flow yet, as flat lists.
 
-    Vertex v becomes arc v_in = 2v -> v_out = 2v + 1 of capacity 1 (0 for
-    i, the source), each edge inside the ball becomes two arcs u_out -> v_in
-    of capacity larger than any flow, and every arc has a reverse entry of
-    residual capacity 0.  BFS tree edges lie inside the ball, so the ball
-    is exactly the component of i in the subgraph of its edges.
+    Local vertex a becomes nodes a_in = 2a and a_out = 2a + 1 joined by arc
+    2a of capacity 1 (0 for i, the source); each edge inside the ball
+    becomes two arcs u_out -> v_in of capacity larger than any flow.  Arc e
+    has reverse arc e ^ 1 of residual capacity 0, ``out[x]`` lists the
+    ``(arc, head)`` pairs leaving node x and ``cap`` the arcs' residual
+    capacities.  BFS tree edges lie inside the ball, so the ball is exactly
+    the component of i in the subgraph of its edges.
     """
     inside = ball(g, i, gamma)
-    members = set(inside)
-    cap: dict[int, dict[int, int]] = {}
-    for v in inside:
-        cap[2 * v] = {2 * v + 1: int(v != i)}
-        cap[2 * v + 1] = {2 * v: 0}
-    for u in inside:
+    index = {v: a for a, v in enumerate(inside)}
+    out = [[(x, x ^ 1)] for x in range(2 * len(inside))]
+    cap = [1, 0] * len(inside)
+    cap[2 * index[i]] = 0
+    for a, u in enumerate(inside):
         for v in g.adjacency[u]:
-            if v in members:
-                cap[2 * u + 1][2 * v] = len(inside)
-                cap[2 * v][2 * u + 1] = 0
-    return inside, cap
+            if (b := index.get(v)) is not None:
+                out[2 * a + 1].append((len(cap), 2 * b))
+                out[2 * b].append((len(cap) + 1, 2 * a + 1))
+                cap += (len(inside), 0)
+    return inside, index, out, cap
 
 
-def _residual_path(cap: dict[int, dict[int, int]], src: int, dst: int) -> list[tuple[int, int]] | None:
-    """Arcs of a shortest path from src to dst in the residual graph, or None."""
-    parent = {src: src}
-    queue = deque([src])
-    while queue:
-        x = queue.popleft()
-        for y, c in cap[x].items():
-            if c > 0 and y not in parent:
-                parent[y] = x
-                if y == dst:
-                    path = []
-                    while y != src:
-                        path.append((parent[y], y))
-                        y = parent[y]
-                    return path
+def _search(out: list, cap: list[int], start: int, flip: int, wall, goal) -> tuple[dict, int | None]:
+    """Breadth-first search of the residual graph from start, along its arcs
+    (flip=0) or against them (flip=1), never entering ``wall``.  Returns the
+    search tree as node -> (arc, parent) and the first node of ``goal`` it
+    meets, or None when it meets none."""
+    tree = {start: None}
+    queue = [start]
+    for x in queue:
+        for e, y in out[x]:
+            if cap[e ^ flip] and y not in tree and y not in wall:
+                tree[y] = (e, x)
+                if y in goal:
+                    return tree, y
                 queue.append(y)
-    return None
+    return tree, None
 
 
-def _push(cap: dict[int, dict[int, int]], path: list[tuple[int, int]]) -> None:
-    for x, y in path:
-        cap[x][y] -= 1
-        cap[y][x] += 1
-
-
-def _lex_min_separator(inside: tuple[int, ...], network: dict[int, dict[int, int]], i: int, j: int) -> tuple[int, ...]:
+def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], out: list, cap: list[int],
+                       i: int, j: int) -> tuple[int, ...]:
     """Lexicographically smallest minimum vertex separator of i and j in the
     ball network of i (see ``_ball_network``); empty when j is outside it.
 
-    One max flow gives the cut size k.  Greedy on ascending vertex labels:
-    v joins the prefix exactly when some minimum separator of the graph with
-    the prefix deleted contains v, that is when its arc is saturated and
-    v_out is unreachable from v_in in the residual graph (every minimum cut
-    is saturated by every maximum flow, and a saturated arc lies in some
-    minimum cut exactly when no residual path joins its ends).  On
-    acceptance the unit of flow through v is cancelled and v deleted, which
-    leaves a maximum flow of the smaller graph.
+    One max flow gives the cut size k.  Its minimum cuts are exactly the
+    node sets that hold the source but not the sink and that no residual
+    arc leaves (Picard & Queyranne, Math. Prog. Study 13, 1980), so all of
+    them are read off this one residual graph.  ``src_side`` starts as the
+    nodes the source reaches, ``dst_side`` as those that reach the sink.
+    Greedy on ascending vertex labels: v joins exactly when some minimum cut
+    puts v_in on the source side and v_out on the sink side next to the
+    vertices already chosen, that is when v_out is off the source side, v_in
+    off the sink side, and the search from v_in, confined to the nodes
+    between the two sides, meets neither v_out nor the sink side.  On
+    acceptance that search joins the source side and the nodes that reach
+    v_out join the sink side; no flow is re-routed.
     """
-    if 2 * j not in network:
+    if (b := index.get(j)) is None:
         return ()
-    cap = {x: dict(arcs) for x, arcs in network.items()}
-    cap[2 * j][2 * j + 1] = 0  # like the source, the sink is never cut
-    src, dst = 2 * i + 1, 2 * j
+    cap = cap.copy()
+    cap[2 * b] = 0  # like the source, the sink is never cut
+    src, dst = 2 * index[i] + 1, 2 * b
     k = 0
-    while (path := _residual_path(cap, src, dst)) is not None:
-        _push(cap, path)
+    while (found := _search(out, cap, src, 0, (), (dst,)))[1] is not None:
+        tree, y = found
+        while y != src:
+            e, y = tree[y]
+            cap[e] -= 1
+            cap[e ^ 1] += 1
         k += 1
     chosen: list[int] = []
-    for v in inside:
+    src_side, dst_side = set(found[0]), set(_search(out, cap, dst, 1, (), ())[0])
+    for a, v in enumerate(inside):
         if len(chosen) == k:
             break
-        v_in, v_out = 2 * v, 2 * v + 1
-        if v == i or v == j or cap[v_in][v_out] or _residual_path(cap, v_in, v_out) is not None:
+        v_in, v_out = 2 * a, 2 * a + 1
+        if cap[v_in] or v_out in src_side or v_in in dst_side:
             continue
-        chosen.append(v)
-        # the reverse of v's flow path gives residual paths from the sink
-        # back to v_out and from v_in back to the source
-        _push(cap, _residual_path(cap, dst, v_out))
-        cap[v_in][v_out] = cap[v_out][v_in] = 0
-        _push(cap, _residual_path(cap, v_in, src))
+        dst_side.add(v_out)
+        grown, met = _search(out, cap, v_in, 0, src_side, dst_side)
+        dst_side.discard(v_out)
+        if met is None:
+            chosen.append(v)
+            src_side.update(grown)
+            dst_side.update(_search(out, cap, v_out, 1, dst_side, ())[0])
     if len(chosen) != k:
         raise AssertionError("greedy separator construction failed to reach the cut size")
     return tuple(chosen)
@@ -361,12 +369,13 @@ def local_separator(g: Graph, i: int, j: int, gamma: int) -> tuple[int, ...]:
     Ties between minimum separators go to the lexicographically smallest
     vertex set.
     """
+    check_type("vertex", i, int)
+    check_type("vertex", j, int)
     if i == j or not (0 <= i < g.p and 0 <= j < g.p):
         raise InvalidParameter(f"need distinct vertices in range, got ({i}, {j})")
     if g.has_edge(i, j):
         raise InvalidParameter(f"({i}, {j}) is an edge; separators are defined for non-adjacent pairs")
-    if gamma < 0:
-        raise InvalidParameter("gamma must be nonnegative")
+    check_nonnegative_int("gamma", gamma)
     return _lex_min_separator(*_ball_network(g, i, gamma), i, j)
 
 
@@ -386,17 +395,16 @@ class SeparationProfile:
 
 def separation_profile(g: Graph, gamma: int) -> SeparationProfile:
     """Compute local separators for all non-adjacent pairs; eta is the max size."""
-    if gamma < 0:
-        raise InvalidParameter("gamma must be nonnegative")
+    check_nonnegative_int("gamma", gamma)
     separators: dict[tuple[int, int], tuple[int, ...]] = {}
     eta = 0
     for i in range(g.p):
         pending = [j for j in range(i + 1, g.p) if not g.has_edge(i, j)]
         if not pending:
             continue
-        inside, network = _ball_network(g, i, gamma)
+        network = _ball_network(g, i, gamma)
         for j in pending:
-            sep = _lex_min_separator(inside, network, i, j)
+            sep = _lex_min_separator(*network, i, j)
             separators[(i, j)] = sep
             if len(sep) > eta:
                 eta = len(sep)

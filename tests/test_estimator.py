@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -872,6 +873,24 @@ def test_oracle_gap_non_edges_tie_break_in_row_major_order():
     assert len(top) > 1
     gap = oracle_gap(m, eta=1, gamma=2)
     assert (gap.c_max, gap.c_max_pair) == (values[top[0]], top[0])
+
+
+@pytest.mark.parametrize("eta, gamma, message", [
+    (1, 1.5, "gamma must be int, got float 1.5"),
+    (1.5, 2, "eta must be int, got float 1.5"),
+    (True, 2, "eta must be int, got bool True"),
+    (1, -1, "gamma must be nonnegative, got -1"),
+    (-1, 2, "eta must be nonnegative, got -1"),
+])
+def test_oracle_gap_checks_eta_and_gamma_before_it_scans(monkeypatch, eta, gamma, message):
+    import ggmlearn.estimator as estimator_mod
+
+    def no_scan(*args):
+        raise AssertionError("scanned before checking eta and gamma")
+
+    monkeypatch.setattr(estimator_mod, "_scan_all", no_scan)
+    with pytest.raises(InvalidParameter, match=re.escape(message)):
+        oracle_gap(chain_model(6), eta, gamma)
 
 
 def test_oracle_gap_cycle_with_full_radius():

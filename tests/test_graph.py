@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from itertools import combinations
 
 import numpy as np
@@ -162,6 +163,28 @@ def test_local_separator_validation():
         local_separator(c6, 0, 2, -1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ball(cycle_graph(10), 0, 1.5), "gamma must be int, got float 1.5"),
+    (lambda: ball(cycle_graph(10), 0, "2"), "gamma must be int, got str '2'"),
+    (lambda: ball(cycle_graph(10), 0, True), "gamma must be int, got bool True"),
+    (lambda: ball(cycle_graph(10), 0.0, 2), "vertex must be int, got float 0.0"),
+    (lambda: local_separator(cycle_graph(10), 0.0, 5, 5), "vertex must be int, got float 0.0"),
+    (lambda: local_separator(cycle_graph(10), 0, "5", 5), "vertex must be int, got str '5'"),
+    (lambda: local_separator(cycle_graph(10), 0, 5, 2.0), "gamma must be int, got float 2.0"),
+    (lambda: separation_profile(cycle_graph(10), 1.5), "gamma must be int, got float 1.5"),
+    (lambda: separation_profile(Graph(1), -1), "gamma must be nonnegative, got -1"),
+])
+def test_radius_and_vertex_labels_must_be_integers(call, message):
+    with pytest.raises(InvalidParameter, match=re.escape(message)):
+        call()
+
+
+def test_numpy_integers_are_vertex_labels_and_radii():
+    assert ball(cycle_graph(10), np.int64(0), np.int64(1)) == (0, 1, 9)
+    assert local_separator(cycle_graph(10), np.int32(0), np.int64(5), np.int8(5)) == (1, 6)
+    assert separation_profile(cycle_graph(10), np.int64(5)).eta == 2
+
+
 def test_local_separator_tree_is_single_cut_vertex():
     g = chain_graph(9)
     assert local_separator(g, 2, 6, 8) == (3,)
@@ -249,6 +272,26 @@ def sparse_graphs(draw):
 @settings(max_examples=60, deadline=None)
 @given(sparse_graphs(), st.integers(0, 4))
 def test_separators_match_brute_force_on_sparse_graphs(g, gamma):
+    test_separators_match_brute_force.hypothesis.inner_test(g, gamma)
+
+
+@st.composite
+def grids_with_deletions(draw):
+    """A ladder (2 x up to 8) or a grid (3 or 4 x 3 or 4) on p <= 16
+    vertices, labelled in a drawn order, minus at most four edges: minimum
+    separators tie often, so the lexicographic tie-break decides them."""
+    rows = draw(st.integers(2, 4))
+    cols = draw(st.integers(2, 8) if rows == 2 else st.integers(3, 4))
+    label = draw(st.permutations(range(rows * cols)))
+    edges = [(label[r * cols + c], label[r * cols + c + 1]) for r in range(rows) for c in range(cols - 1)]
+    edges += [(label[r * cols + c], label[(r + 1) * cols + c]) for r in range(rows - 1) for c in range(cols)]
+    dropped = draw(st.sets(st.integers(0, len(edges) - 1), max_size=4))
+    return Graph(rows * cols, [e for k, e in enumerate(edges) if k not in dropped])
+
+
+@settings(max_examples=100, deadline=None)
+@given(grids_with_deletions(), st.integers(0, 5))
+def test_separators_match_brute_force_on_grids(g, gamma):
     test_separators_match_brute_force.hypothesis.inner_test(g, gamma)
 
 
