@@ -99,10 +99,9 @@ def default_threshold(n: int, p: int, kappa: float = DEFAULT_KAPPA) -> float:
 
 
 def _check_scan(eta: int, statistic: str, cond_limit: float) -> None:
-    """Reject a negative eta, an unknown statistic, and a ``cond_limit``
-    below 1 or NaN, which would fail every non-empty set."""
-    if eta < 0:
-        raise InvalidParameter("eta must be nonnegative")
+    """Reject an eta that is not a nonnegative integer, an unknown statistic,
+    and a ``cond_limit`` below 1 or NaN, which would fail every non-empty set."""
+    check_nonnegative_int("eta", eta)
     if statistic not in STATISTICS:
         raise InvalidParameter(f"statistic must be one of {STATISTICS}")
     if not cond_limit >= 1.0:

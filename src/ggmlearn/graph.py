@@ -346,7 +346,7 @@ def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], out: list
         if len(chosen) == k:
             break
         v_in, v_out = 2 * a, 2 * a + 1
-        if cap[v_in] or v_out in src_side or v_in in dst_side:
+        if cap[v_in] or v_out in src_side or v_in in dst_side:  # a free arc is a residual path to v_out
             continue
         dst_side.add(v_out)
         grown, met = _search(out, cap, v_in, 0, src_side, dst_side)

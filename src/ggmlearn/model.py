@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParameter, NotPositiveDefinite, NumericFailure, SynthesisFailed
+from .errors import InvalidParameter, NotPositiveDefinite, NumericFailure, SynthesisFailed, check_nonnegative_int
 from .graph import Graph, _rng
 
 PD_PIVOT_RTOL = 1e-12
@@ -356,8 +356,8 @@ def check_assumptions(model: GaussianModel, eta: int, gamma: int, delta: float =
     ``delta`` is the slack in the edge-strength condition; the default 0.1
     is a convention, not a derived constant, and callers may tighten it.
     """
-    if eta < 0 or gamma < 0:
-        raise InvalidParameter("eta and gamma must be nonnegative")
+    check_nonnegative_int("eta", eta)
+    check_nonnegative_int("gamma", gamma)
     if delta <= 0:
         raise InvalidParameter("delta must be positive")
     alpha = model.alpha

@@ -202,9 +202,12 @@ def test_min_statistic_validation():
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 1, n=0), "need n >= 1 samples, got n=0"),
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 1, n=-3), "need n >= 1 samples, got n=-3"),
     (lambda: min_conditional_statistic(np.ones((3, 4)), 0, 1, 1), r"covariance matrix must be square, got shape \(3, 4\)"),
+    (lambda: EstimatorConfig(eta=1.5), "eta must be int, got float 1.5"),
+    (lambda: min_conditional_statistic(np.eye(3), 0, 1, 1.5), "eta must be int, got float 1.5"),
+    (lambda: min_conditional_statistic(np.eye(3), 0, 1, -1), "eta must be nonnegative, got -1"),
 ], ids=["config-cond-limit-negative", "config-cond-limit-half", "config-cond-limit-nan", "config-xi-nan", "kappa-nan",
         "pair-cond-limit-negative", "pair-cond-limit-half", "pair-cond-limit-nan", "pair-n-zero", "pair-n-negative",
-        "pair-not-square"])
+        "pair-not-square", "config-eta-float", "pair-eta-float", "pair-eta-negative"])
 def test_invalid_estimator_inputs_are_rejected(call, message):
     # the guard's ratio, largest variance over smallest pivot, is at least 1,
     # so a smaller limit would fail every non-empty set instead of reporting an error

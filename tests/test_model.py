@@ -350,6 +350,11 @@ def test_check_assumptions_validation():
         check_assumptions(m, eta=-1, gamma=0)
     with pytest.raises(InvalidParameter):
         check_assumptions(m, eta=1, gamma=1, delta=0.0)
+    # a fractional radius would enter alpha**gamma unnoticed
+    with pytest.raises(InvalidParameter, match="gamma must be int, got float 2.5"):
+        check_assumptions(m, eta=1, gamma=2.5)
+    with pytest.raises(InvalidParameter, match="eta must be int, got float 1.5"):
+        check_assumptions(m, eta=1.5, gamma=2)
 
 
 def test_conditional_covariance_diagonal_rescaling():
