@@ -18,7 +18,7 @@ import numpy as np
 from . import __version__
 from .bounds import BoundsConfig, bounds_report
 from .errors import GgmError, InvalidParameter, check_type
-from .estimator import STATUSES, EstimatorConfig, cmit
+from .estimator import EstimatorConfig, cmit
 from .graph import EnsembleConfig
 from .harness import LANE_SIGNS, TrialConfig, lane_seed, run_manifest, sweep
 from .io import (
@@ -26,6 +26,7 @@ from .io import (
     load_samples,
     read_edge_list,
     save_model,
+    save_result,
     save_samples,
     write_edge_list,
     write_json,
@@ -163,10 +164,9 @@ def learn(config_path, out_path, seed):
         source = load_samples(_typed(config, "samples", str))
     result = cmit(source, est_cfg)
     out = _out_dir(out_path)
-    (out / "result.json").write_text(result.to_json())
+    stopped = save_result(result, out)["status_counts"]["early_exit"]
     write_edge_list(result.graph, out / "estimate.edges")
     _write_manifest(out, "learn", config, seed)
-    stopped = int(np.count_nonzero(result.status == STATUSES.index("early_exit")))
     clause = f"; {stopped} of {len(result.status)} pairs stopped early (values are upper bounds)" if stopped else ""
     click.echo(f"estimated {len(result.edges)} edges at threshold {result.threshold:.6g}{clause}")
 

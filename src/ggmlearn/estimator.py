@@ -64,12 +64,17 @@ the open count, so the completion takes over once at most a quarter
 remain, and the scan ends once every pair has stopped.  ``early_exit=False``
 gives every pair its exact minimum, as ``min_conditional_statistic`` and
 ``oracle_gap`` always do.
+
+``EstimationResult`` keeps the pair outcomes as arrays.  ``summary()`` is
+its small ``result.json`` record (header, edge records, status counts) and
+``io.save_result`` writes the arrays beside it as ``pairs.npz``;
+``to_dict`` lists every pair, as ``result.json`` did before, and
+``from_dict`` reads that record back.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -157,19 +162,10 @@ class PairDecision:
 STATUSES = ("ok", "failed", "early_exit")
 
 
-def _json_value(x: float) -> str:
-    """A pair value as ``json.dumps`` writes ``to_dict``'s: null when
-    infinite, NaN when not a number, else ``float.__repr__``."""
-    if math.isfinite(x):
-        return repr(x)
-    return "null" if math.isinf(x) else "NaN"
-
-
-def _json_set(subset: tuple[int, ...]) -> str:
-    """A pair's set as ``json.dumps(indent=2)`` writes it in ``result.json``."""
-    if not subset:
-        return "[]"
-    return "[\n" + ",\n".join(f"        {k}" for k in subset) + "\n      ]"
+def _pair_position(p: int, u, v):
+    """Row-major position of the pair u < v among the p(p-1)/2 pairs of p
+    vertices; ``u`` and ``v`` may be integer arrays."""
+    return u * (2 * p - u - 1) // 2 + v - u - 1
 
 
 @dataclass(eq=False)
@@ -180,7 +176,9 @@ class EstimationResult:
     ``values`` (infinite for a failed pair), ``set_index`` into ``sets``
     (-1 for no set) and ``status`` (an index into ``STATUSES``).  ``pairs``,
     the read-only mapping (u, v) -> PairDecision, is materialized on first
-    access and cached.
+    access and cached.  ``io.save_result`` writes the arrays to
+    ``pairs.npz`` and ``summary()`` to ``result.json``; ``to_dict`` lists
+    every pair, and ``from_dict`` reads it back.
     """
 
     p: int
@@ -200,11 +198,15 @@ class EstimationResult:
     def graph(self) -> Graph:
         return Graph(self.p, self.edges)
 
-    def _records(self):
-        """(u, v, value, set or None, status) for every pair, in row-major order."""
+    def _records(self, iu=None, ju=None):
+        """(u, v, value, set or None, status) for the pairs u < v in the
+        arrays ``iu`` and ``ju``, by default every pair in row-major order."""
+        if iu is None:
+            iu, ju = np.triu_indices(self.p, 1)
+        k = _pair_position(self.p, iu, ju)
         sets = self.sets + [None]
-        return zip(*(x.tolist() for x in np.triu_indices(self.p, 1)), self.values.tolist(),
-                   [sets[a] for a in self.set_index.tolist()], [STATUSES[c] for c in self.status.tolist()])
+        return zip(iu.tolist(), ju.tolist(), self.values[k].tolist(), [sets[a] for a in self.set_index[k].tolist()],
+                   [STATUSES[c] for c in self.status[k].tolist()])
 
     @cached_property
     def pairs(self) -> MappingProxyType:
@@ -223,41 +225,36 @@ class EstimationResult:
             "config": self.config.to_dict(),
         }
 
-    def to_dict(self) -> dict:
+    def _pair_dicts(self, iu=None, ju=None) -> dict:
+        """``to_dict``'s pair records for the pairs of ``_records``."""
         return {
-            **self._header(),
-            "pairs": {
-                f"{u},{v}": {
-                    "value": None if math.isinf(value) else value,
-                    "subset": None if subset is None else list(subset),
-                    "status": status,
-                }
-                for u, v, value, subset, status in self._records()
-            },
+            f"{u},{v}": {
+                "value": None if math.isinf(value) else value,
+                "subset": None if subset is None else list(subset),
+                "status": status,
+            }
+            for u, v, value, subset, status in self._records(iu, ju)
         }
 
-    def to_json(self) -> str:
-        """The text of ``json.dumps(self.to_dict(), indent=2, sort_keys=True)
-        + "\\n"``, the ``result.json`` layout, without building a dict per
-        pair: the header goes through ``json.dumps``, each pair record is
-        one f-string over the arrays, and each set is formatted once."""
-        text = json.dumps({**self._header(), "pairs": {}}, indent=2, sort_keys=True) + "\n"
-        if not len(self.values):
-            return text
-        sets = [_json_set(s) for s in self.sets] + ["null"]
-        records = [
-            f'    "{u},{v}": {{\n      "status": "{STATUSES[c]}",\n      "subset": {sets[a]},\n'
-            f'      "value": {_json_value(x)}\n    }}'
-            for u, v, x, a, c in zip(*(k.tolist() for k in np.triu_indices(self.p, 1)), self.values.tolist(),
-                                     self.set_index.tolist(), self.status.tolist())
-        ]
-        # a record is its key, a closing quote, then the rest; the quote sorts
-        # below ',' and the digits, so sorting records sorts keys as sort_keys does
-        records.sort()
-        return text.replace('\n  "pairs": {}', '\n  "pairs": {\n' + ",\n".join(records) + "\n  }", 1)
+    def to_dict(self) -> dict:
+        return {**self._header(), "pairs": self._pair_dicts()}
+
+    def summary(self) -> dict:
+        """The ``result.json`` record: ``to_dict`` with ``pairs`` replaced by
+        ``edge_records``, the edges' records, and ``status_counts``, the
+        number of pairs with each status."""
+        u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
+        counts = np.bincount(self.status, minlength=len(STATUSES)).tolist()
+        return {
+            **self._header(),
+            "edge_records": self._pair_dicts(u, v),
+            "status_counts": dict(zip(STATUSES, counts)),
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EstimationResult":
+        """Read ``to_dict``'s record, the ``result.json`` written before the
+        pair arrays moved to ``pairs.npz``."""
         p = data["p"]
         size = p * (p - 1) // 2
         # a pair the file does not list reads as failed
@@ -266,14 +263,19 @@ class EstimationResult:
         status = np.full(size, STATUSES.index("failed"), dtype=np.int8)
         sets: dict[tuple[int, ...], int] = {}
         for key, rec in data["pairs"].items():
-            u, v = (int(x) for x in key.split(","))
-            k = u * (2 * p - u - 1) // 2 + v - u - 1  # row-major position of u < v
+            k = _pair_position(p, *(int(x) for x in key.split(",")))
             values[k] = math.inf if rec["value"] is None else float(rec["value"])
             if rec["subset"] is not None:
                 set_index[k] = sets.setdefault(tuple(rec["subset"]), len(sets))
             status[k] = STATUSES.index(rec["status"])
+        return cls.from_header(data, values, set_index, status, list(sets))
+
+    @classmethod
+    def from_header(cls, data: dict, values: np.ndarray, set_index: np.ndarray, status: np.ndarray,
+                    sets: list[tuple[int, ...]]) -> "EstimationResult":
+        """The result with the header fields of ``data`` and these pair arrays."""
         return cls(
-            p=p,
+            p=data["p"],
             edges=tuple(tuple(e) for e in data["edges"]),
             threshold=data["threshold"],
             statistic=data["statistic"],
@@ -284,7 +286,7 @@ class EstimationResult:
             values=values,
             set_index=set_index,
             status=status,
-            sets=list(sets),
+            sets=sets,
         )
 
 

@@ -1,5 +1,5 @@
 """File formats shared by the CLI and the library: edge lists, matrix CSV,
-sample matrices, JSON helpers.
+sample matrices, result directories, JSON helpers.
 
 Edge list: first line ``<p> <edge-count>``, then one ``u v`` line per edge
 with u < v, lines sorted.  Matrix CSV, used for model matrices
@@ -10,12 +10,21 @@ exactly; unlike ``float``, the reader rejects underscore literals (``1_0``).
 Sample matrix: ``samples.npy``, the n x p float64 array in numpy's npy
 format, written by ``np.save`` and read by ``np.load`` without pickles, so
 values round-trip bit for bit and loading costs no decimal parsing.
+Result directory: ``pairs.npz``, written by ``np.savez``, holds the pair
+arrays of an ``EstimationResult`` (``values`` float64, ``set_index`` int64,
+``status`` int8, and ``sets`` int64, one set per row padded with -1), and
+``result.json`` its ``summary()``: the header, the edges' records and the
+status counts, without the p(p-1)/2 pair records that made formatting
+floats the largest cost of ``learn``.  A directory without ``pairs.npz``
+whose ``result.json`` lists every pair, as written before, still loads.
 
 The readers raise InvalidParameter naming the path when a file cannot be
 read or, for JSON and npy, parsed; the model and sample loaders also when a
 JSON sidecar is not an object or lacks a key or holds one of the wrong
 type, and the sample loader when ``samples.npy`` is not a 2-D float64 array
-of the sidecar's shape.
+of the sidecar's shape, and the result loader when ``pairs.npz`` is not an
+npz archive of those arrays, of the pair count of ``result.json``'s p, with
+set indices and statuses in range.
 """
 
 from __future__ import annotations
@@ -229,3 +238,83 @@ def load_samples(directory):
             f"sample sidecar declares shape ({sidecar['n']}, {sidecar['p']}) but data is {data.shape}"
         )
     return SampleSet(data=data, seed=sidecar["seed"], meta=sidecar.get("meta", {}))
+
+
+# pairs.npz: each array's dtype and number of dimensions
+_PAIR_ARRAYS = {"values": (np.float64, 1), "set_index": (np.int64, 1), "status": (np.int8, 1), "sets": (np.int64, 2)}
+
+
+def save_result(result, directory) -> dict:
+    """Write a result directory: the pair arrays in ``pairs.npz`` and
+    ``result.summary()`` in ``result.json``, which is returned."""
+    d = Path(directory)
+    d.mkdir(parents=True, exist_ok=True)
+    width = max(map(len, result.sets), default=0)
+    sets = np.array([(*s, *(-1,) * (width - len(s))) for s in result.sets], dtype=np.int64)
+    np.savez(d / "pairs.npz", values=result.values, set_index=result.set_index.astype(np.int64),
+             status=result.status.astype(np.int8), sets=sets.reshape(len(result.sets), width))
+    summary = result.summary()
+    # no indent: that selects json's pure-Python encoder, several times slower
+    (d / "result.json").write_text(json.dumps(summary, sort_keys=True) + "\n")
+    return summary
+
+
+def _read_pairs(path: Path, p: int) -> dict:
+    """The arrays of ``pairs.npz`` for p vertices, checked against
+    ``_PAIR_ARRAYS``, the pair count and the ranges of the indices."""
+    from zipfile import BadZipFile  # loaded with numpy
+
+    from .estimator import STATUSES
+
+    try:
+        archive = np.load(path, allow_pickle=False)
+    except OSError as exc:
+        raise _cannot_read(path, exc) from exc
+    except (ValueError, EOFError, BadZipFile) as exc:  # truncated, text or pickled data
+        raise InvalidParameter(f"{path} is not a valid npz archive: {exc}") from exc
+    if isinstance(archive, np.ndarray):
+        raise InvalidParameter(f"{path} is a .npy array, not an npz archive")
+    arrays = {}
+    with archive:
+        for key, (dtype, ndim) in _PAIR_ARRAYS.items():
+            if key not in archive:
+                raise InvalidParameter(f"{path} is missing the array {key!r}")
+            try:
+                a = archive[key]
+            except (ValueError, EOFError, BadZipFile) as exc:  # object arrays, a damaged member
+                raise InvalidParameter(f"{path} array {key!r} is not valid: {exc}") from exc
+            if a.dtype != dtype or a.ndim != ndim:
+                raise InvalidParameter(f"{path} array {key!r} must be a {ndim}-D {np.dtype(dtype)} array, "
+                                       f"got a {a.ndim}-D {a.dtype} array")
+            arrays[key] = a
+    size = p * (p - 1) // 2
+    for key in ("values", "set_index", "status"):
+        if len(arrays[key]) != size:
+            raise InvalidParameter(f"{path} array {key!r} has {len(arrays[key])} entries, but p={p} has {size} pairs")
+    for key, lo, hi in (("set_index", -1, len(arrays["sets"])), ("status", 0, len(STATUSES))):
+        if np.any((arrays[key] < lo) | (arrays[key] >= hi)):
+            raise InvalidParameter(f"{path} array {key!r} has an entry outside [{lo}, {hi})")
+    return arrays
+
+
+def load_result(directory):
+    """Read a result directory written by ``save_result``; one that holds
+    no ``pairs.npz`` but a ``result.json`` listing every pair, as written
+    before the pair arrays moved to ``pairs.npz``, reads through
+    ``EstimationResult.from_dict``."""
+    from .estimator import EstimationResult
+
+    d = Path(directory)
+    data = _read_sidecar(d / "result.json", {
+        "p": int, "edges": list, "threshold": float, "statistic": str, "eta": int, "n": int | None,
+        "elapsed_s": float, "config": dict,
+    })
+    path = d / "pairs.npz"
+    if not path.exists():
+        if "pairs" in data:
+            return EstimationResult.from_dict(data)
+        raise InvalidParameter(f"{path} is missing")
+    arrays = _read_pairs(path, data["p"])
+    sets = [tuple(k for k in row if k >= 0) for row in arrays["sets"].tolist()]
+    return EstimationResult.from_header(data, arrays["values"], arrays["set_index"].astype(np.intp),
+                                        arrays["status"], sets)

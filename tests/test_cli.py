@@ -2,6 +2,7 @@ import importlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import traceback
@@ -13,10 +14,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ggmlearn import EnsembleConfig, EstimatorConfig, cmit, cycle_graph, sample, synthesize_model
+from ggmlearn import EnsembleConfig, EstimatorConfig, InvalidParameter, cmit, cycle_graph, sample, synthesize_model
 from ggmlearn.cli import main, run
 from ggmlearn.harness import LANE_SIGNS, lane_seed
-from ggmlearn.io import load_model, load_samples, read_edge_list, save_samples
+from ggmlearn.io import load_model, load_result, load_samples, read_edge_list, save_result, save_samples
 
 
 @pytest.fixture
@@ -129,14 +130,16 @@ def test_sample_and_learn_round_trip(runner, tmp_path):
     estimate = read_edge_list(learn_dir / "estimate.edges")
     truth = load_model(model_dir).graph
     assert estimate == truth
-    text = (learn_dir / "result.json").read_text()
-    payload = json.loads(text)
+    payload = json.loads((learn_dir / "result.json").read_text())
     assert payload["n"] == 4000
     assert payload["statistic"] == "covariance"
-    # the file's bytes are json.dumps of the library result's to_dict
+    # the directory reads back as the library result, pair arrays bit for bit
     result = cmit(samples, EstimatorConfig(eta=1))
     result.elapsed_s = payload["elapsed_s"]
-    assert text == json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
+    back = load_result(learn_dir)
+    assert back.to_dict() == result.to_dict()
+    assert back.values.tobytes() == result.values.tobytes()
+    assert payload == result.summary()
 
 
 def test_learn_exits_early_by_default(tmp_path):
@@ -147,7 +150,7 @@ def test_learn_exits_early_by_default(tmp_path):
         proc = run_cli(cfg, tmp_path / name)
         assert proc.returncode == 0, proc.stderr
         payload = json.loads((tmp_path / name / "result.json").read_text())
-        statuses = [rec["status"] for rec in payload["pairs"].values()]
+        statuses = [d.status for d in load_result(tmp_path / name).pairs.values()]
         summary = f"estimated {len(payload['edges'])} edges at threshold {payload['threshold']:.6g}"
         runs[name] = (proc.stdout, payload["config"]["early_exit"], statuses.count("early_exit"), summary)
     stdout, early_exit, stopped, summary = runs["default"]
@@ -157,6 +160,18 @@ def test_learn_exits_early_by_default(tmp_path):
     assert early_exit is False and stopped == 0
     assert stdout == summary + "\n"
     assert (tmp_path / "default" / "estimate.edges").read_bytes() == (tmp_path / "full" / "estimate.edges").read_bytes()
+
+
+def test_learn_summary_line_counts_as_result_json(tmp_path):
+    save_samples(sample(synthesize_model(cycle_graph(12), 0.5), 1500, seed=9), tmp_path / "samples")
+    cfg = write_config(tmp_path / "learn.json", {"samples": str(tmp_path / "samples"), "estimator": {"eta": 1}})
+    proc = run_cli(cfg, tmp_path / "out")
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads((tmp_path / "out" / "result.json").read_text())["status_counts"]
+    statuses = [d.status for d in load_result(tmp_path / "out").pairs.values()]
+    assert counts == {status: statuses.count(status) for status in counts}
+    stopped, total = re.search(r"; (\d+) of (\d+) pairs stopped early", proc.stdout).groups()
+    assert (int(stopped), int(total)) == (counts["early_exit"], sum(counts.values())) == (statuses.count("early_exit"), 66)
 
 
 def test_learn_exact_mode(runner, tmp_path):
@@ -488,6 +503,55 @@ def test_malformed_sample_matrix_fails_cleanly(tmp_path, write, message):
     prefix = "Error: " if message.startswith("sample sidecar") else f"Error: {directory}/"
     assert_clean_error(proc, prefix + message)
     assert proc.stderr.count("\n") == 1  # one line
+
+
+def rewrite_pairs(**changes):
+    """A writer that replaces arrays of a saved ``pairs.npz``; None drops one."""
+    def write(path: Path) -> None:
+        with np.load(path) as archive:
+            arrays = {**archive, **changes}
+        np.savez(path, **{k: v for k, v in arrays.items() if v is not None})
+    return write
+
+
+def write_truncated_npz(path: Path) -> None:
+    path.write_bytes(path.read_bytes()[:-40])
+
+
+@pytest.mark.parametrize("write, message", [
+    (Path.unlink, "pairs.npz is missing"),
+    (lambda path: path.write_text("0.5,1.5\n"), "pairs.npz is not a valid npz archive: "),
+    (write_truncated_npz, "pairs.npz is not a valid npz archive: "),
+    (lambda path: np.save(path.with_suffix(".npy"), np.zeros(6)) or path.with_suffix(".npy").rename(path),
+     "pairs.npz is a .npy array, not an npz archive"),
+    (rewrite_pairs(values=np.array([0.5, "x", 0, 0, 0, 0], dtype=object)),
+     "pairs.npz array 'values' is not valid: "),
+    (rewrite_pairs(sets=None), "pairs.npz is missing the array 'sets'"),
+    (rewrite_pairs(status=np.zeros(6, dtype=np.int64)),
+     "pairs.npz array 'status' must be a 1-D int8 array, got a 1-D int64 array"),
+    (rewrite_pairs(values=np.zeros((6, 1))),
+     "pairs.npz array 'values' must be a 1-D float64 array, got a 2-D float64 array"),
+    (rewrite_pairs(set_index=np.zeros(5, dtype=np.int64)),
+     "pairs.npz array 'set_index' has 5 entries, but p=4 has 6 pairs"),
+    (rewrite_pairs(set_index=np.array([0, 0, 0, 0, 0, -2])),
+     "pairs.npz array 'set_index' has an entry outside [-1, 1)"),
+    (rewrite_pairs(status=np.array([0, 0, 0, 0, 0, 3], dtype=np.int8)),
+     "pairs.npz array 'status' has an entry outside [0, 3)"),
+], ids=["missing", "text", "truncated", "npy-array", "object-array", "missing-key", "int64-status", "two-dimensional",
+        "short", "set-index-range", "status-range"])
+def test_malformed_result_pairs_fail_cleanly(tmp_path, write, message):
+    data = np.random.default_rng(3).standard_normal((50, 4))
+    save_result(cmit(data, EstimatorConfig(eta=0)), tmp_path)
+    write(tmp_path / "pairs.npz")
+    with pytest.raises(InvalidParameter) as info:
+        load_result(tmp_path)
+    # numpy's own reason, after the colon, varies with its version
+    assert str(info.value).startswith(f"{tmp_path}/{message}")
+    assert message.endswith(": ") or str(info.value) == f"{tmp_path}/{message}"
+    # the console entry point prints it on one line, as for a subcommand
+    with mock.patch("ggmlearn.cli.main", lambda standalone_mode: load_result(tmp_path)):
+        proc = run_cli("learn.json", tmp_path / "out")
+    assert_clean_error(proc, f"Error: {info.value}\n")
 
 
 def test_legacy_sample_conversion_command_runs(tmp_path):

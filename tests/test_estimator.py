@@ -4,7 +4,9 @@ import itertools
 import json
 import math
 import re
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +34,7 @@ from ggmlearn import (
 )
 from ggmlearn.estimator import STATISTICS, STATUSES
 from ggmlearn.graph import Graph
+from ggmlearn.io import load_result, save_result
 
 from helpers import (
     marginal_precision_conditional_cov,
@@ -741,7 +744,9 @@ def test_default_early_exit_agrees_with_the_full_scan(case):
         assert bound >= best - 1e-9 * (1.0 + best)
 
 
-def json_reference(result: EstimationResult) -> str:
+def old_result_json(result: EstimationResult) -> str:
+    """``result.json`` as written before the pair arrays moved to
+    ``pairs.npz``: every pair's record, indented."""
     return json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
@@ -757,11 +762,21 @@ DEGENERATE[:, 3:] = np.arange(18.0).reshape(2, 9) ** 1.5
 DEGENERATE[:, 7] = DEGENERATE[:, 5]
 
 
+def assert_same_pairs(back: EstimationResult, res: EstimationResult) -> None:
+    """Bit-equal values (sign bit included), ``cmit``'s dtypes, equal
+    statuses and equal sets."""
+    assert back.values.tobytes() == res.values.tobytes()
+    assert back.set_index.dtype == np.intp and back.status.dtype == np.int8
+    assert np.array_equal(back.status, res.status)
+    assert pair_sets(back) == pair_sets(res)
+    assert set(back.sets) == set(res.sets)
+
+
 @settings(max_examples=40, deadline=None)
 @given(scan_cases())
 @example((DEGENERATE, EstimatorConfig(eta=0, statistic="mutual_information", xi=0.3), None, 0, True))
 @example((DEGENERATE, EstimatorConfig(eta=1, statistic="mutual_information", xi=1.5), None, 1, True))
-def test_to_json_is_json_dumps_of_to_dict(case):
+def test_save_result_round_trips_pair_arrays(case):
     source, cfg = case[:2]
     for early_exit in (False, True):
         result = cmit(source, replace(cfg, early_exit=early_exit))
@@ -769,18 +784,28 @@ def test_to_json_is_json_dumps_of_to_dict(case):
         values = result.values.copy()
         values[::5] = np.where(np.isinf(values[::5]), values[::5], -0.0)
         for res in (result, replace(result, values=values)):
-            text = res.to_json()
-            assert text == json_reference(res)
-            back = EstimationResult.from_dict(json.loads(text))
-            assert np.array_equal(back.values, res.values)
-            assert np.array_equal(np.signbit(back.values), np.signbit(res.values))
-            assert np.array_equal(back.status, res.status)
-            assert pair_sets(back) == pair_sets(res)
+            with tempfile.TemporaryDirectory() as directory:
+                summary = save_result(res, directory)
+                assert json.loads(Path(directory, "result.json").read_text()) == summary
+                back = load_result(directory)
+                assert_same_pairs(back, res)
+                assert back.sets == res.sets
+                assert back.to_dict() == res.to_dict()
+                full = res.to_dict()
+                assert summary == {
+                    **{k: v for k, v in full.items() if k != "pairs"},
+                    "edge_records": {f"{u},{v}": full["pairs"][f"{u},{v}"] for u, v in res.edges},
+                    "status_counts": {s: sum(r["status"] == s for r in full["pairs"].values()) for s in STATUSES},
+                }
+                # a result.json listing every pair, with no pairs.npz, still loads
+                Path(directory, "pairs.npz").unlink()
+                Path(directory, "result.json").write_text(old_result_json(res))
+                assert_same_pairs(load_result(directory), res)
         # every set the result keeps is some pair's
         assert np.array_equal(np.unique(result.set_index[result.set_index >= 0]), np.arange(len(result.sets)))
 
 
-def test_to_json_examples_cover_every_record_kind():
+def test_save_result_examples_cover_every_record_kind():
     result = cmit(DEGENERATE, EstimatorConfig(eta=0, statistic="mutual_information", xi=0.3))
     assert {"ok", "failed"} <= {d.status for d in result.pairs.values()}
     assert () in result.sets and -1 in result.set_index
@@ -788,12 +813,12 @@ def test_to_json_examples_cover_every_record_kind():
     assert {"ok", "early_exit", "failed"} <= {d.status for d in early.pairs.values()}
 
 
-def test_estimation_result_json_round_trip():
+def test_estimation_result_json_round_trip(tmp_path):
     m = chain_model(6)
     data = sample(m, 500, seed=14)
     result = cmit(data, EstimatorConfig(eta=1))
-    blob = json.dumps(result.to_dict())
-    back = EstimationResult.from_dict(json.loads(blob))
+    save_result(result, tmp_path)
+    back = load_result(tmp_path)
     assert back.edges == result.edges
     assert back.threshold == result.threshold
     assert back.config == result.config
