@@ -6,11 +6,14 @@ keeps all ``p`` vertices but only the edges inside the radius-``gamma`` ball
 around a vertex, so a separator returned for a pair certifies that every
 short path between the two endpoints is cut.  Separators come from
 Menger's theorem by unit-capacity vertex max-flow on one node-split network
-per ball.  A pair costs one max flow and one reverse search from the sink;
-the lexicographic tie-break then reads every minimum cut off that one
-residual graph (Picard & Queyranne, 1980), with candidate searches confined
-to the nodes between the source and sink sides, so the cost follows the
-ball's edges.
+per ball, searched once from the ball's centre at zero flow.  A pair whose
+separator has k vertices costs one max flow, whose first path is read off
+that search's tree, then k - 1 middle augmenting searches and one failing
+search, and one reverse search from the sink; the lexicographic tie-break
+then reads every minimum cut off that one residual graph (Picard &
+Queyranne, 1980), with candidate searches confined to the nodes between
+the source and sink sides, so the cost follows the ball's edges.  A pair
+outside the ball costs no search.
 
 Randomized generators take an explicit integer seed and use the Philox
 counter-based generator, so outputs are reproducible across platforms.
@@ -266,9 +269,10 @@ def is_locally_treelike(g: Graph, i: int, gamma: int) -> bool:
     return girth(gamma_subgraph(g, i, gamma)) == math.inf
 
 
-def _ball_network(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[int, int], list, list[int]]:
-    """The radius-gamma ball around i, its vertices' local indices, and
-    its node-split flow network with no flow yet, as flat lists.
+def _ball_network(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[int, int], list, list[int], dict]:
+    """The radius-gamma ball around i, its vertices' local indices, its
+    node-split flow network with no flow yet, as flat lists, and that
+    network's breadth-first search tree from i_out.
 
     Local vertex a becomes nodes a_in = 2a and a_out = 2a + 1 joined by arc
     2a of capacity 1 (0 for i, the source); each edge inside the ball
@@ -276,7 +280,9 @@ def _ball_network(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[i
     has reverse arc e ^ 1 of residual capacity 0, ``out[x]`` lists the
     ``(arc, head)`` pairs leaving node x and ``cap`` the arcs' residual
     capacities.  BFS tree edges lie inside the ball, so the ball is exactly
-    the component of i in the subgraph of its edges.
+    the component of i in the subgraph of its edges.  The tree maps node ->
+    (arc, parent) as ``_search`` returns it; at zero flow it holds the
+    first augmenting path of every sink in the ball.
     """
     inside = ball(g, i, gamma)
     index = {v: a for a, v in enumerate(inside)}
@@ -289,7 +295,7 @@ def _ball_network(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[i
                 out[2 * a + 1].append((len(cap), 2 * b))
                 out[2 * b].append((len(cap) + 1, 2 * a + 1))
                 cap += (len(inside), 0)
-    return inside, index, out, cap
+    return inside, index, out, cap, _search(out, cap, 2 * index[i] + 1, 0, (), ())[0]
 
 
 def _search(out: list, cap: list[int], start: int, flip: int, wall, goal) -> tuple[dict, int | None]:
@@ -309,16 +315,46 @@ def _search(out: list, cap: list[int], start: int, flip: int, wall, goal) -> tup
     return tree, None
 
 
-def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], out: list, cap: list[int],
+def _push(tree: dict, cap: list[int], src: int, y: int) -> None:
+    """Send one unit along the tree path from src to y."""
+    while y != src:
+        e, y = tree[y]
+        cap[e] -= 1
+        cap[e ^ 1] += 1
+
+
+def _augment(out: list, cap: list[int], src: int, dst: int) -> set | None:
+    """One augmenting search: breadth-first from src along residual arcs,
+    in ``_search``'s order.  On meeting dst it pushes one unit along the
+    path found and returns None; otherwise it returns the nodes src
+    reaches."""
+    tree = {src: None}
+    queue = [src]
+    for x in queue:
+        for e, y in out[x]:
+            if cap[e] and y not in tree:
+                tree[y] = (e, x)
+                if y == dst:
+                    _push(tree, cap, src, y)
+                    return None
+                queue.append(y)
+    return set(tree)
+
+
+def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], out: list, cap: list[int], tree: dict,
                        i: int, j: int) -> tuple[int, ...]:
     """Lexicographically smallest minimum vertex separator of i and j in the
     ball network of i (see ``_ball_network``); empty when j is outside it.
 
-    One max flow gives the cut size k.  Its minimum cuts are exactly the
-    node sets that hold the source but not the sink and that no residual
-    arc leaves (Picard & Queyranne, Math. Prog. Study 13, 1980), so all of
-    them are read off this one residual graph.  ``src_side`` starts as the
-    nodes the source reaches, ``dst_side`` as those that reach the sink.
+    One max flow gives the cut size k.  Its first unit follows j_in's path
+    in the ball's zero-flow tree: that path was fixed when the tree met
+    j_in, before any arc leaving j_in was read, so it is the path a search
+    from i_out would find.  Then k - 1 augmenting searches push the others
+    and one more fails.  The minimum cuts are exactly the node sets that
+    hold the source but not the sink and that no residual arc leaves
+    (Picard & Queyranne, Math. Prog. Study 13, 1980), so all of them are
+    read off this one residual graph.  ``src_side`` starts as the nodes the
+    failing search reached, ``dst_side`` as those that reach the sink.
     Greedy on ascending vertex labels: v joins exactly when some minimum cut
     puts v_in on the source side and v_out on the sink side next to the
     vertices already chosen, that is when v_out is off the source side, v_in
@@ -332,16 +368,12 @@ def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], out: list
     cap = cap.copy()
     cap[2 * b] = 0  # like the source, the sink is never cut
     src, dst = 2 * index[i] + 1, 2 * b
-    k = 0
-    while (found := _search(out, cap, src, 0, (), (dst,)))[1] is not None:
-        tree, y = found
-        while y != src:
-            e, y = tree[y]
-            cap[e] -= 1
-            cap[e ^ 1] += 1
+    _push(tree, cap, src, dst)  # j is in i's component, so the tree holds j_in
+    k = 1
+    while (src_side := _augment(out, cap, src, dst)) is None:
         k += 1
     chosen: list[int] = []
-    src_side, dst_side = set(found[0]), set(_search(out, cap, dst, 1, (), ())[0])
+    dst_side = set(_search(out, cap, dst, 1, (), ())[0])
     for a, v in enumerate(inside):
         if len(chosen) == k:
             break
@@ -403,8 +435,9 @@ def separation_profile(g: Graph, gamma: int) -> SeparationProfile:
         if not pending:
             continue
         network = _ball_network(g, i, gamma)
+        index = network[1]
         for j in pending:
-            sep = _lex_min_separator(*network, i, j)
+            sep = _lex_min_separator(*network, i, j) if j in index else ()
             separators[(i, j)] = sep
             if len(sep) > eta:
                 eta = len(sep)

@@ -44,6 +44,23 @@ def _cannot_read(path, exc: Exception) -> InvalidParameter:
     return InvalidParameter(f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
 
 
+# the first bytes of an npy file and of a zip archive, such as an npz file;
+# np.load tries to unpickle a file that starts with neither
+_NPY_MAGIC, _ZIP_MAGIC = b"\x93NUMPY", b"PK"
+
+
+def _check_magic(path, expected: bytes, what: str) -> None:
+    """Raise InvalidParameter naming ``what`` unless the file at ``path``
+    starts with the npy magic string or the zip signature."""
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(len(_NPY_MAGIC))
+    except OSError as exc:
+        raise _cannot_read(path, exc) from exc
+    if not head.startswith((_NPY_MAGIC, _ZIP_MAGIC)):
+        raise InvalidParameter(f"{path} is not a valid {what}: it starts with {head!r}, not {expected!r}")
+
+
 def _read_text(path) -> str:
     try:
         return Path(path).read_text()
@@ -213,11 +230,12 @@ def _read_sample_matrix(path: Path) -> np.ndarray:
             f"python -c \"import numpy as np; from ggmlearn.io import read_matrix_csv; "
             f"np.save('{path}', read_matrix_csv('{legacy}'))\""
         )
+    _check_magic(path, _NPY_MAGIC, ".npy array")
     try:
         data = np.load(path, allow_pickle=False)
     except OSError as exc:
         raise _cannot_read(path, exc) from exc
-    except (ValueError, EOFError) as exc:  # truncated, text, pickled or object data
+    except (ValueError, EOFError) as exc:  # truncated or object data
         raise InvalidParameter(f"{path} is not a valid .npy array: {exc}") from exc
     if not isinstance(data, np.ndarray):  # a zip archive loads as an open NpzFile
         data.close()
@@ -266,11 +284,12 @@ def _read_pairs(path: Path, p: int) -> dict:
 
     from .estimator import STATUSES
 
+    _check_magic(path, _ZIP_MAGIC, "npz archive")
     try:
         archive = np.load(path, allow_pickle=False)
     except OSError as exc:
         raise _cannot_read(path, exc) from exc
-    except (ValueError, EOFError, BadZipFile) as exc:  # truncated, text or pickled data
+    except (ValueError, EOFError, BadZipFile) as exc:  # truncated data
         raise InvalidParameter(f"{path} is not a valid npz archive: {exc}") from exc
     if isinstance(archive, np.ndarray):
         raise InvalidParameter(f"{path} is a .npy array, not an npz archive")

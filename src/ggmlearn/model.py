@@ -142,12 +142,12 @@ def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
     cond = _check_pair(sigma, i, j, cond_set)
     if not cond:
         return float(sigma[i, j])
-    block = sigma[np.ix_(cond, cond)]
+    idx = np.array(cond, dtype=np.intp)
     try:
-        solved = np.linalg.solve(block, sigma[cond, j])
+        solved = np.linalg.solve(sigma[idx[:, None], idx], sigma[idx, j])
     except np.linalg.LinAlgError as exc:
         raise NumericFailure(f"singular conditioning block for S={cond}: {exc}") from exc
-    return float(sigma[i, j] - sigma[i, cond] @ solved)
+    return float(sigma[i, j] - sigma[i, idx] @ solved)
 
 
 class GaussianModel:

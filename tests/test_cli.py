@@ -349,8 +349,9 @@ def test_package_error_prints_message_without_traceback(tmp_path):
     (samples / "samples.npy").write_text("2\n0.5,1.5\n0.5,oops\n")
     (samples / "samples.json").write_text(json.dumps({"n": 2, "p": 2, "seed": 0}))
     cfg = write_config(tmp_path / "learn.json", {"samples": str(samples), "estimator": {"eta": 1}})
-    assert_clean_error(run_cli_subprocess(cfg, tmp_path / "out"),
-                       f"Error: {samples / 'samples.npy'} is not a valid .npy array")
+    proc = run_cli_subprocess(cfg, tmp_path / "out")
+    assert_clean_error(proc, f"Error: {samples / 'samples.npy'} is not a valid .npy array")
+    assert "pickle" not in proc.stderr  # text is not pickled data
 
 
 def test_console_script_is_the_entry_point_run_cli_drives():
@@ -472,6 +473,10 @@ def write_truncated_npy(path: Path) -> None:
     path.write_bytes(path.read_bytes()[:-8])
 
 
+def write_text(path: Path) -> None:
+    path.write_text("0.5,1.5\n")
+
+
 def write_zip_as_npy(path: Path) -> None:
     np.savez(path.with_suffix(".npz"), np.array([[0.5, 1.5], [-0.5, 1.0]]))
     path.with_suffix(".npz").rename(path)
@@ -481,6 +486,7 @@ def write_zip_as_npy(path: Path) -> None:
     (None, "samples.npy is missing; sample matrices are now .npy files, not samples.csv; convert with python -c "
            "\"import numpy as np; from ggmlearn.io import read_matrix_csv; np.save("),
     (write_truncated_npy, "samples.npy is not a valid .npy array: "),
+    (write_text, "samples.npy is not a valid .npy array: it starts with b'0.5,1.', not b'\\x93NUMPY'"),
     (write_zip_as_npy, "samples.npy is a NpzFile archive, not a .npy array"),
     (lambda path: np.save(path, np.array([[0.5, "x"]], dtype=object)),
      "samples.npy is not a valid .npy array: Object arrays cannot be loaded when allow_pickle=False"),
@@ -488,7 +494,7 @@ def write_zip_as_npy(path: Path) -> None:
     (lambda path: np.save(path, np.array([[1, 2], [3, 4]], dtype=np.int64)),
      "samples.npy must hold a 2-D float64 array, got a 2-D int64"),
     (lambda path: np.save(path, np.zeros((3, 2))), "sample sidecar declares shape (2, 2) but data is (3, 2)"),
-], ids=["legacy-csv-only", "truncated", "zip-archive", "pickled-objects", "one-dimensional", "int64",
+], ids=["legacy-csv-only", "truncated", "text", "zip-archive", "pickled-objects", "one-dimensional", "int64",
         "shape-mismatch"])
 def test_malformed_sample_matrix_fails_cleanly(tmp_path, write, message):
     directory = tmp_path / "samples"
@@ -503,6 +509,8 @@ def test_malformed_sample_matrix_fails_cleanly(tmp_path, write, message):
     prefix = "Error: " if message.startswith("sample sidecar") else f"Error: {directory}/"
     assert_clean_error(proc, prefix + message)
     assert proc.stderr.count("\n") == 1  # one line
+    if write is write_text:
+        assert "pickle" not in proc.stderr
 
 
 def rewrite_pairs(**changes):
@@ -520,7 +528,7 @@ def write_truncated_npz(path: Path) -> None:
 
 @pytest.mark.parametrize("write, message", [
     (Path.unlink, "pairs.npz is missing"),
-    (lambda path: path.write_text("0.5,1.5\n"), "pairs.npz is not a valid npz archive: "),
+    (write_text, "pairs.npz is not a valid npz archive: "),
     (write_truncated_npz, "pairs.npz is not a valid npz archive: "),
     (lambda path: np.save(path.with_suffix(".npy"), np.zeros(6)) or path.with_suffix(".npy").rename(path),
      "pairs.npz is a .npy array, not an npz archive"),
@@ -552,6 +560,8 @@ def test_malformed_result_pairs_fail_cleanly(tmp_path, write, message):
     with mock.patch("ggmlearn.cli.main", lambda standalone_mode: load_result(tmp_path)):
         proc = run_cli("learn.json", tmp_path / "out")
     assert_clean_error(proc, f"Error: {info.value}\n")
+    if write is write_text:
+        assert "pickle" not in proc.stderr
 
 
 def test_legacy_sample_conversion_command_runs(tmp_path):

@@ -306,6 +306,30 @@ def test_separation_profile_pinned_to_brute_force(g):
     assert prof.eta == max(map(len, expected.values())) == 4
 
 
+@st.composite
+def generated_graphs(draw):
+    """A small ER, 3-regular or torus graph from the package's generators."""
+    kind = draw(st.sampled_from(["er", "regular", "torus"]))
+    if kind == "torus":
+        d = draw(st.integers(1, 3))
+        return torus_grid(draw(st.integers(2, {1: 30, 2: 6, 3: 3}[d])), d)
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "regular":
+        return generate_regular(2 * draw(st.integers(2, 20)), 3, seed)
+    p = draw(st.integers(2, 40))
+    return generate_er(p, draw(st.floats(0.5, min(4.0, p))), seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(generated_graphs(), st.integers(0, 5))
+def test_separation_profile_matches_local_separator(g, gamma):
+    # the profile shares each ball's first search and skips pairs outside
+    # the ball; neither may change a separator or the pairs' order
+    expected = [((i, j), local_separator(g, i, j, gamma))
+                for i, j in combinations(range(g.p), 2) if not g.has_edge(i, j)]
+    assert list(separation_profile(g, gamma).separators.items()) == expected
+
+
 # sha256 of repr((eta, separator items in order)); a rewrite of the
 # separator search must leave every entry as it is
 SEPARATOR_DIGESTS = {
