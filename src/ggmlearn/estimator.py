@@ -508,10 +508,12 @@ def _complete(sigma: np.ndarray, size: int, statistic: str, cond_limit: float, u
                 _key(key, _minus(c_uu, a, a, piv[ks], a), _minus(c_vv, b, b, piv[ks], b), statistic, key, den)
             pos = key.argmin(axis=1)
             low = key[rows, pos]
-            for t in np.flatnonzero(low < best[gu, gv]).tolist():
-                best[gu[t], gv[t]] = low[t]
-                arg[gu[t], gv[t]] = len(winners)
-                winners.append(prefix + tuple(int(col[k0 + pos[t]]) for col in last[:batch]))
+            won = np.flatnonzero(low < best[gu, gv])  # distinct pairs, so one assignment merges them
+            wu, wv = gu[won], gv[won]
+            best[wu, wv] = low[won]
+            arg[wu, wv] = np.arange(len(winners), len(winners) + len(won))
+            tails = zip(*(col[k0 + pos[won]].tolist() for col in last[:batch]))
+            winners.extend(prefix + tail for tail in tails)
 
 
 def min_conditional_statistic(

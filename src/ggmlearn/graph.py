@@ -501,6 +501,12 @@ class EnsembleConfig:
         return self.m**self.d if self.kind == "torus" else self.p
 
     @property
+    def randomized(self) -> bool:
+        """Whether :meth:`build` reads its seed: true for the kinds with a
+        density field, false for the deterministic ones."""
+        return _KINDS[self.kind][2] is not None
+
+    @property
     def density_param(self) -> float:
         """The c-or-delta column reported by sweeps; 0 for fixed graphs."""
         *_, density = _KINDS[self.kind]
@@ -512,11 +518,10 @@ class EnsembleConfig:
         complexity bound: the density (c plus the grid's 2d for a small
         world, or delta) of a randomized kind, otherwise the exact mean
         degree 2|E|/p of the deterministic graph."""
-        *_, density = _KINDS[self.kind]
-        if density is None:
+        if not self.randomized:
             g = self.build(0)
             return 2.0 * g.n_edges / g.p
-        rate = float(getattr(self, density))
+        rate = self.density_param
         return rate if self.d is None else rate + 2.0 * self.d
 
     def build(self, seed: int) -> Graph:

@@ -153,7 +153,8 @@ def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
 class GaussianModel:
     """A precision matrix tied to its sparsity graph.
 
-    The covariance is computed lazily on first access and cached.
+    The covariance and its Cholesky factor are computed lazily on first
+    access and cached.
 
     :param graph: sparsity pattern; J[u, v] must be nonzero exactly on edges.
     :param precision: symmetric positive definite matrix of shape (p, p).
@@ -181,6 +182,7 @@ class GaussianModel:
         self.meta = dict(meta or {})
         self.alpha = walk_summability_alpha(j)
         self._sigma: np.ndarray | None = None
+        self._factor: np.ndarray | None = None
 
     @property
     def p(self) -> int:
@@ -219,6 +221,14 @@ class GaussianModel:
             self._sigma = exact_covariance(self.precision)
             self._sigma.setflags(write=False)
         return self._sigma
+
+    def sigma_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of :meth:`sigma`, the factor the sampler
+        multiplies normal draws by; computed once and cached read-only."""
+        if self._factor is None:
+            self._factor = np.linalg.cholesky(self.sigma())
+            self._factor.setflags(write=False)
+        return self._factor
 
     def __repr__(self) -> str:
         return f"GaussianModel(p={self.p}, alpha={self.alpha:.4f})"

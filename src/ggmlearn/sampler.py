@@ -52,10 +52,9 @@ def sample(model: GaussianModel, n: int, seed: int) -> SampleSet:
     """n i.i.d. rows distributed N(0, Sigma) for the model's covariance."""
     if n < 1:
         raise InvalidParameter(f"need at least one sample, got n={n}")
-    low = np.linalg.cholesky(model.sigma())
     z = _rng(seed).standard_normal((n, model.p))
     meta = {"n": n, "p": model.p, "alpha": model.alpha, "model": dict(model.meta)}
-    return SampleSet(data=z @ low.T, seed=seed, meta=meta)
+    return SampleSet(data=z @ model.sigma_factor().T, seed=seed, meta=meta)
 
 
 def empirical_covariance(x, subtract_mean: bool = False) -> np.ndarray:

@@ -443,6 +443,11 @@ def test_ensemble_config_dispatch_and_validation():
     assert er.nominal_degree == 2.0
     assert EnsembleConfig(kind="regular", p=10, delta=3).nominal_degree == 3.0
     assert explicit.nominal_degree == 2 / 3
+    # the kinds whose build reads its seed
+    assert not any(EnsembleConfig(kind=k, p=6).randomized for k in ("chain", "cycle"))
+    assert not EnsembleConfig(kind="torus", m=3, d=2).randomized and not explicit.randomized
+    assert er.randomized and EnsembleConfig(kind="regular", p=10, delta=3).randomized
+    assert EnsembleConfig(kind="smallworld", p=16, d=2, c=1.0).randomized
 
 
 KIND_FIELDS = {

@@ -1,5 +1,9 @@
+import dataclasses
+import hashlib
+import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ggmlearn import (
@@ -15,9 +19,14 @@ from ggmlearn import (
     run_config,
     run_manifest,
     run_trial,
+    sample,
     sweep,
+    synthesize_model,
+    torus_grid,
     trial_seed,
 )
+from ggmlearn import harness
+from ggmlearn.graph import _rng
 from ggmlearn.harness import LANE_GRAPH, LANE_NOISE, LANE_SIGNS, SWEEP_HEADER
 
 
@@ -201,3 +210,122 @@ def test_run_manifest_contents():
     assert manifest == again
     other = run_manifest("sweep", chain_config(seed=8).to_dict(), seed=8)
     assert other["config_sha256"] != manifest["config_sha256"]
+
+
+FIXED_ENSEMBLES = {
+    "chain": EnsembleConfig(kind="chain", p=8),
+    "cycle": EnsembleConfig(kind="cycle", p=9),
+    "torus": EnsembleConfig(kind="torus", m=3, d=2),
+    "explicit": EnsembleConfig(kind="explicit", p=7,
+                               edges=((0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 5), (4, 6))),
+}
+RANDOMIZED_ENSEMBLES = {
+    "er": EnsembleConfig(kind="er", p=10, c=2.0),
+    "regular": EnsembleConfig(kind="regular", p=10, delta=3),
+}
+
+
+def _digest_rows() -> dict:
+    """Every fixed kind with every sign pattern and the randomized kinds
+    with attractive and random signs, each in sample mode and in exact mode
+    with the midpoint oracle threshold.  Each ensemble runs both statistics,
+    one per mode, and which mode takes which alternates."""
+    ensembles = [(kind, ens, signs) for (kind, ens), signs
+                 in itertools.product(FIXED_ENSEMBLES.items(), ("attractive", "alternating", "random"))]
+    ensembles += [(kind, ens, signs)
+                  for (kind, ens), signs in itertools.product(RANDOMIZED_ENSEMBLES.items(), ("attractive", "random"))]
+    rows = {}
+    for i, ((kind, ensemble, signs), mode) in enumerate(itertools.product(ensembles, ("sample", "exact"))):
+        statistic = ("covariance", "mutual_information")[(i // 2 + i) % 2]
+        exact = mode == "exact"
+        rows[f"{kind}/{signs}/{mode}/{statistic}"] = TrialConfig(
+            ensemble=ensemble,
+            estimator=EstimatorConfig(eta=1, statistic=statistic, exact_mode=exact),
+            sign_pattern=signs, n=300, trials=4, seed=11,
+            threshold_mode="oracle-midpoint" if exact else "auto", gamma=2 if exact else None)
+    return rows
+
+
+DIGEST_ROWS = _digest_rows()
+
+# sha256 prefix of each row's sweep CSV with the Fano columns and the
+# runtime column zeroed; a change to how trials are run must leave every
+# entry as it is
+SWEEP_DIGESTS = {
+    "chain/attractive/sample/covariance": "d2764771e395c442",
+    "chain/attractive/exact/mutual_information": "1a3c5fd41995dbb4",
+    "chain/alternating/sample/mutual_information": "7747df74bc038a1d",
+    "chain/alternating/exact/covariance": "1a3c5fd41995dbb4",
+    "chain/random/sample/covariance": "788beda835accb8c",
+    "chain/random/exact/mutual_information": "1a3c5fd41995dbb4",
+    "cycle/attractive/sample/mutual_information": "4d99974f90356263",
+    "cycle/attractive/exact/covariance": "e471ca23aeab332e",
+    "cycle/alternating/sample/covariance": "fa427a9bbda310fa",
+    "cycle/alternating/exact/mutual_information": "e471ca23aeab332e",
+    "cycle/random/sample/mutual_information": "93df42ae12b3fdd5",
+    "cycle/random/exact/covariance": "e471ca23aeab332e",
+    "torus/attractive/sample/covariance": "c09360e7fb284ada",
+    "torus/attractive/exact/mutual_information": "97295cbaa6f2addb",
+    "torus/alternating/sample/mutual_information": "8e1188748767b6fe",
+    "torus/alternating/exact/covariance": "97295cbaa6f2addb",
+    "torus/random/sample/covariance": "4a32314f042aade8",
+    "torus/random/exact/mutual_information": "97295cbaa6f2addb",
+    "explicit/attractive/sample/mutual_information": "0e704115f6aa4210",
+    "explicit/attractive/exact/covariance": "f823419dff819c88",
+    "explicit/alternating/sample/covariance": "a2de2ec38689d0fd",
+    "explicit/alternating/exact/mutual_information": "f823419dff819c88",
+    "explicit/random/sample/mutual_information": "e5ef33fbd67683cb",
+    "explicit/random/exact/covariance": "f823419dff819c88",
+    "er/attractive/sample/covariance": "498da9eecb20f723",
+    "er/attractive/exact/mutual_information": "4aa18798dbe7cd3f",
+    "er/random/sample/mutual_information": "65e56f8aee539421",
+    "er/random/exact/covariance": "4aa18798dbe7cd3f",
+    "regular/attractive/sample/covariance": "c62b8b464e1b0fa3",
+    "regular/attractive/exact/mutual_information": "8ed228385aaa3dc9",
+    "regular/random/sample/mutual_information": "4b2f51f75749e4e1",
+    "regular/random/exact/covariance": "8ed228385aaa3dc9",
+}
+
+
+def test_sweep_digests_pinned():
+    got = {name: hashlib.sha256(sweep([cfg], include_fano=True).to_csv(include_runtime=False).encode())
+           .hexdigest()[:16] for name, cfg in DIGEST_ROWS.items()}
+    assert got == SWEEP_DIGESTS
+
+
+@pytest.mark.parametrize("name", DIGEST_ROWS)
+def test_run_config_trials_match_single_trials(name):
+    cfg = DIGEST_ROWS[name]
+    outcomes = run_config(cfg).outcomes
+    assert len(outcomes) == cfg.trials
+    for t, outcome in enumerate(outcomes):
+        assert dataclasses.replace(outcome, runtime_s=0.0) == dataclasses.replace(run_trial(cfg, t), runtime_s=0.0)
+
+
+@pytest.mark.parametrize("name", [name for name in DIGEST_ROWS if "/exact/" in name])
+def test_fixed_rows_build_their_model_once(monkeypatch, name):
+    cfg = DIGEST_ROWS[name]
+    calls = {"synthesize_model": 0, "oracle_gap": 0}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in calls:
+        monkeypatch.setattr(harness, fn, counted(getattr(harness, fn)))
+    run_config(cfg)
+    fixed = cfg.ensemble.kind in FIXED_ENSEMBLES and cfg.sign_pattern != "random"
+    assert calls == dict.fromkeys(calls, 1 if fixed else cfg.trials)
+
+
+def test_sampling_factor_is_cached_read_only():
+    model = synthesize_model(torus_grid(3, 2), 0.5, sign_pattern="alternating")
+    factor = model.sigma_factor()
+    assert factor is model.sigma_factor()
+    assert not factor.flags.writeable
+    low = np.linalg.cholesky(model.sigma())
+    assert np.array_equal(factor, low)
+    # the sampler draws through the cached factor
+    assert np.array_equal(sample(model, 5, 3).data, _rng(3).standard_normal((5, model.p)) @ low.T)
