@@ -13,32 +13,29 @@ One scan serves ``cmit`` (every pair), ``min_conditional_statistic`` (one
 pair) and ``oracle_gap`` (the edges).  It conditions on one vertex at a
 time, as in the partial-correlation recursion of the PC algorithm:
 Sigma(., . | S + k) = Sigma(., . | S) - c c^T / c_k with c = Sigma(., k | S).
-Sets are visited in canonical order (sizes ascending, one depth-first walk
-per size, lexicographic within a size) and a running minimum keeps the
-first set in that order among ties, so results are deterministic.  Size 0,
-and every size at which more than a quarter of all pairs are open, is the
-full-matrix step: each rank-1 step updates the whole p x p matrix and every
-pair's statistic is read off it, the paper's O(p^(eta+2)) time (O(p^eta)
-sets at O(p^2) each) in O((eta+1) p^2) memory.  From size 1 on, once at
-most a quarter of the pairs are open, the pair-set completion finishes
-them together: it walks each prefix (a set but its last one or two
-vertices) once, judges the guard of the prefix's sets from their pivots,
-and applies the last vertices elementwise to the open pairs' 2 x 2 blocks.
-Size s then costs O(p^s) per open pair plus O(p^s) for the walk and the
-guard, in chunks of at most 2^15 (pair, set) entries, 256 KB per scratch
-array whatever p.  Both steps share their floating point operations and
-their order, so they agree bit for bit, and neither allocates per set.
-The conditional covariance for one fixed set is
-``model.conditional_covariance_exact``.
+Sets are visited in canonical order (sizes ascending, lexicographic within
+a size) and a running minimum keeps the first set in that order among
+ties, so results are deterministic.  Size 0 reads every pair's statistic
+off Sigma.  Every size from 1 on runs the pair-set completion on the open
+pairs: one depth-first walk visits each prefix (a set but its last one or
+two vertices) once and judges the guard of the prefix's sets from their
+pivots.  Per prefix the open vertices' rows are gathered once, and per
+chunk of sets each open vertex's conditional row (for mutual information
+also its conditional variance) is computed once, and each pair's
+c(u, v | prefix + m) once per vertex m; the pairs gather these.  With every
+pair open, size s costs O(p^s) sets at O(p^2) each, the paper's
+O(p^(eta+2)) time.  Memory is O(eta p^2) for the walk's levels and the
+gathered rows; every other array of the completion holds at most 2^15
+entries, 256 KB whatever p.  A pair goes through the same floating point
+operations in the same order whichever pairs are open, so its result
+does not depend on the others.  The conditional covariance for one fixed
+set is ``model.conditional_covariance_exact``.
 
 Mutual information is minimized on its key rho^2 = cov^2 / (var_i var_j),
 on which it is increasing, and each pair's minimum is converted to
 -0.5 * ln(1 - rho^2) once at the end; ties are therefore ties of rho^2.
-The running minimum of rho^2 starts at 1, above every defined key, so an
-undefined one (rho^2 >= 1 or NaN) never wins unmasked; the full-matrix
-step masks a variance product <= 0 only at a set that leaves a
-conditional variance <= 0 (-0.0 included) off its own rows, since two
-positive variances have a nonnegative product.
+An undefined key (NaN, a variance product <= 0, -0.0 included, or rho^2
+>= 1) reads as infinite, so it never wins.
 
 A set S is skipped when its block Sigma[S, S] fails the conditioning
 guard on the Schur pivots Sigma(k, k | the members of S below k) that the
@@ -60,10 +57,9 @@ is that of the full scan, and edges keep their exact minima and sets.  A
 stopped pair is reported with status ``early_exit`` and that minimum, an
 upper bound of its full minimum; this is the smallest value of that size
 class, not the first set found below the threshold.  Stopped pairs leave
-the open count, so the completion takes over once at most a quarter
-remain, and the scan ends once every pair has stopped.  ``early_exit=False``
-gives every pair its exact minimum, as ``min_conditional_statistic`` and
-``oracle_gap`` always do.
+the completion, and the scan ends once every pair has stopped.
+``early_exit=False`` gives every pair its exact minimum, as
+``min_conditional_statistic`` and ``oracle_gap`` always do.
 
 ``EstimationResult`` keeps the pair outcomes as arrays.  ``summary()`` is
 its small ``result.json`` record (header, edge records, status counts) and
@@ -292,7 +288,7 @@ class EstimationResult:
 
 def _minus(head, x, y, pivot, out: np.ndarray) -> np.ndarray:
     """head - x * y / pivot into ``out``, the operations of a rank-1 Schur
-    step in one order, which both steps of the scan share."""
+    step in one order, which the walk and the completion share."""
     np.multiply(x, y, out=out)
     np.divide(out, pivot, out=out)
     return np.subtract(head, out, out=out)
@@ -335,23 +331,17 @@ def _walk(sigma: np.ndarray, size: int, cond_limit: float, var=None, members=(),
         yield from _walk(buf, size, cond_limit, var, members + (k,), k + 1, lows[pos], highs[pos], bufs)
 
 
-def _key(cov, var_i, var_j, statistic: str, out=None, den=None, bad=None, masked=True):
+def _key(cov, var_i, var_j, statistic: str):
     """The key a pair's statistic is minimized on, from its conditional
     2 x 2 block: |cov| for covariance, rho^2 = cov^2 / (var_i var_j) for
-    mutual information, infinite where that is undefined (variance product
-    not positive, or rho^2 not below one) unless ``masked`` is False.
-    ``out``, ``den`` and ``bad`` are optional scratch arrays of the
-    result's shape.  Callers silence the warnings of undefined entries."""
+    mutual information, infinite where that is undefined (NaN, a variance
+    product not positive, or rho^2 not below one), written over ``cov``.
+    Callers silence the warnings of undefined entries."""
     if statistic == "covariance":
-        return np.abs(cov, out=out)
-    den = np.multiply(var_i, var_j, out=den)
-    key = np.multiply(cov, cov, out=out)
-    np.divide(key, den, out=key)
-    if not masked:
-        return key
-    bad = np.less_equal(den, 0.0, out=bad)
-    np.copyto(key, np.inf, where=bad)
-    np.copyto(key, np.inf, where=np.logical_not(np.less(key, 1.0, out=bad), out=bad))
+        return np.fmin(np.abs(cov, out=cov), np.inf, out=cov)  # NaN -> inf
+    den = var_i * var_j
+    key = np.divide(np.multiply(cov, cov, out=cov), den, out=cov)
+    np.copyto(key, np.inf, where=~((den > 0.0) & (key < 1.0)))
     return key
 
 
@@ -369,68 +359,43 @@ def _max_size(eta: int, n: int | None) -> int:
     return eta if n is None else min(eta, n - 1)
 
 
-_CHUNK = 2**15  # (pair, set) entries per scratch array of the completion: 256 KB
+_CHUNK = 2**15  # entries per (vertex or pair) x (set or m) array of the completion: 256 KB
 
 
 def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str, cond_limit: float,
               threshold: float | None):
     """Minimize the key of the pairs that ``todo``, a p x p mask True above
-    the diagonal only, marks; the module docstring gives the two steps.
+    the diagonal only, marks; the module docstring gives the scan.
 
-    The full-matrix step reads the key of all pairs off each set's matrix,
-    masks the rows and columns of the set's members, and keeps the first
-    set in canonical order among ties with a strict ``<``.  With a
+    Size 0 reads every pair's key off Sigma, and each size from 1 to
+    ``max_size`` runs the completion on the pairs still open.  With a
     ``threshold`` (early exit) a pair is frozen after the first size class
     that brings its minimum statistic to the threshold or below.  Returns,
     for the marked pairs in row-major order, the minimum key (infinite if
-    no set improved it), the index of its set in the returned list of sets
-    (-1 for none) and the early-exit flag, and that list, which holds only
-    the sets some marked pair ends with.
+    no set gave a defined one), the index of its set in the returned list
+    of sets (-1 for none) and the early-exit flag, and that list, which
+    holds only the sets some marked pair ends with.
     """
-    p = sigma.shape[0]
-    mi = statistic == "mutual_information"
-    best = np.full((p, p), 1.0 if mi else np.inf)
-    arg = np.full((p, p), -1, dtype=np.intp)
-    stat, den = np.empty((p, p)), np.empty((p, p))
-    better, bad = np.empty((p, p), dtype=bool), np.empty((p, p), dtype=bool)
-    low = np.empty(p, dtype=bool)
-    frozen = ~todo  # so the diagonal, the lower triangle and unmarked pairs never open
-    winners: list[tuple[int, ...]] = []
-    for size in range(max_size + 1):
-        open_pairs = ~frozen
-        still_open = np.count_nonzero(open_pairs)
-        if still_open == 0:
-            break
-        if size >= 1 and 8 * still_open <= p * (p - 1):
-            _complete(sigma, size, statistic, cond_limit, *np.divmod(np.flatnonzero(open_pairs), p), best, arg, winners)
-        else:
-            for subset, cond, *_ in _walk(sigma, size, cond_limit):
-                d = cond.diagonal()
-                if mi:
-                    # the set's own rows and columns are masked below
-                    np.less_equal(d, 0.0, out=low)
-                    low[list(subset)] = False
-                _key(cond, d[:, None], d, statistic, stat, den, bad, masked=mi and low.any())
-                np.less(stat, best, out=better)
-                for k in subset:
-                    better[k] = False
-                    better[:, k] = False
-                if 2 * still_open < p * (p - 1):
-                    better &= open_pairs
-                if better.any():
-                    np.copyto(best, stat, where=better)
-                    np.copyto(arg, len(winners), where=better)
-                    winners.append(subset)
+    us, vs = np.nonzero(todo)
+    var = sigma.diagonal()
+    best = _key(sigma[us, vs], var[us], var[vs], statistic)
+    arg = np.where(best < np.inf, 0, -1)
+    winners: list[tuple[int, ...]] = [()]
+    frozen = np.zeros(len(us), dtype=bool)
+    for size in range(1, max_size + 2):  # the pass after the last size only freezes
         if threshold is not None:
             frozen |= _value(best, statistic) <= threshold
-    marked = np.flatnonzero(todo)
-    keys, sets = best.take(marked), arg.take(marked)
-    keys[sets < 0] = np.inf  # pairs no set improved
+        if size > max_size or frozen.all():
+            break
+        t = np.flatnonzero(~frozen)
+        keys, sets = best[t], arg[t]
+        _complete(sigma, size, statistic, cond_limit, us[t], vs[t], keys, sets, winners)
+        best[t], arg[t] = keys, sets
     used = np.zeros(len(winners) + 1, dtype=bool)  # the winners some marked pair still references
-    used[sets] = True
+    used[arg] = True
     used[-1] = False  # the extra last entry is index -1, which stays -1
     remap = np.where(used, np.cumsum(used) - 1, -1)
-    return keys, remap[sets], frozen.take(marked), list(itertools.compress(winners, used.tolist()))
+    return best, remap[arg], frozen, list(itertools.compress(winners, used.tolist()))
 
 
 @lru_cache(maxsize=4)  # a scan uses one p
@@ -446,22 +411,34 @@ def _position_pairs(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _complete(sigma: np.ndarray, size: int, statistic: str, cond_limit: float, us: np.ndarray,
               vs: np.ndarray, best: np.ndarray, arg: np.ndarray, winners: list):
-    """Merge the sets of ``size`` >= 1 vertices into the running minima of
-    the pairs (us[t], vs[t]) by the pair-set completion.
+    """Merge the sets of ``size`` >= 1 vertices into the running minima
+    best[t] and arg[t] of the pairs (us[t], vs[t]).
 
-    The guard reads the prefix's smallest pivot and largest variance off
-    the walk, and the pivots of the last vertices, the denominators of the
-    steps below.  The sets of a prefix that pass it form the set axis of
-    (pair x set) arrays over the open pairs that do not meet the prefix,
-    chunked to at most ``_CHUNK`` entries.  A set holding u or v reads a
-    NaN from the pair's copy of row u, and a NaN key never wins.  The first
-    argmin along the set axis is the first set in canonical order, and a
-    strict ``<`` merges it into the running minimum.
+    The guard of a prefix's sets, (l,) or (m, l) after the prefix, reads
+    the prefix's smallest pivot and largest variance off the walk, and the
+    pivots of the last vertices, the denominators of the steps below.  The
+    open vertices' rows of Sigma(., . | prefix) are gathered once, with a
+    NaN at each one's own column, so a set holding u or v gives the pair
+    (u, v) a NaN key, which never wins.  Per chunk of sets each vertex w
+    gets c(w, l | prefix + m) (for mutual information also c(w, w | set))
+    once, and each pair c(u, v | prefix + m) once per m.  These (vertex x
+    set), (pair x set) and (pair x m) arrays hold at most ``_CHUNK``
+    entries; above ``_CHUNK`` vertices the pairs go in blocks of
+    ``_CHUNK // 2``.  A pair keeps its first argmin, the first set in
+    canonical order, and merges it with a strict ``<`` after the prefix,
+    so winners are listed by prefix, then by pair.
     """
     p = sigma.shape[0]
     batch = min(size, 2)
-    scratch = np.empty((9, _CHUNK))
+    mi = statistic == "mutual_information"
     var = sigma.diagonal()
+    blocks = []  # (pairs, their vertices, each pair's two ends among them, sets per chunk)
+    block = max(len(us), 1) if p <= _CHUNK else _CHUNK // 2
+    for b0 in range(0, len(us), block):
+        bs = slice(b0, b0 + block)
+        verts = np.flatnonzero(np.bincount(us[bs], minlength=p) + np.bincount(vs[bs], minlength=p))
+        ends = np.searchsorted(verts, us[bs]), np.searchsorted(verts, vs[bs])
+        blocks.append((bs, verts, *ends, max(1, _CHUNK // len(verts))))
     for prefix, cond, lo, hi in _walk(sigma, size - batch, cond_limit):
         dg = cond.diagonal()
         if batch == 1:  # sets (l,): l and its pivot Sigma(l, l)
@@ -476,44 +453,50 @@ def _complete(sigma: np.ndarray, size: int, statistic: str, cond_limit: float, u
             ok &= _guard(last[4], var.take(l), lo_m, hi_m, cond_limit)[0]
         last = last if ok.all() else tuple(col[ok] for col in last)
         l, piv = last[batch - 1], last[-1]
-        if batch == 2:
+        if batch == 2:  # also the distinct m, the index of each set's m among them, and their pivots
             m, _, pm, c_lm, _ = last
+            first = np.ones(len(m), dtype=bool)
+            first[1:] = m[1:] != m[:-1]
+            ms, pms, mrun = m[first], pm[first], np.cumsum(first) - 1
+        # a pair that meets the prefix is computed with the others but never merged
         keep = ~(np.equal.outer(us, prefix).any(axis=1) | np.equal.outer(vs, prefix).any(axis=1))
-        pu, pv = us[keep], vs[keep]
-        width = min(len(l), _CHUNK) or 1
-        group = max(1, min(_CHUNK // width, _CHUNK // p))
-        for t0, k0 in itertools.product(range(0, len(pu), group), range(0, len(l), width)):
-            gu, gv, ks = pu[t0:t0 + group], pv[t0:t0 + group], slice(k0, k0 + width)
-            rows = np.arange(len(gu))
-            ru, rv = cond[gu], cond[gv]
-            ru[rows, gu] = ru[rows, gv] = np.nan
-            shape = (len(gu), len(l[ks]))
-            a, b, am, bm, c_uv, c_uu, c_vv, key, den = (x[:shape[0] * shape[1]].reshape(shape) for x in scratch)
-            np.take(ru, l[ks], axis=1, out=a, mode="clip")
-            np.take(rv, l[ks], axis=1, out=b, mode="clip")
-            heads = cond[gu, gv][:, None], dg[gu][:, None], dg[gv][:, None]
-            if batch == 1:
-                c_uv, c_uu, c_vv = heads
-            else:  # condition on m, then on l, as the full-matrix step does
-                np.take(ru, m[ks], axis=1, out=am, mode="clip")
-                np.take(rv, m[ks], axis=1, out=bm, mode="clip")
-                c_uv = _minus(heads[0], am, bm, pm[ks], c_uv)
-                if statistic != "covariance":
-                    c_uu, c_vv = _minus(heads[1], am, am, pm[ks], c_uu), _minus(heads[2], bm, bm, pm[ks], c_vv)
-                a, b = _minus(a, am, c_lm[ks], pm[ks], am), _minus(b, bm, c_lm[ks], pm[ks], bm)
-            _minus(c_uv, a, b, piv[ks], key)
-            if statistic == "covariance":
-                np.fmin(np.abs(key, out=key), np.inf, out=key)  # NaN -> inf
-            else:
-                _key(key, _minus(c_uu, a, a, piv[ks], a), _minus(c_vv, b, b, piv[ks], b), statistic, key, den)
-            pos = key.argmin(axis=1)
-            low = key[rows, pos]
-            won = np.flatnonzero(low < best[gu, gv])  # distinct pairs, so one assignment merges them
-            wu, wv = gu[won], gv[won]
-            best[wu, wv] = low[won]
-            arg[wu, wv] = np.arange(len(winners), len(winners) + len(won))
-            tails = zip(*(col[k0 + pos[won]].tolist() for col in last[:batch]))
-            winners.extend(prefix + tail for tail in tails)
+        for bs, verts, iu, iv, width in blocks:
+            group = _CHUNK // width
+            rows = cond.take(verts, axis=0)  # the open vertices' rows, NaN at each one's own column
+            rows[np.arange(len(verts)), verts] = np.nan
+            heads, dv = cond[us[bs], vs[bs]][:, None], dg[verts][:, None]
+            low, at = np.full(len(iu), np.inf), np.zeros(len(iu), dtype=np.intp)  # minima over the prefix's sets
+            for k0 in range(0, len(l), width):
+                ks = slice(k0, k0 + width)
+                a, v = rows[:, l[ks]], dv  # c(w, l | prefix), c(w, w | prefix)
+                if batch == 2:  # condition on m, then on l, in the order of the rank-1 steps
+                    counts = np.bincount(mrun[ks] - mrun[k0])  # the chunk's sets per m
+                    js = slice(mrun[k0], mrun[k0] + len(counts))
+                    a_m = rows[:, ms[js]]  # c(w, m | prefix) per m
+                    a_ms = np.repeat(a_m, counts, axis=1)
+                    if mi:
+                        v = _minus(dv, a_ms, a_ms, pm[ks], np.empty_like(a))  # c(w, w | prefix + m)
+                    a = _minus(a, a_ms, c_lm[ks], pm[ks], a_ms)  # c(w, l | prefix + m)
+                if mi:
+                    v = _minus(v, a, a, piv[ks], np.empty_like(a))  # c(w, w | the set)
+                for g0 in range(0, len(iu), group):
+                    gs = slice(g0, g0 + group)
+                    gi, gj = iu[gs], iv[gs]
+                    c = heads[gs]
+                    if batch == 2:  # c(u, v | prefix + m) once per m, repeated per set
+                        x = a_m[gi]
+                        c = np.repeat(_minus(c, x, a_m[gj], pms[js], x), counts, axis=1)
+                    x = a[gi]
+                    key = _key(_minus(c, x, a[gj], piv[ks], x), v[gi], v[gj], statistic)
+                    pos = key.argmin(axis=1)
+                    kmin = key[np.arange(len(gi)), pos]
+                    better = kmin < low[gs]
+                    low[gs][better] = kmin[better]
+                    at[gs][better] = k0 + pos[better]
+            won = np.flatnonzero((low < best[bs]) & keep[bs])
+            best[bs][won] = low[won]
+            arg[bs][won] = np.arange(len(winners), len(winners) + len(won))
+            winners.extend(prefix + tail for tail in zip(*(col[at[won]].tolist() for col in last[:batch])))
 
 
 def min_conditional_statistic(
@@ -539,8 +522,11 @@ def min_conditional_statistic(
     if i == j:
         raise InvalidParameter("pair statistics need distinct vertices")
     _check_scan(eta, statistic, cond_limit)
-    if n is not None and n < 1:
-        raise InvalidParameter(f"need n >= 1 samples, got n={n}")
+    if n is not None:
+        if type(n) is not int:  # the common case; a bool's type is not int
+            check_nonnegative_int("n", n)
+        if n < 1:
+            raise InvalidParameter(f"need n >= 1 samples, got n={n}")
     todo = np.zeros(sigma.shape, dtype=bool)
     todo[min(i, j), max(i, j)] = True
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -117,20 +117,23 @@ def truncated_walksum_covariance(r, n_terms: int) -> np.ndarray:
     return acc
 
 
-def _check_pair(sigma: np.ndarray, i: int, j: int, cond_set) -> list[int]:
-    """Validate a pair (i, j) and a conditioning set S against sigma's
-    dimension; returns S as a list of ints."""
+def _check_pair(sigma: np.ndarray, i: int, j: int, cond_set) -> np.ndarray:
+    """Validate a pair (i, j) and a conditioning set S of integer labels
+    (numpy integers too, not bools) against sigma; returns S as indices."""
     p = sigma.shape[0]
-    cond = [int(s) for s in cond_set]
+    cond = tuple(cond_set)
+    for x in (i, j, *cond):
+        if type(x) is not int:  # the common case; a bool's type is not int
+            check_nonnegative_int("vertex", x)
     if not (0 <= i < p and 0 <= j < p):
         raise InvalidParameter(f"indices ({i}, {j}) out of range for p={p}")
     if i in cond or j in cond:
         raise InvalidParameter("conditioning set must exclude i and j")
     if len(set(cond)) != len(cond):
         raise InvalidParameter("conditioning set has repeated vertices")
-    if any(not 0 <= s < p for s in cond):
-        raise InvalidParameter(f"conditioning set {cond} out of range for p={p}")
-    return cond
+    if cond and not (min(cond) >= 0 and max(cond) < p):
+        raise InvalidParameter(f"conditioning set {[int(s) for s in cond]} out of range for p={p}")
+    return np.array(cond, dtype=np.intp)
 
 
 def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
@@ -139,14 +142,13 @@ def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
     Works for i == j (conditional variance).  S may be empty.
     """
     sigma = _as_square(sigma, "covariance matrix")
-    cond = _check_pair(sigma, i, j, cond_set)
-    if not cond:
+    idx = _check_pair(sigma, i, j, cond_set)
+    if not len(idx):
         return float(sigma[i, j])
-    idx = np.array(cond, dtype=np.intp)
     try:
         solved = np.linalg.solve(sigma[idx[:, None], idx], sigma[idx, j])
     except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"singular conditioning block for S={cond}: {exc}") from exc
+        raise NumericFailure(f"singular conditioning block for S={idx.tolist()}: {exc}") from exc
     return float(sigma[i, j] - sigma[i, idx] @ solved)
 
 

@@ -71,6 +71,31 @@ def test_pair_validation_shared_with_exact_model(i, j, cond, message):
         conditional_covariance_exact(np.eye(4), i, j, cond)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda s: conditional_covariance_exact(s, 0, 2, (1.7,)), "vertex must be int, got float 1.7"),
+    (lambda s: conditional_covariance_exact(s, 0, 2, (True,)), "vertex must be int, got bool True"),
+    (lambda s: conditional_covariance_exact(s, 0, 2, ("1",)), "vertex must be int, got str '1'"),
+    (lambda s: conditional_covariance_exact(s, 0, 2.0, (1,)), "vertex must be int, got float 2.0"),
+    (lambda s: conditional_covariance_exact(s, True, 2), "vertex must be int, got bool True"),
+    (lambda s: min_conditional_statistic(s, 0, 1.5, 1), "vertex must be int, got float 1.5"),
+    (lambda s: min_conditional_statistic(s, 0, 1, 1, n=10.5), "n must be int, got float 10.5"),
+    (lambda s: min_conditional_statistic(s, 0, 1, 1, n=True), "n must be int, got bool True"),
+], ids=["set-float", "set-bool", "set-str", "j-float", "i-bool", "pair-j-float", "pair-n-float", "pair-n-bool"])
+def test_non_integer_labels_and_sample_sizes_are_rejected(call, message):
+    # int() used to read 1.7, True and "1" as vertex 1, and a float i or j
+    # ended in an IndexError
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        call(np.eye(4) + 0.1)
+
+
+def test_numpy_integer_labels_are_accepted():
+    sigma = chain_model().sigma()
+    assert conditional_covariance_exact(sigma, np.int64(0), np.int32(2), (np.int64(1), 3)) == \
+        conditional_covariance_exact(sigma, 0, 2, (1, 3))
+    assert min_conditional_statistic(sigma, np.int64(0), 2, 1, n=np.int64(50)) == \
+        min_conditional_statistic(sigma, 0, 2, 1, n=50)
+
+
 def test_conditional_covariance_empty_set_is_entry():
     m = chain_model()
     sigma = m.sigma()
@@ -352,8 +377,9 @@ def test_cmit_early_exit_same_edges():
 
 
 def test_cmit_pairs_match_single_pair_scan():
-    # the full-matrix step and the pair-set completion share their arithmetic, so
-    # every pair agrees exactly, on both statistics and through eta = 3
+    # cmit completes all pairs together and min_conditional_statistic one pair
+    # alone, with the same operations per pair and set, so every pair agrees
+    # exactly, on both statistics and through eta = 3
     m = random_sparse_model(9, 4, target_alpha=0.5)
     data = sample(m, 800, seed=5)
     sigma = data.empirical_covariance()
@@ -372,8 +398,9 @@ def _quantized(x, step):
 def _digest_runs(family: str) -> dict:
     """eta -> (cmit source, n or None, exact-mode xi or None) of a family:
     ER c=4 models (p = 40, 40, 30, 20 for eta = 0..3), whose open pairs
-    after a size class range from far above to below a quarter of all
-    pairs, and a 12-cycle, whose n=3 samples cap the sets at two vertices."""
+    after a size class range from all pairs (full scans) to a few with
+    early exit, and a 12-cycle, whose n=3 samples cap the sets at two
+    vertices."""
     kind, mode = family.split("-")
     if kind == "er":
         models = {eta: synthesize_model(generate_er(p, 4.0, 1), 0.8, sign_pattern="random", seed=2)
@@ -577,19 +604,30 @@ def test_oracle_gap_digests_pinned():
 
 @pytest.mark.parametrize("chunk", [5, 64])
 def test_completion_chunks_give_the_default_result(monkeypatch, chunk):
-    # tier-1 inputs never fill a 2^15-entry chunk; 5 entries take one pair
-    # and five sets at a time, 64 split the sets of the size-2 prefix and
-    # group up to 64 // p pairs elsewhere, with a shorter last group.
-    # The completion runs at sizes 1-3 on the 12-cycle, at size 2 (and 1
-    # for mutual information) on the ER model, and on the chain's edges.
-    runs = [(*_digest_runs("cycle-sample")[3][:2], eta) for eta in (2, 3)]
-    runs.append((*_digest_runs("er-sample")[3][:2], 2))
+    # tier-1 inputs never fill a 2^15-entry chunk.  5 entries are fewer than
+    # the 12-cycle's 12 open vertices, so its pairs go in blocks of two, each
+    # with its own vertex arrays, and the sets one at a time, which splits
+    # every run of sets (m, l) with one m.  64 entries take 5 sets at a time
+    # on 12 vertices, and the 66 pairs of a full scan in groups of 12 with a
+    # shorter last group.  The completion runs at sizes 1-3 on the 12-cycle
+    # (early exit and full scans), at size 2 (and 1 for mutual information)
+    # on the ER model, and on the chain's edges.  On the exact 4-cycle the
+    # sets (1,) and (3,) tie for the pair (0, 2), one set per chunk at 5
+    # entries, and the first must win.
+    cycle = _digest_runs("cycle-sample")[3][:2]
+    runs = [(*cycle, eta, early_exit) for eta in (2, 3) for early_exit in (True, False)]
+    runs.append((*_digest_runs("er-sample")[3][:2], 2, True))
     chain = synthesize_model(chain_graph(20), 0.5)
+    tie = np.array([np.roll([1, 1 / 4, 1 / 8, 1 / 4], k) for k in range(4)])  # circulant, exact in binary
 
     def outputs():
         out = [oracle_gap(chain, eta=2, gamma=2)]
-        for (data, n, eta), statistic in itertools.product(runs, STATISTICS):
-            result = cmit(data, EstimatorConfig(eta=eta, statistic=statistic, early_exit=True))
+        for statistic in STATISTICS:
+            result = cmit(tie, EstimatorConfig(eta=1, xi=0.1, statistic=statistic, exact_mode=True, early_exit=False))
+            assert result.pairs[0, 2].subset == (1,)
+            out.append(pair_sets(result))
+        for (data, n, eta, early_exit), statistic in itertools.product(runs, STATISTICS):
+            result = cmit(data, EstimatorConfig(eta=eta, statistic=statistic, early_exit=early_exit))
             out.append((result.values.tobytes(), result.status.tobytes(), pair_sets(result)))
             sigma = empirical_covariance(data)
             out.extend(min_conditional_statistic(sigma, u, v, eta, statistic, n=n) for u, v in ((0, 1), (2, 7), (5, 11)))
