@@ -90,8 +90,8 @@ class Graph:
 
     def adjacency_matrix(self) -> np.ndarray:
         a = np.zeros((self.p, self.p), dtype=float)
-        for u, v in self.edges:
-            a[u, v] = a[v, u] = 1.0
+        u, v = np.asarray(self.edges, dtype=np.intp).reshape(-1, 2).T
+        a[u, v] = a[v, u] = 1.0
         return a
 
     def __eq__(self, other) -> bool:

@@ -9,6 +9,39 @@ alpha < 1 makes the covariance a convergent power series in R and bounds
 everything downstream.  |R| is symmetric, so alpha is its top eigenvalue,
 read off a dense symmetric eigensolver; nothing here iterates to a
 tolerance.
+
+Positive definiteness.  A model is accepted only if J is positive definite,
+and walk-summability proves it: with D = diag(J), J = D^(1/2) (I - R)
+D^(1/2), and x' R x <= |x|' |R| |x| <= alpha |x|^2, so
+lambda_min(J) >= (1 - alpha) d_min.  Every Cholesky pivot of J is at least
+lambda_min(J), so when (1 - alpha) d_min > PD_CERTIFICATE_RTOL d_max the
+alpha that :class:`GaussianModel` computes anyway certifies J and no
+factorization runs.  Any other matrix (a diagonal entry <= 0, alpha near or
+above 1, or a diagonal so spread that sqrt(d_i d_j) leaves the normal
+floating-point range) is factored by the Cholesky check below, with its
+messages.
+
+Numeric guards, each a module constant:
+
+* ``PD_PIVOT_RTOL`` (1e-12): a Cholesky factorization is accepted only if
+  every pivot exceeds this times the largest diagonal entry.
+* ``PD_CERTIFICATE_RTOL`` (1e-6): the walk-sum certificate's margin.  The
+  computed alpha and a Cholesky factorization of a matrix with lambda_min
+  above the margin both carry rounding errors of order p times machine
+  epsilon relative to d_max, far below 1e-6 for any p whose dense matrix
+  fits in memory, so a certified matrix's computed pivots stay at least
+  about 1e-6 d_max, six orders of magnitude above the pivot floor.
+* ``INVERSE_RESIDUAL_TOL`` (1e-8): :func:`exact_covariance` checks
+  max |J Sigma - I| against it and fails closed, so a residual that is NaN
+  or infinite is an error too.
+* ``SYMMETRY_RTOL`` (1e-12): a precision matrix may differ from its
+  transpose by this times its largest entry (rounding in a file); it is
+  then averaged with its transpose, and larger asymmetry is an error.
+* ``SYNTHESIS_ALPHA_CHECK`` (1e-9): :func:`synthesize_model` checks the
+  built model's alpha against the target to this.
+
+Every entry point that takes a precision matrix rejects a non-finite entry
+first, naming the first one in row-major order.
 """
 
 from __future__ import annotations
@@ -22,11 +55,14 @@ from .errors import InvalidParameter, NotPositiveDefinite, NumericFailure, Synth
 from .graph import Graph, _rng
 
 PD_PIVOT_RTOL = 1e-12
+PD_CERTIFICATE_RTOL = 1e-6
 INVERSE_RESIDUAL_TOL = 1e-8
 SYMMETRY_RTOL = 1e-12
 SYNTHESIS_ALPHA_CHECK = 1e-9
 
 SIGN_PATTERNS = ("attractive", "alternating", "random")
+
+_NORMAL_MIN = float(np.finfo(float).tiny)
 
 
 def _as_square(m, name="matrix") -> np.ndarray:
@@ -34,6 +70,15 @@ def _as_square(m, name="matrix") -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameter(f"{name} must be square, got shape {m.shape}")
     return m
+
+
+def _as_precision(m) -> np.ndarray:
+    """``m`` as a square float array whose entries are all finite."""
+    j = _as_square(m, "precision matrix")
+    if not np.isfinite(j).all():
+        u, v = (int(x) for x in np.argwhere(~np.isfinite(j))[0])
+        raise InvalidParameter(f"precision matrix entry ({u}, {v}) is {j[u, v]}, not finite")
+    return j
 
 
 def _symmetric(j: np.ndarray) -> np.ndarray:
@@ -63,16 +108,37 @@ def _cholesky_pd(j: np.ndarray) -> np.ndarray:
     return low
 
 
-def partial_correlation_matrix(j) -> np.ndarray:
-    """R with R[i, j] = -J[i, j] / sqrt(J[i, i] J[j, j]) and zero diagonal."""
-    j = _as_square(j, "precision matrix")
+def _positive_diagonal(j: np.ndarray) -> np.ndarray:
     d = np.diag(j)
     if np.any(d <= 0):
         raise InvalidParameter("precision matrix needs strictly positive diagonal")
+    return d
+
+
+def partial_correlation_matrix(j) -> np.ndarray:
+    """R with R[i, j] = -J[i, j] / sqrt(J[i, i] J[j, j]) and zero diagonal."""
+    j = _as_precision(j)
+    d = _positive_diagonal(j)
     scale = np.sqrt(np.outer(d, d))
     r = -j / scale
     np.fill_diagonal(r, 0.0)
     return r
+
+
+def _abs_partial_correlations(j: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """|R| for a precision matrix ``j`` with diagonal ``d > 0``, equal bit
+    for bit to ``np.abs(partial_correlation_matrix(j))``: negation is exact,
+    and rounding is symmetric in sign."""
+    r = np.abs(j) / np.sqrt(np.outer(d, d))
+    np.fill_diagonal(r, 0.0)
+    return r
+
+
+def _top_eigenvalue(a: np.ndarray) -> float:
+    """Top eigenvalue of a symmetric matrix with nonnegative entries, read
+    from one triangle by ``np.linalg.eigvalsh``."""
+    eigenvalues = np.linalg.eigvalsh(a)
+    return max(float(eigenvalues[-1]), 0.0) if eigenvalues.size else 0.0
 
 
 def walk_summability_alpha(j) -> float:
@@ -83,21 +149,37 @@ def walk_summability_alpha(j) -> float:
     ``j`` is symmetrized first (or rejected if it is not symmetric to
     SYMMETRY_RTOL).
     """
-    j = _symmetric(_as_square(j, "precision matrix"))
-    eigenvalues = np.linalg.eigvalsh(np.abs(partial_correlation_matrix(j)))
-    return max(float(eigenvalues[-1]), 0.0) if eigenvalues.size else 0.0
+    j = _symmetric(_as_precision(j))
+    return _top_eigenvalue(_abs_partial_correlations(j, _positive_diagonal(j)))
+
+
+def _alpha_for_certificate(j: np.ndarray, d_min: float, d_max: float) -> float | None:
+    """alpha of the symmetric finite matrix ``j`` with diagonal extremes
+    d_min and d_max, or None when the certificate in the module docstring
+    cannot be read off it: a diagonal entry <= 0, or one so small or large
+    that some d_i d_j is not a finite normal float (then sqrt(d_i d_j) may
+    be rounded beyond use), or an entry of |R| that overflows."""
+    if not (d_min > 0.0 and d_min * d_min >= _NORMAL_MIN and d_max * d_max < math.inf):
+        return None
+    with np.errstate(over="ignore"):
+        r = _abs_partial_correlations(j, np.diag(j))
+    return _top_eigenvalue(r) if np.isfinite(r).all() else None
 
 
 def exact_covariance(j) -> np.ndarray:
     """Covariance J^{-1} via Cholesky, with the residual ||J Sigma - I||_max
-    checked against INVERSE_RESIDUAL_TOL."""
-    j = _as_square(j, "precision matrix")
+    checked against INVERSE_RESIDUAL_TOL.
+
+    The check fails closed: an inverse that overflows gives a NaN or
+    infinite residual, which is reported, not passed."""
+    j = _as_precision(j)
     low = _cholesky_pd(j)
-    low_inv = np.linalg.inv(low)
-    sigma = low_inv.T @ low_inv
-    sigma = (sigma + sigma.T) / 2.0
-    residual = float(np.max(np.abs(j @ sigma - np.eye(j.shape[0]))))
-    if residual > INVERSE_RESIDUAL_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        low_inv = np.linalg.inv(low)
+        sigma = low_inv.T @ low_inv
+        sigma = (sigma + sigma.T) / 2.0
+        residual = float(np.max(np.abs(j @ sigma - np.eye(j.shape[0]))))
+    if not residual <= INVERSE_RESIDUAL_TOL:
         raise NumericFailure(f"inverse residual {residual:.3e} exceeds {INVERSE_RESIDUAL_TOL:.1e}")
     return sigma
 
@@ -152,6 +234,16 @@ def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
     return float(sigma[i, j] - sigma[i, idx] @ solved)
 
 
+def _raise_support_mismatch(graph: Graph, j: np.ndarray) -> None:
+    on_edge = graph.adjacency_matrix() != 0.0
+    # argwhere lists the upper triangle in row-major order, so the
+    # reported pair is the first offending (u, v) with u < v
+    u, v = (int(x) for x in np.argwhere(np.triu(on_edge != (j != 0.0), k=1))[0])
+    if on_edge[u, v]:
+        raise InvalidParameter(f"edge ({u}, {v}) has zero precision entry")
+    raise InvalidParameter(f"non-edge ({u}, {v}) has nonzero precision entry")
+
+
 class GaussianModel:
     """A precision matrix tied to its sparsity graph.
 
@@ -164,25 +256,26 @@ class GaussianModel:
     """
 
     def __init__(self, graph: Graph, precision, meta: dict | None = None):
-        j = _as_square(precision, "precision matrix")
+        j = _as_precision(precision)
         if j.shape[0] != graph.p:
             raise InvalidParameter(f"precision is {j.shape[0]}x{j.shape[0]} but graph has p={graph.p}")
         j = _symmetric(j)
-        on_edge = graph.adjacency_matrix() != 0.0
-        # argwhere lists the upper triangle in row-major order, so the
-        # reported pair is the first offending (u, v) with u < v
-        mismatch = np.argwhere(np.triu(on_edge != (j != 0.0), k=1))
-        if len(mismatch):
-            u, v = (int(x) for x in mismatch[0])
-            if on_edge[u, v]:
-                raise InvalidParameter(f"edge ({u}, {v}) has zero precision entry")
-            raise InvalidParameter(f"non-edge ({u}, {v}) has nonzero precision entry")
-        _cholesky_pd(j)
+        d = np.diag(j)
+        # j is symmetric, so its support matches the graph exactly when every
+        # edge entry is nonzero and the off-diagonal nonzeros number 2|E|
+        u, v = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
+        if np.count_nonzero(j) - np.count_nonzero(d) != 2 * len(u) or not np.all(j[u, v]):
+            _raise_support_mismatch(graph, j)
+        d_min, d_max = float(np.min(d)), float(np.max(d))
+        alpha = _alpha_for_certificate(j, d_min, d_max)
+        # the walk-sum certificate of the module docstring, else Cholesky
+        if alpha is None or not (1.0 - alpha) * d_min > PD_CERTIFICATE_RTOL * d_max:
+            _cholesky_pd(j)
         self.graph = graph
         self.precision = j.copy()
         self.precision.setflags(write=False)
         self.meta = dict(meta or {})
-        self.alpha = walk_summability_alpha(j)
+        self.alpha = _top_eigenvalue(_abs_partial_correlations(j, d)) if alpha is None else alpha
         self._sigma: np.ndarray | None = None
         self._factor: np.ndarray | None = None
 

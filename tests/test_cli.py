@@ -468,6 +468,15 @@ def test_malformed_sidecar_fails_cleanly(tmp_path, kind, sidecar, message):
     assert_clean_error(proc, f"Error: {directory}/{message}")
 
 
+def test_non_finite_precision_fails_cleanly(tmp_path):
+    directory = tmp_path / "model"
+    write_model_dir(directory, "{}")
+    (directory / "precision.csv").write_text("3\n1,0.2,0\n0.2,1,nan\n0,0,1\n")
+    cfg = write_config(tmp_path / "cfg.json", {"model": str(directory), "estimator": {"eta": 1, "exact_mode": True}})
+    proc = run_cli(cfg, tmp_path / "out")
+    assert_clean_error(proc, "Error: precision matrix entry (1, 2) is nan, not finite\n")
+
+
 def write_truncated_npy(path: Path) -> None:
     np.save(path, np.array([[0.5, 1.5], [-0.5, 1.0]]))
     path.write_bytes(path.read_bytes()[:-8])

@@ -32,6 +32,26 @@ from ggmlearn.io import format_edge_list, parse_edge_list
 from helpers import brute_force_local_separator
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 25), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_adjacency_matrix_matches_edge_loop(p, density, seed):
+    rng = np.random.default_rng(seed)
+    edges = [e for e in combinations(range(p), 2) if rng.random() < density]
+    g = Graph(p, edges)
+    want = np.zeros((p, p))
+    for u, v in g.edges:
+        want[u, v] = want[v, u] = 1.0
+    got = g.adjacency_matrix()
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_adjacency_matrix_edge_cases():
+    assert Graph(1).adjacency_matrix().tobytes() == np.zeros((1, 1)).tobytes()
+    assert Graph(4).adjacency_matrix().tobytes() == np.zeros((4, 4)).tobytes()
+    assert np.array_equal(Graph(2, [(1, 0)]).adjacency_matrix(), [[0.0, 1.0], [1.0, 0.0]])
+
+
 def test_graph_normalizes_and_sorts_edges():
     g = Graph(4, [(2, 1), (0, 3), (0, 1)])
     assert g.edges == ((0, 1), (0, 3), (1, 2))

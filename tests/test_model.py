@@ -10,6 +10,7 @@ from ggmlearn import (
     GaussianModel,
     InvalidParameter,
     NotPositiveDefinite,
+    NumericFailure,
     SynthesisFailed,
     chain_graph,
     check_assumptions,
@@ -25,8 +26,10 @@ from ggmlearn import (
     truncated_walksum_covariance,
     walk_summability_alpha,
 )
+from ggmlearn import model as model_module
 from ggmlearn.graph import Graph
 from ggmlearn.io import load_model, save_model
+from ggmlearn.model import PD_CERTIFICATE_RTOL, _cholesky_pd
 
 from helpers import dense_alpha, marginal_precision_conditional_cov, random_sparse_model
 
@@ -415,3 +418,130 @@ def test_model_save_load_round_trip(tmp_path):
     assert np.array_equal(np.asarray(back.precision), np.asarray(m.precision))
     assert back.meta["sign_pattern"] == "random"
     assert back.alpha == pytest.approx(m.alpha, abs=1e-12)
+
+
+@pytest.mark.parametrize("entry", ["model", "alpha", "partial", "covariance"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_precision_entries_are_rejected(entry, value):
+    j = np.eye(3) - 0.3 * chain_graph(3).adjacency_matrix()
+    # (0, 2) precedes (1, 0) in row-major order; (2, 0) stays finite
+    j[1, 0] = j[0, 2] = value
+    call = {
+        "model": lambda m: GaussianModel(chain_graph(3), m),
+        "alpha": walk_summability_alpha,
+        "partial": partial_correlation_matrix,
+        "covariance": exact_covariance,
+    }[entry]
+    with pytest.raises(InvalidParameter, match=rf"^precision matrix entry \(0, 2\) is {value}, not finite$"):
+        call(j)
+
+
+def test_exact_covariance_fails_closed_on_overflowing_inverse():
+    # the inverse overflows to inf, so J Sigma - I holds 0 * inf = nan
+    with pytest.raises(NumericFailure, match="^inverse residual nan exceeds"):
+        exact_covariance(np.diag([1e-320, 1e-320]))
+
+
+@st.composite
+def certificate_cases(draw):
+    """A symmetric J on a random graph: J = D^(1/2) (I - R) D^(1/2) with
+    random signs on R and alpha drawn on both sides of 1 - margin and of 1;
+    then one diagonal entry may be set to zero or a negative value."""
+    p = draw(st.integers(2, 8))
+    pairs = list(combinations(range(p), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    r = np.zeros((p, p))
+    for u, v in edges:
+        r[u, v] = r[v, u] = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    d = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=p, max_size=p)))
+    spread = PD_CERTIFICATE_RTOL * float(d.max() / d.min())
+    target = draw(st.one_of(st.floats(0.01, 1.5), st.floats(0.5, 2.0).map(lambda k: 1.0 - k * spread)))
+    r *= target / float(np.linalg.eigvalsh(np.abs(r))[-1])
+    root = np.sqrt(d)
+    j = -root[:, None] * r * root[None, :]
+    j = (j + j.T) / 2.0
+    np.fill_diagonal(j, d)
+    diagonal = draw(st.sampled_from(["positive", "zero", "negative"]))
+    if diagonal != "positive":
+        i = draw(st.integers(0, p - 1))
+        j[i, i] = 0.0 if diagonal == "zero" else -draw(st.floats(0.01, 10.0))
+    return Graph(p, edges), j
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_cases())
+def test_model_rejects_exactly_what_cholesky_rejects(case):
+    graph, j = case
+    try:
+        _cholesky_pd(j)
+        cholesky_ok = True
+    except NotPositiveDefinite:
+        cholesky_ok = False
+    try:
+        GaussianModel(graph, j)
+        model_ok = True
+    except NotPositiveDefinite:
+        model_ok = False
+    assert model_ok == cholesky_ok
+
+
+@pytest.fixture
+def cholesky_calls(monkeypatch):
+    calls = []
+
+    def spy(j):
+        calls.append(j.shape)
+        return _cholesky_pd(j)
+
+    monkeypatch.setattr(model_module, "_cholesky_pd", spy)
+    return calls
+
+
+def test_walk_summable_models_load_without_cholesky(cholesky_calls):
+    g = chain_graph(400)
+    m = GaussianModel(g, np.eye(400) - 0.3 * g.adjacency_matrix())
+    assert abs(m.alpha - 0.6 * math.cos(math.pi / 401)) <= 1e-12
+    # 1 - alpha just above the margin
+    m = GaussianModel(Graph(2, [(0, 1)]), np.array([[1.0, -(1 - 1.1e-6)], [-(1 - 1.1e-6), 1.0]]))
+    assert m.alpha == 1 - 1.1e-6
+    assert cholesky_calls == []
+
+
+def test_cholesky_runs_where_the_certificate_does_not_hold(cholesky_calls):
+    with pytest.raises(NotPositiveDefinite):
+        GaussianModel(Graph(3), np.diag([1.0, 0.0, 1.0]))
+    assert len(cholesky_calls) == 1
+    # a frustrated triangle: alpha = 1.2 but lambda_min(J) = 0.4, so J loads
+    m = GaussianModel(cycle_graph(3), np.eye(3) + 0.6 * cycle_graph(3).adjacency_matrix())
+    assert m.alpha == pytest.approx(1.2, abs=1e-12)
+    assert len(cholesky_calls) == 2
+    # 1 - alpha just under the margin
+    m = GaussianModel(Graph(2, [(0, 1)]), np.array([[1.0, -(1 - 0.9e-6)], [-(1 - 0.9e-6), 1.0]]))
+    assert m.alpha == 1 - 0.9e-6
+    assert len(cholesky_calls) == 3
+
+
+@pytest.mark.parametrize("diagonal, edge", [
+    (1e200, 1e201),  # d_i d_j overflows: sqrt(d_i d_j) would read inf and |R| 0
+    (1e-150, 1e200),  # entries of |R| overflow, and eigvalsh fails on them at this p
+], ids=["diagonal-product-overflows", "partial-correlation-overflows"])
+def test_certificate_declines_what_it_cannot_read(diagonal, edge, cholesky_calls):
+    g = chain_graph(60)
+    with pytest.raises(NotPositiveDefinite):
+        GaussianModel(g, diagonal * np.eye(60) + edge * g.adjacency_matrix())
+    assert len(cholesky_calls) == 1
+
+
+def test_subnormal_diagonal_products_fall_back_to_cholesky(cholesky_calls):
+    # d_i d_j = 1e-320 is subnormal, so sqrt(d_i d_j) carries few bits
+    m = GaussianModel(Graph(2, [(0, 1)]), np.array([[1e-160, -1e-161], [-1e-161, 1e-160]]))
+    assert m.alpha == pytest.approx(0.1, rel=1e-3)
+    assert len(cholesky_calls) == 1
+
+
+def test_certificate_needs_a_positive_diagonal(monkeypatch):
+    # with d_min < 0, an infinite alpha would make (1 - alpha) d_min = +inf
+    monkeypatch.setattr(model_module, "_top_eigenvalue", lambda a: math.inf)
+    j = np.array([[-1.0, 0.5], [0.5, 1.0]])
+    with pytest.raises(NotPositiveDefinite):
+        GaussianModel(Graph(2, [(0, 1)]), j)
