@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import InvalidParameter, config_kwargs
+from .errors import InvalidParameter, check_fields, config_kwargs
 
 
 def binary_entropy(q: float) -> float:
@@ -179,6 +179,9 @@ class BoundsConfig:
     alpha: float
     epsilon: float = 0.1
     distortion: float = 0.0
+
+    def __post_init__(self):
+        check_fields(self)
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -4,6 +4,7 @@ configuration blocks."""
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
+from functools import cache
 from numbers import Integral, Real
 
 
@@ -32,9 +33,8 @@ class SynthesisFailed(GgmError, RuntimeError):
 
 
 def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a field annotation.  An integer fits a
-    float, a list fits a tuple, and a bool fits neither an int nor a float.
-    A nested configuration block checks its own values."""
+    """Whether a value fits a field annotation.  An integer fits a float, a
+    list fits a tuple, and a bool fits neither an int nor a float."""
     origin = typing.get_origin(hint)
     if origin is types.UnionType:
         return any(_fits(value, h) for h in typing.get_args(hint))
@@ -49,8 +49,6 @@ def _fits(value, hint) -> bool:
         return len(value) == len(args) and all(_fits(v, h) for v, h in zip(value, args))
     if hint in (int, float):
         return isinstance(value, Integral if hint is int else Real) and not isinstance(value, bool)
-    if is_dataclass(hint):
-        return True
     return isinstance(value, hint)
 
 
@@ -69,23 +67,37 @@ def check_nonnegative_int(label: str, value) -> None:
         raise InvalidParameter(f"{label} must be nonnegative, got {value!r}")
 
 
-def config_kwargs(cls, data, ignore=()) -> dict:
-    """A configuration block as keyword arguments of the dataclass ``cls``,
-    minus ``ignore``; a non-object block, unknown key, missing required
-    field or value that does not fit the field's annotation raises
-    InvalidParameter naming it."""
+@cache
+def _field_hints(cls) -> dict:
+    return typing.get_type_hints(cls)
+
+
+def check_fields(config) -> None:
+    """Raise InvalidParameter naming the first field of the dataclass
+    instance ``config`` whose value does not fit its annotation; the
+    configuration blocks call it when they are built."""
+    for name, hint in _field_hints(type(config)).items():
+        check_type(name, getattr(config, name), hint)
+
+
+def config_kwargs(cls, data) -> dict:
+    """A configuration block as keyword arguments of the dataclass ``cls``;
+    a non-object block, unknown key, missing required field or value that
+    does not fit the field's annotation raises InvalidParameter naming it,
+    with the value as the block holds it, before ``from_dict`` converts any
+    (a nested block is checked when it is built)."""
     name = cls.__name__
     if not isinstance(data, dict):
         raise InvalidParameter(f"{name} block must be an object, got {type(data).__name__}")
     known = {f.name: f for f in fields(cls)}
     for key in data:
-        if key not in known and key not in ignore:
+        if key not in known:
             raise InvalidParameter(f"{name} block has unknown key {key!r}; known keys: {', '.join(known)}")
     for key, f in known.items():
         if key not in data and f.default is MISSING and f.default_factory is MISSING:
             raise InvalidParameter(f"{name} block is missing the required key {key!r}")
-    hints = typing.get_type_hints(cls)
+    hints = _field_hints(cls)
     for key, value in data.items():
-        if key not in ignore:
+        if not is_dataclass(hints[key]):
             check_type(f"{name} block key {key!r}", value, hints[key])
-    return {k: v for k, v in data.items() if k not in ignore}
+    return dict(data)

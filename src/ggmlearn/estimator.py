@@ -64,8 +64,7 @@ the completion, and the scan ends once every pair has stopped.
 ``EstimationResult`` keeps the pair outcomes as arrays.  ``summary()`` is
 its small ``result.json`` record (header, edge records, status counts) and
 ``io.save_result`` writes the arrays beside it as ``pairs.npz``;
-``to_dict`` lists every pair, as ``result.json`` did before, and
-``from_dict`` reads that record back.
+``io.load_result`` reads the two back through ``from_header``.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import InvalidParameter, check_nonnegative_int, config_kwargs
+from .errors import InvalidParameter, check_fields, check_nonnegative_int, config_kwargs
 from .graph import Graph, separation_profile
 from .model import GaussianModel, _as_square, _check_pair, conditional_covariance_exact
 from .sampler import SampleSet, empirical_covariance
@@ -94,9 +93,15 @@ def default_threshold(n: int, p: int, kappa: float = DEFAULT_KAPPA) -> float:
     """xi = kappa * sqrt(ln(p) / n)."""
     if n < 1 or p < 2:
         raise InvalidParameter(f"need n >= 1 and p >= 2, got n={n}, p={p}")
-    if not kappa > 0:
-        raise InvalidParameter(f"kappa must be positive, got {kappa!r}")
+    _check_kappa(kappa)
     return kappa * math.sqrt(math.log(p) / n)
+
+
+def _check_kappa(kappa: float) -> None:
+    """Reject a kappa that is not positive (NaN included) or is infinite,
+    which would make every threshold infinite and every pair a non-edge."""
+    if not 0 < kappa < math.inf:
+        raise InvalidParameter(f"kappa must be {'finite' if kappa > 0 else 'positive'}, got {kappa!r}")
 
 
 def _check_scan(eta: int, statistic: str, cond_limit: float) -> None:
@@ -133,7 +138,9 @@ class EstimatorConfig:
     cond_limit: float = DEFAULT_COND_LIMIT
 
     def __post_init__(self):
+        check_fields(self)
         _check_scan(self.eta, self.statistic, self.cond_limit)
+        _check_kappa(self.kappa)
         if self.xi is not None and not self.xi >= 0:
             raise InvalidParameter(f"threshold must be nonnegative, got {self.xi!r}")
 
@@ -142,8 +149,7 @@ class EstimatorConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EstimatorConfig":
-        # results written while the scan had a pair-level thread pool still load
-        return cls(**config_kwargs(cls, data, ignore=("threads",)))
+        return cls(**config_kwargs(cls, data))
 
 
 @dataclass(frozen=True)
@@ -173,8 +179,8 @@ class EstimationResult:
     (-1 for no set) and ``status`` (an index into ``STATUSES``).  ``pairs``,
     the read-only mapping (u, v) -> PairDecision, is materialized on first
     access and cached.  ``io.save_result`` writes the arrays to
-    ``pairs.npz`` and ``summary()`` to ``result.json``; ``to_dict`` lists
-    every pair, and ``from_dict`` reads it back.
+    ``pairs.npz`` and ``summary()`` to ``result.json``, and
+    ``io.load_result`` reads them back through ``from_header``.
     """
 
     p: int
@@ -209,7 +215,7 @@ class EstimationResult:
         return MappingProxyType({(u, v): PairDecision(*rec) for u, v, *rec in self._records()})
 
     def _header(self) -> dict:
-        """Every field of ``to_dict`` but ``pairs``."""
+        """The fields of ``summary()`` but the edges' records and counts."""
         return {
             "p": self.p,
             "edges": [list(e) for e in self.edges],
@@ -221,8 +227,8 @@ class EstimationResult:
             "config": self.config.to_dict(),
         }
 
-    def _pair_dicts(self, iu=None, ju=None) -> dict:
-        """``to_dict``'s pair records for the pairs of ``_records``."""
+    def _pair_dicts(self, iu, ju) -> dict:
+        """The ``"u,v"``-keyed records of the pairs of ``_records``."""
         return {
             f"{u},{v}": {
                 "value": None if math.isinf(value) else value,
@@ -232,13 +238,9 @@ class EstimationResult:
             for u, v, value, subset, status in self._records(iu, ju)
         }
 
-    def to_dict(self) -> dict:
-        return {**self._header(), "pairs": self._pair_dicts()}
-
     def summary(self) -> dict:
-        """The ``result.json`` record: ``to_dict`` with ``pairs`` replaced by
-        ``edge_records``, the edges' records, and ``status_counts``, the
-        number of pairs with each status."""
+        """The ``result.json`` record: the header, the edges' records
+        (``edge_records``) and the number of pairs with each status."""
         u, v = np.array(self.edges, dtype=np.intp).reshape(-1, 2).T
         counts = np.bincount(self.status, minlength=len(STATUSES)).tolist()
         return {
@@ -246,25 +248,6 @@ class EstimationResult:
             "edge_records": self._pair_dicts(u, v),
             "status_counts": dict(zip(STATUSES, counts)),
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "EstimationResult":
-        """Read ``to_dict``'s record, the ``result.json`` written before the
-        pair arrays moved to ``pairs.npz``."""
-        p = data["p"]
-        size = p * (p - 1) // 2
-        # a pair the file does not list reads as failed
-        values = np.full(size, math.inf)
-        set_index = np.full(size, -1, dtype=np.intp)
-        status = np.full(size, STATUSES.index("failed"), dtype=np.int8)
-        sets: dict[tuple[int, ...], int] = {}
-        for key, rec in data["pairs"].items():
-            k = _pair_position(p, *(int(x) for x in key.split(",")))
-            values[k] = math.inf if rec["value"] is None else float(rec["value"])
-            if rec["subset"] is not None:
-                set_index[k] = sets.setdefault(tuple(rec["subset"]), len(sets))
-            status[k] = STATUSES.index(rec["status"])
-        return cls.from_header(data, values, set_index, status, list(sets))
 
     @classmethod
     def from_header(cls, data: dict, values: np.ndarray, set_index: np.ndarray, status: np.ndarray,

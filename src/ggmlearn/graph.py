@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import GenerationFailed, InvalidParameter, check_nonnegative_int, check_type, config_kwargs
+from .errors import GenerationFailed, InvalidParameter, check_fields, check_nonnegative_int, check_type, config_kwargs
 
 REGULAR_RETRY_BUDGET = 1000
 
@@ -486,6 +486,7 @@ class EnsembleConfig:
     edges: tuple[tuple[int, int], ...] | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in _KINDS:
             raise InvalidParameter(f"unknown ensemble kind {self.kind!r}")
         _, taken, _ = _KINDS[self.kind]

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 from . import __version__
 from .bounds import fano_lower_bound
-from .errors import InvalidParameter, config_kwargs
+from .errors import InvalidParameter, check_fields, config_kwargs
 from .estimator import EstimationResult, EstimatorConfig, cmit, oracle_gap
 from .graph import EnsembleConfig, Graph
 from .io import config_hash
@@ -80,6 +80,7 @@ class TrialConfig:
     gamma: int | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.trials < 1:
             raise InvalidParameter("need at least one trial")
         if self.threshold_mode not in THRESHOLD_MODES:

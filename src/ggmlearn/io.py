@@ -15,8 +15,7 @@ arrays of an ``EstimationResult`` (``values`` float64, ``set_index`` int64,
 ``status`` int8, and ``sets`` int64, one set per row padded with -1), and
 ``result.json`` its ``summary()``: the header, the edges' records and the
 status counts, without the p(p-1)/2 pair records that made formatting
-floats the largest cost of ``learn``.  A directory without ``pairs.npz``
-whose ``result.json`` lists every pair, as written before, still loads.
+floats the largest cost of ``learn``.
 
 The readers raise InvalidParameter naming the path when a file cannot be
 read or, for JSON and npy, parsed; the model and sample loaders also when a
@@ -317,10 +316,7 @@ def _read_pairs(path: Path, p: int) -> dict:
 
 
 def load_result(directory):
-    """Read a result directory written by ``save_result``; one that holds
-    no ``pairs.npz`` but a ``result.json`` listing every pair, as written
-    before the pair arrays moved to ``pairs.npz``, reads through
-    ``EstimationResult.from_dict``."""
+    """Read a result directory written by ``save_result``."""
     from .estimator import EstimationResult
 
     d = Path(directory)
@@ -330,8 +326,6 @@ def load_result(directory):
     })
     path = d / "pairs.npz"
     if not path.exists():
-        if "pairs" in data:
-            return EstimationResult.from_dict(data)
         raise InvalidParameter(f"{path} is missing")
     arrays = _read_pairs(path, data["p"])
     sets = [tuple(k for k in row if k >= 0) for row in arrays["sets"].tolist()]

@@ -8,7 +8,9 @@ number is alpha, the spectral norm of the entrywise absolute value of R;
 alpha < 1 makes the covariance a convergent power series in R and bounds
 everything downstream.  |R| is symmetric, so alpha is its top eigenvalue,
 read off a dense symmetric eigensolver; nothing here iterates to a
-tolerance.
+tolerance.  R and alpha do not depend on J's scale: where sqrt(J[i, i]
+J[j, j]) would leave the normal floating-point range, R is computed as
+-J[i, j] s_i s_j with s = 1 / sqrt(diag J).
 
 Positive definiteness.  A model is accepted only if J is positive definite,
 and walk-summability proves it: with D = diag(J), J = D^(1/2) (I - R)
@@ -118,20 +120,41 @@ def _positive_diagonal(j: np.ndarray) -> np.ndarray:
 def partial_correlation_matrix(j) -> np.ndarray:
     """R with R[i, j] = -J[i, j] / sqrt(J[i, i] J[j, j]) and zero diagonal."""
     j = _as_precision(j)
-    d = _positive_diagonal(j)
-    scale = np.sqrt(np.outer(d, d))
-    r = -j / scale
+    return _normalized(-j, _positive_diagonal(j))
+
+
+def _in_range(d_min: float, d_max: float) -> bool:
+    """Whether every product d_i d_j of a positive diagonal with these
+    extremes is a finite normal float, so that sqrt(d_i d_j) is accurate."""
+    return d_min * d_min >= _NORMAL_MIN and d_max * d_max < math.inf
+
+
+def _normalized(a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """A_ij / sqrt(d_i d_j) with a zero diagonal, for a diagonal ``d > 0``;
+    an entry that overflows is inf.
+
+    In range this is the quotient itself.  Otherwise sqrt(d_i d_j) would
+    leave the normal range (0 at d = 1e-200, inf at 1e160), so the entries
+    are A_ij s_i s_j with s = 1 / sqrt(d), whose factors stay in range for
+    any positive diagonal; R and alpha then do not depend on J's scale."""
+    with np.errstate(over="ignore"):
+        if _in_range(float(np.min(d)), float(np.max(d))):
+            r = a / np.sqrt(np.outer(d, d))
+        else:
+            s = 1.0 / np.sqrt(d)
+            r = a * s[:, None] * s
     np.fill_diagonal(r, 0.0)
     return r
 
 
-def _abs_partial_correlations(j: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """|R| for a precision matrix ``j`` with diagonal ``d > 0``, equal bit
-    for bit to ``np.abs(partial_correlation_matrix(j))``: negation is exact,
-    and rounding is symmetric in sign."""
-    r = np.abs(j) / np.sqrt(np.outer(d, d))
-    np.fill_diagonal(r, 0.0)
-    return r
+def _alpha(j: np.ndarray, d: np.ndarray) -> float:
+    """alpha of the symmetric finite matrix ``j`` with diagonal ``d > 0``:
+    the top eigenvalue of |R|, or inf when an entry of |R| overflows (alpha
+    is at least every entry).  |R| is bit for bit
+    ``np.abs(partial_correlation_matrix(j))``: negation is exact, and
+    rounding is symmetric in sign."""
+    r = _normalized(np.abs(j), d)
+    return _top_eigenvalue(r) if np.isfinite(r).all() else math.inf
 
 
 def _top_eigenvalue(a: np.ndarray) -> float:
@@ -150,20 +173,7 @@ def walk_summability_alpha(j) -> float:
     SYMMETRY_RTOL).
     """
     j = _symmetric(_as_precision(j))
-    return _top_eigenvalue(_abs_partial_correlations(j, _positive_diagonal(j)))
-
-
-def _alpha_for_certificate(j: np.ndarray, d_min: float, d_max: float) -> float | None:
-    """alpha of the symmetric finite matrix ``j`` with diagonal extremes
-    d_min and d_max, or None when the certificate in the module docstring
-    cannot be read off it: a diagonal entry <= 0, or one so small or large
-    that some d_i d_j is not a finite normal float (then sqrt(d_i d_j) may
-    be rounded beyond use), or an entry of |R| that overflows."""
-    if not (d_min > 0.0 and d_min * d_min >= _NORMAL_MIN and d_max * d_max < math.inf):
-        return None
-    with np.errstate(over="ignore"):
-        r = _abs_partial_correlations(j, np.diag(j))
-    return _top_eigenvalue(r) if np.isfinite(r).all() else None
+    return _alpha(j, _positive_diagonal(j))
 
 
 def exact_covariance(j) -> np.ndarray:
@@ -267,15 +277,16 @@ class GaussianModel:
         if np.count_nonzero(j) - np.count_nonzero(d) != 2 * len(u) or not np.all(j[u, v]):
             _raise_support_mismatch(graph, j)
         d_min, d_max = float(np.min(d)), float(np.max(d))
-        alpha = _alpha_for_certificate(j, d_min, d_max)
-        # the walk-sum certificate of the module docstring, else Cholesky
-        if alpha is None or not (1.0 - alpha) * d_min > PD_CERTIFICATE_RTOL * d_max:
+        alpha = _alpha(j, d) if d_min > 0.0 else math.inf
+        # the walk-sum certificate of the module docstring, else Cholesky,
+        # which rejects every matrix with a diagonal entry <= 0
+        if not (d_min > 0.0 and _in_range(d_min, d_max) and (1.0 - alpha) * d_min > PD_CERTIFICATE_RTOL * d_max):
             _cholesky_pd(j)
         self.graph = graph
         self.precision = j.copy()
         self.precision.setflags(write=False)
         self.meta = dict(meta or {})
-        self.alpha = _top_eigenvalue(_abs_partial_correlations(j, d)) if alpha is None else alpha
+        self.alpha = alpha
         self._sigma: np.ndarray | None = None
         self._factor: np.ndarray | None = None
 

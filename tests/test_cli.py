@@ -137,7 +137,8 @@ def test_sample_and_learn_round_trip(runner, tmp_path):
     result = cmit(samples, EstimatorConfig(eta=1))
     result.elapsed_s = payload["elapsed_s"]
     back = load_result(learn_dir)
-    assert back.to_dict() == result.to_dict()
+    assert back.summary() == result.summary()
+    assert back.pairs == result.pairs
     assert back.values.tobytes() == result.values.tobytes()
     assert payload == result.summary()
 
@@ -573,6 +574,20 @@ def test_malformed_result_pairs_fail_cleanly(tmp_path, write, message):
         assert "pickle" not in proc.stderr
 
 
+def test_result_json_listing_every_pair_is_no_longer_read(tmp_path):
+    # the record written before pairs.npz: the header and every pair's
+    # record under "pairs", indented, and no pair arrays
+    result = cmit(np.random.default_rng(3).standard_normal((50, 4)), EstimatorConfig(eta=0))
+    summary = result.summary()
+    header = {k: v for k, v in summary.items() if k not in ("edge_records", "status_counts")}
+    pairs = {f"{u},{v}": {"value": d.value, "subset": list(d.subset), "status": d.status}
+             for (u, v), d in result.pairs.items()}
+    (tmp_path / "result.json").write_text(json.dumps({**header, "pairs": pairs}, indent=2, sort_keys=True) + "\n")
+    with mock.patch("ggmlearn.cli.main", lambda standalone_mode: load_result(tmp_path)):
+        proc = run_cli("learn.json", tmp_path / "out")
+    assert_clean_error(proc, f"Error: {tmp_path / 'pairs.npz'} is missing\n")
+
+
 def test_legacy_sample_conversion_command_runs(tmp_path):
     directory = tmp_path / "samples"
     directory.mkdir()
@@ -640,7 +655,8 @@ def test_config_value_type_errors_fail_cleanly(tmp_path, command, payload, messa
 @pytest.mark.parametrize("estimator, message", [
     ({"cond_limit": 0.5}, "cond_limit must be at least 1, got 0.5"),
     ({"xi": float("nan")}, "threshold must be nonnegative, got nan"),
-], ids=["cond-limit-below-one", "xi-nan"])
+    ({"kappa": float("inf")}, "kappa must be finite, got inf"),
+], ids=["cond-limit-below-one", "xi-nan", "kappa-inf"])
 def test_invalid_estimator_value_fails_cleanly(tmp_path, estimator, message):
     cfg = write_config(tmp_path / "cfg.json", {"samples": "unused", "estimator": estimator})
     proc = run_cli(cfg, tmp_path / "out")

@@ -223,6 +223,7 @@ def test_min_statistic_validation():
     (lambda: EstimatorConfig(cond_limit=math.nan), "cond_limit must be at least 1, got nan"),
     (lambda: EstimatorConfig(xi=math.nan), "threshold must be nonnegative, got nan"),
     (lambda: cmit(np.ones((5, 3)), EstimatorConfig(kappa=math.nan)), "kappa must be positive, got nan"),
+    (lambda: default_threshold(100, 10, math.inf), "kappa must be finite, got inf"),
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 2, cond_limit=-1), "cond_limit must be at least 1, got -1"),
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 2, cond_limit=0.5), "cond_limit must be at least 1, got 0.5"),
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 2, cond_limit=math.nan),
@@ -234,8 +235,8 @@ def test_min_statistic_validation():
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, 1.5), "eta must be int, got float 1.5"),
     (lambda: min_conditional_statistic(np.eye(3), 0, 1, -1), "eta must be nonnegative, got -1"),
 ], ids=["config-cond-limit-negative", "config-cond-limit-half", "config-cond-limit-nan", "config-xi-nan", "kappa-nan",
-        "pair-cond-limit-negative", "pair-cond-limit-half", "pair-cond-limit-nan", "pair-n-zero", "pair-n-negative",
-        "pair-not-square", "config-eta-float", "pair-eta-float", "pair-eta-negative"])
+        "threshold-kappa-inf", "pair-cond-limit-negative", "pair-cond-limit-half", "pair-cond-limit-nan", "pair-n-zero",
+        "pair-n-negative", "pair-not-square", "config-eta-float", "pair-eta-float", "pair-eta-negative"])
 def test_invalid_estimator_inputs_are_rejected(call, message):
     # the guard's ratio, largest variance over smallest pivot, is at least 1,
     # so a smaller limit would fail every non-empty set instead of reporting an error
@@ -422,19 +423,32 @@ def _hex(x):
     return None if x is None else float(x).hex()
 
 
+def pair_records(result: EstimationResult) -> dict:
+    """Every pair's record as ``summary()`` writes an edge's: keyed "u,v",
+    value None for a failed pair, set as a list."""
+    return {
+        f"{u},{v}": {"value": None if math.isinf(d.value) else d.value,
+                     "subset": None if d.subset is None else list(d.subset), "status": d.status}
+        for (u, v), d in result.pairs.items()
+    }
+
+
 def _scan_digests(family: str, runs: dict) -> dict:
-    """Digests of ``cmit`` (``to_dict`` but ``elapsed_s``, values as
-    ``float.hex``) for every eta, statistic and ``early_exit``, and of
-    ``min_conditional_statistic`` on every 7th pair."""
+    """Digests of ``cmit`` (the header of ``summary()`` but ``elapsed_s``
+    and every pair's record, values as ``float.hex``) for every eta,
+    statistic and ``early_exit``, and of ``min_conditional_statistic`` on
+    every 7th pair."""
     out = {}
     for eta, (source, n, xi) in runs.items():
         for statistic in STATISTICS:
             for early_exit in (False, True):
                 cfg = EstimatorConfig(eta=eta, statistic=statistic, xi=xi, exact_mode=n is None,
                                       early_exit=early_exit)
-                d = cmit(source, cfg).to_dict()
-                del d["elapsed_s"]
+                result = cmit(source, cfg)
+                d = {k: v for k, v in result.summary().items()
+                     if k not in ("elapsed_s", "edge_records", "status_counts")}
                 d["threshold"] = _hex(d["threshold"])
+                d["pairs"] = pair_records(result)
                 for rec in d["pairs"].values():
                     rec["value"] = _hex(rec["value"])
                 out[f"{family}/cmit/{eta}/{statistic}/{int(early_exit)}"] = _digest(d)
@@ -782,12 +796,6 @@ def test_default_early_exit_agrees_with_the_full_scan(case):
         assert bound >= best - 1e-9 * (1.0 + best)
 
 
-def old_result_json(result: EstimationResult) -> str:
-    """``result.json`` as written before the pair arrays moved to
-    ``pairs.npz``: every pair's record, indented."""
-    return json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
 def pair_sets(result: EstimationResult) -> list:
     return [None if a < 0 else result.sets[a] for a in result.set_index.tolist()]
 
@@ -828,17 +836,12 @@ def test_save_result_round_trips_pair_arrays(case):
                 back = load_result(directory)
                 assert_same_pairs(back, res)
                 assert back.sets == res.sets
-                assert back.to_dict() == res.to_dict()
-                full = res.to_dict()
-                assert summary == {
-                    **{k: v for k, v in full.items() if k != "pairs"},
-                    "edge_records": {f"{u},{v}": full["pairs"][f"{u},{v}"] for u, v in res.edges},
-                    "status_counts": {s: sum(r["status"] == s for r in full["pairs"].values()) for s in STATUSES},
-                }
-                # a result.json listing every pair, with no pairs.npz, still loads
-                Path(directory, "pairs.npz").unlink()
-                Path(directory, "result.json").write_text(old_result_json(res))
-                assert_same_pairs(load_result(directory), res)
+                assert back.summary() == summary
+                assert pair_records(back) == pair_records(res)
+                records = pair_records(res)
+                assert summary["edge_records"] == {f"{u},{v}": records[f"{u},{v}"] for u, v in res.edges}
+                assert summary["status_counts"] == {s: sum(r["status"] == s for r in records.values())
+                                                    for s in STATUSES}
         # every set the result keeps is some pair's
         assert np.array_equal(np.unique(result.set_index[result.set_index >= 0]), np.arange(len(result.sets)))
 
@@ -875,7 +878,7 @@ def test_cmit_builds_pair_objects_on_demand(monkeypatch):
     data = sample(synthesize_model(cycle_graph(12), 0.5), 800, seed=3)
     # early exit at eta 2 hands the last open pairs to the pair-set completion
     result = cmit(data, EstimatorConfig(eta=2, early_exit=True))
-    result.to_dict()
+    result.summary()
     assert built == []
     pairs = result.pairs
     assert len(built) == len(pairs) == 66 and result.pairs is pairs
@@ -893,7 +896,7 @@ def test_scans_leave_no_reference_cycles():
     gc.disable()
     try:
         cmit(data, EstimatorConfig(eta=2, early_exit=True)).pairs
-        cmit(data, EstimatorConfig(eta=3, statistic="mutual_information", early_exit=False)).to_dict()
+        cmit(data, EstimatorConfig(eta=3, statistic="mutual_information", early_exit=False)).summary()
         min_conditional_statistic(m.sigma(), 0, 5, eta=2)
         oracle_gap(m, eta=1, gamma=2)
         assert gc.collect() == 0
@@ -910,8 +913,9 @@ def test_estimator_config_validation_and_round_trip():
         EstimatorConfig(xi=-0.1)
     cfg = EstimatorConfig(eta=2, xi=0.1, statistic="mutual_information")
     assert EstimatorConfig.from_dict(cfg.to_dict()) == cfg
-    # configs saved while the scan had a thread-count knob still load
-    assert EstimatorConfig.from_dict({**cfg.to_dict(), "threads": 4}) == cfg
+    # the scan's thread-count knob is gone, and so is the key
+    with pytest.raises(InvalidParameter, match="unknown key 'threads'"):
+        EstimatorConfig.from_dict({**cfg.to_dict(), "threads": 4})
     with pytest.raises(InvalidParameter, match="unknown key 'kapa'"):
         EstimatorConfig.from_dict({"kapa": 2.0})
 

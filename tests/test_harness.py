@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from ggmlearn import (
+    BoundsConfig,
     ConfigSummary,
     EnsembleConfig,
     EstimatorConfig,
@@ -115,6 +116,24 @@ def test_trial_config_validation():
         chain_config(threshold_mode="sorcery")
     with pytest.raises(InvalidParameter):
         chain_config(distortion=-1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: EstimatorConfig(exact_mode="false"), "exact_mode must be bool, got str 'false'"),
+    (lambda: EstimatorConfig(early_exit=0), "early_exit must be bool, got int 0"),
+    (lambda: EstimatorConfig(xi="0.1"), "xi must be float | None, got str '0.1'"),
+    (lambda: EstimatorConfig(kappa=math.inf), "kappa must be finite, got inf"),
+    (lambda: EstimatorConfig(kappa=-1.0), "kappa must be positive, got -1.0"),
+    (lambda: chain_config(trials="3"), "trials must be int, got str '3'"),
+    (lambda: chain_config(ensemble={"kind": "chain", "p": 5}),
+     "ensemble must be EnsembleConfig, got dict {'kind': 'chain', 'p': 5}"),
+    (lambda: EnsembleConfig("chain", p=5.0), r"p must be int \| None, got float 5.0"),
+    (lambda: BoundsConfig(p=50, c="2", alpha=0.5), "c must be float, got str '2'"),
+], ids=["estimator-exact-mode-str", "estimator-early-exit-int", "estimator-xi-str", "estimator-kappa-inf",
+        "estimator-kappa-negative", "trial-trials-str", "trial-ensemble-dict", "ensemble-p-float", "bounds-c-str"])
+def test_configs_check_field_types_when_built(build, message):
+    with pytest.raises(InvalidParameter, match=message):
+        build()
 
 
 def test_trial_config_round_trip():

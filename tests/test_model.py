@@ -539,6 +539,21 @@ def test_subnormal_diagonal_products_fall_back_to_cholesky(cholesky_calls):
     assert len(cholesky_calls) == 1
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-200])
+def test_alpha_does_not_depend_on_the_scale_of_j(scale):
+    # sqrt(d_i d_j) is inf at 1e160, subnormal at 1e-160 and 0 at 1e-200;
+    # pytest turns a RuntimeWarning into an error
+    m = synthesize_model(chain_graph(20), 0.6)
+    assert abs(GaussianModel(m.graph, scale * m.precision).alpha - m.alpha) <= 1e-12
+    assert abs(walk_summability_alpha(scale * m.precision) - m.alpha) <= 1e-12
+    assert np.abs(partial_correlation_matrix(scale * m.precision) - m.partial_correlations()).max() <= 1e-12
+
+
+def test_subnormal_diagonal_loads():
+    j = np.diag([1e-320, 1e-320])
+    assert GaussianModel(Graph(2), j).alpha == walk_summability_alpha(j) == 0.0
+
+
 def test_certificate_needs_a_positive_diagonal(monkeypatch):
     # with d_min < 0, an infinite alpha would make (1 - alpha) d_min = +inf
     monkeypatch.setattr(model_module, "_top_eigenvalue", lambda a: math.inf)
