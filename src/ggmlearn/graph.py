@@ -5,13 +5,16 @@ pairs with ``u < v``.  The separation utilities operate on the subgraph that
 keeps all ``p`` vertices but only the edges inside the radius-``gamma`` ball
 around a vertex, so a separator returned for a pair certifies that every
 short path between the two endpoints is cut.  Separators come from
-Menger's theorem by unit-capacity vertex max-flow on one node-split network
-per ball, searched once from the ball's centre at zero flow.  A pair whose
+Menger's theorem by unit-capacity vertex max-flow: each ball vertex has an
+in state and an out state, and the ball is searched once from its centre
+at zero flow.  A pair's flow is one list naming, for each vertex that
+carries a unit, the out state the unit comes from and the in state it goes
+to, so an in state takes one residual step at most.  A pair whose
 separator has k vertices costs one max flow, whose first path is read off
-that search's tree, then k - 1 middle augmenting searches and one failing
-search, and one reverse search from the sink; the lexicographic tie-break
-then reads every minimum cut off that one residual graph (Picard &
-Queyranne, 1980), with candidate searches confined to the nodes between
+the ball's search tree, then k - 1 middle augmenting searches and one
+failing search, and one reverse search from the sink; the lexicographic
+tie-break then reads every minimum cut off that one residual graph (Picard
+& Queyranne, 1980), with candidate searches confined to the states between
 the source and sink sides, so the cost follows the ball's edges.  A pair
 outside the ball costs no search.
 
@@ -269,124 +272,151 @@ def is_locally_treelike(g: Graph, i: int, gamma: int) -> bool:
     return girth(gamma_subgraph(g, i, gamma)) == math.inf
 
 
-def _ball_network(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[int, int], list, list[int], dict]:
+def _ball_states(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[int, int], list, list[int]]:
     """The radius-gamma ball around i, its vertices' local indices, its
-    node-split flow network with no flow yet, as flat lists, and that
-    network's breadth-first search tree from i_out.
+    flow network's edge arcs, and their breadth-first search tree from i_out.
 
-    Local vertex a becomes nodes a_in = 2a and a_out = 2a + 1 joined by arc
-    2a of capacity 1 (0 for i, the source); each edge inside the ball
-    becomes two arcs u_out -> v_in of capacity larger than any flow.  Arc e
-    has reverse arc e ^ 1 of residual capacity 0, ``out[x]`` lists the
-    ``(arc, head)`` pairs leaving node x and ``cap`` the arcs' residual
-    capacities.  BFS tree edges lie inside the ball, so the ball is exactly
-    the component of i in the subgraph of its edges.  The tree maps node ->
-    (arc, parent) as ``_search`` returns it; at zero flow it holds the
-    first augmenting path of every sink in the ball.
+    Local vertex a has states a_in = 2a and a_out = 2a + 1, joined by a split
+    arc of capacity 1.  ``outs[2a + 1]`` lists the in states of a's ball
+    neighbours, heads of edge arcs of capacity above any flow, and
+    ``outs[2a]`` their out states (the same arcs backwards).  The tree holds
+    the first augmenting path of every sink in the ball, i's component.
     """
     inside = ball(g, i, gamma)
     index = {v: a for a, v in enumerate(inside)}
-    out = [[(x, x ^ 1)] for x in range(2 * len(inside))]
-    cap = [1, 0] * len(inside)
-    cap[2 * index[i]] = 0
-    for a, u in enumerate(inside):
-        for v in g.adjacency[u]:
-            if (b := index.get(v)) is not None:
-                out[2 * a + 1].append((len(cap), 2 * b))
-                out[2 * b].append((len(cap) + 1, 2 * a + 1))
-                cap += (len(inside), 0)
-    return inside, index, out, cap, _search(out, cap, 2 * index[i] + 1, 0, (), ())[0]
-
-
-def _search(out: list, cap: list[int], start: int, flip: int, wall, goal) -> tuple[dict, int | None]:
-    """Breadth-first search of the residual graph from start, along its arcs
-    (flip=0) or against them (flip=1), never entering ``wall``.  Returns the
-    search tree as node -> (arc, parent) and the first node of ``goal`` it
-    meets, or None when it meets none."""
-    tree = {start: None}
-    queue = [start]
-    for x in queue:
-        for e, y in out[x]:
-            if cap[e ^ flip] and y not in tree and y not in wall:
-                tree[y] = (e, x)
-                if y in goal:
-                    return tree, y
-                queue.append(y)
-    return tree, None
-
-
-def _push(tree: dict, cap: list[int], src: int, y: int) -> None:
-    """Send one unit along the tree path from src to y."""
-    while y != src:
-        e, y = tree[y]
-        cap[e] -= 1
-        cap[e ^ 1] += 1
-
-
-def _augment(out: list, cap: list[int], src: int, dst: int) -> set | None:
-    """One augmenting search: breadth-first from src along residual arcs,
-    in ``_search``'s order.  On meeting dst it pushes one unit along the
-    path found and returns None; otherwise it returns the nodes src
-    reaches."""
-    tree = {src: None}
+    outs = []
+    for u in inside:
+        ins = [2 * b for v in g.adjacency[u] if (b := index.get(v)) is not None]
+        outs += ([x + 1 for x in ins], ins)
+    src = 2 * index[i] + 1
+    tree = [-1] * len(outs)
+    tree[src - 1] = src  # the source's split arc has capacity 0
     queue = [src]
     for x in queue:
-        for e, y in out[x]:
-            if cap[e] and y not in tree:
-                tree[y] = (e, x)
-                if y == dst:
-                    _push(tree, cap, src, y)
-                    return None
+        for y in outs[x]:
+            if tree[y] < 0:
+                tree[y], tree[y + 1] = x, y
+                queue.append(y + 1)
+    return inside, index, outs, tree
+
+
+# A pair's flow: vertex a carrying a unit has link[2a] = the out state it
+# comes from, link[2a + 1] = the in state it goes to; a free vertex has -1,
+# the source and sink (never cut) _ENDPOINT.  An out state steps along every
+# edge arc, then back along its split arc if it carries a unit; an in state
+# along its free split arc or back along the arc that brought its unit.
+_ENDPOINT = -2
+
+
+def _search(outs: list, link: list[int], start: int, flip: int, wall, goal) -> tuple[set, bool]:
+    """Breadth-first search of the residual graph from start, along its arcs
+    (flip=0) or against them (flip=1), never entering ``wall``.  Returns the
+    states it reaches and whether it met ``goal``."""
+    seen = {start}
+    queue = [start]
+    for x in queue:
+        y = link[x]
+        if (x ^ flip) & 1:
+            steps = outs[x] if y < 0 else (x ^ 1, *outs[x])
+        else:
+            steps = (x ^ 1,) if y == -1 else (y,) if y >= 0 else ()
+        for y in steps:
+            if y not in seen and y not in wall:
+                if y in goal:
+                    return seen, True
+                seen.add(y)
                 queue.append(y)
-    return set(tree)
+    return seen, False
 
 
-def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], out: list, cap: list[int], tree: dict,
+def _augment(outs: list, link: list[int], src: int, dst: int) -> set | None:
+    """One augmenting search, breadth-first in ``_search``'s order: on
+    meeting dst it pushes one unit along the path found and returns None,
+    otherwise it returns the states src reaches."""
+    parent = [-1] * len(link)
+    parent[src] = src
+    queue = [src]
+    for x in queue:
+        if x & 1:
+            if link[x] >= 0 and parent[x ^ 1] < 0:
+                parent[x ^ 1] = x
+                queue.append(x ^ 1)
+            for y in outs[x]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    if y == dst:
+                        _push(parent, link, src, dst)
+                        return None
+                    queue.append(y)
+        elif (y := link[x] if link[x] != -1 else x ^ 1) >= 0 and parent[y] < 0:
+            parent[y] = x
+            queue.append(y)
+    return set(queue)
+
+
+def _push(parent: list[int], link: list[int], src: int, dst: int) -> None:
+    """Send one unit from src to dst along the search path.  An edge arc taken
+    forward carries it; one taken backward is cleared at each end that still
+    names the other, in any order of steps.  src and dst keep _ENDPOINT."""
+    y = parent[dst]
+    link[y] = dst
+    while (x := parent[y]) != src:
+        if x & 1 and x ^ 1 != y:
+            link[x], link[y] = y, x
+        elif x ^ 1 != y:
+            link[x] = -1 if link[x] == y else link[x]
+            link[y] = -1 if link[y] == x else link[y]
+        y = x
+    link[y] = src
+
+
+def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], outs: list, tree: list[int],
                        i: int, j: int) -> tuple[int, ...]:
     """Lexicographically smallest minimum vertex separator of i and j in the
-    ball network of i (see ``_ball_network``); empty when j is outside it.
+    ball network of i (see ``_ball_states``); empty when j is outside it.
 
-    One max flow gives the cut size k.  Its first unit follows j_in's path
-    in the ball's zero-flow tree: that path was fixed when the tree met
-    j_in, before any arc leaving j_in was read, so it is the path a search
-    from i_out would find.  Then k - 1 augmenting searches push the others
-    and one more fails.  The minimum cuts are exactly the node sets that
-    hold the source but not the sink and that no residual arc leaves
-    (Picard & Queyranne, Math. Prog. Study 13, 1980), so all of them are
-    read off this one residual graph.  ``src_side`` starts as the nodes the
-    failing search reached, ``dst_side`` as those that reach the sink.
-    Greedy on ascending vertex labels: v joins exactly when some minimum cut
-    puts v_in on the source side and v_out on the sink side next to the
-    vertices already chosen, that is when v_out is off the source side, v_in
-    off the sink side, and the search from v_in, confined to the nodes
-    between the two sides, meets neither v_out nor the sink side.  On
-    acceptance that search joins the source side and the nodes that reach
-    v_out join the sink side; no flow is re-routed.
+    One max flow gives the cut size k: its first unit follows j_in's path in
+    the ball's zero-flow tree, which is the path a search from i_out would find
+    (the tree met j_in before reading an arc leaving it), then k - 1 augmenting
+    searches push the others and one more fails. The minimum cuts are exactly
+    the state sets that hold the source but not the sink and that no residual
+    arc leaves (Picard & Queyranne, Math. Prog. Study 13, 1980), so all are
+    read off this one residual graph. ``src_side`` starts as the states the
+    failing search reached, ``dst_side`` as those that reach the sink. Greedy
+    on ascending vertex labels: v joins exactly when some minimum cut puts v_in
+    on the source side and v_out on the sink side next to the vertices already
+    chosen, that is when v_out is off the source side, v_in off the sink side,
+    and the search from v_in, confined to the states between the two sides,
+    meets neither v_out nor the sink side. On acceptance that search joins the
+    source side and the states that reach v_out join the sink side; no flow is
+    re-routed. No backward search reaches i_out, whose link names none of its
+    units: every state it reaches leads to its start, which lies off the source
+    side.
     """
     if (b := index.get(j)) is None:
         return ()
-    cap = cap.copy()
-    cap[2 * b] = 0  # like the source, the sink is never cut
     src, dst = 2 * index[i] + 1, 2 * b
-    _push(tree, cap, src, dst)  # j is in i's component, so the tree holds j_in
+    link = [-1] * len(outs)
+    link[src - 1] = link[src] = link[dst] = link[dst + 1] = _ENDPOINT
+    _push(tree, link, src, dst)  # j is in i's component, so the tree holds j_in
     k = 1
-    while (src_side := _augment(out, cap, src, dst)) is None:
+    while (src_side := _augment(outs, link, src, dst)) is None:
         k += 1
     chosen: list[int] = []
-    dst_side = set(_search(out, cap, dst, 1, (), ())[0])
+    dst_side = _search(outs, link, dst, 1, (), ())[0]
     for a, v in enumerate(inside):
         if len(chosen) == k:
             break
         v_in, v_out = 2 * a, 2 * a + 1
-        if cap[v_in] or v_out in src_side or v_in in dst_side:  # a free arc is a residual path to v_out
+        if link[v_in] < 0 or v_out in src_side or v_in in dst_side:  # free, the source or the sink
             continue
         dst_side.add(v_out)
-        grown, met = _search(out, cap, v_in, 0, src_side, dst_side)
+        grown, met = _search(outs, link, v_in, 0, src_side, dst_side)
         dst_side.discard(v_out)
-        if met is None:
+        if not met:
             chosen.append(v)
             src_side.update(grown)
-            dst_side.update(_search(out, cap, v_out, 1, dst_side, ())[0])
+            dst_side.update(_search(outs, link, v_out, 1, dst_side, ())[0])
     if len(chosen) != k:
         raise AssertionError("greedy separator construction failed to reach the cut size")
     return tuple(chosen)
@@ -408,7 +438,7 @@ def local_separator(g: Graph, i: int, j: int, gamma: int) -> tuple[int, ...]:
     if g.has_edge(i, j):
         raise InvalidParameter(f"({i}, {j}) is an edge; separators are defined for non-adjacent pairs")
     check_nonnegative_int("gamma", gamma)
-    return _lex_min_separator(*_ball_network(g, i, gamma), i, j)
+    return _lex_min_separator(*_ball_states(g, i, gamma), i, j)
 
 
 @dataclass(frozen=True)
@@ -434,7 +464,7 @@ def separation_profile(g: Graph, gamma: int) -> SeparationProfile:
         pending = [j for j in range(i + 1, g.p) if not g.has_edge(i, j)]
         if not pending:
             continue
-        network = _ball_network(g, i, gamma)
+        network = _ball_states(g, i, gamma)
         index = network[1]
         for j in pending:
             sep = _lex_min_separator(*network, i, j) if j in index else ()
@@ -487,6 +517,8 @@ class EnsembleConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.edges is not None:  # lists, as JSON gives them, would leave the frozen config unhashable
+            object.__setattr__(self, "edges", tuple(tuple(e) for e in self.edges))
         if self.kind not in _KINDS:
             raise InvalidParameter(f"unknown ensemble kind {self.kind!r}")
         _, taken, _ = _KINDS[self.kind]
@@ -538,7 +570,4 @@ class EnsembleConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EnsembleConfig":
-        kwargs = config_kwargs(cls, data)
-        if kwargs.get("edges") is not None:
-            kwargs["edges"] = tuple(tuple(e) for e in kwargs["edges"])
-        return cls(**kwargs)
+        return cls(**config_kwargs(cls, data))

@@ -48,16 +48,27 @@ def _cannot_read(path, exc: Exception) -> InvalidParameter:
 _NPY_MAGIC, _ZIP_MAGIC = b"\x93NUMPY", b"PK"
 
 
-def _check_magic(path, expected: bytes, what: str) -> None:
-    """Raise InvalidParameter naming ``what`` unless the file at ``path``
-    starts with the npy magic string or the zip signature."""
+def _load_numpy(path, expected: bytes, what: str, read):
+    """``read`` of what ``np.load`` finds in the file at ``path``, opened
+    once and closed on every outcome.  Raises InvalidParameter naming
+    ``what`` unless the file starts with the npy magic string or the zip
+    signature and ``np.load`` parses it; ``read`` runs while the file is
+    open, so an npz archive's members can be read."""
+    from zipfile import BadZipFile  # loaded with numpy
+
     try:
         with open(path, "rb") as fh:
             head = fh.read(len(_NPY_MAGIC))
+            if not head.startswith((_NPY_MAGIC, _ZIP_MAGIC)):
+                raise InvalidParameter(f"{path} is not a valid {what}: it starts with {head!r}, not {expected!r}")
+            fh.seek(0)
+            try:
+                loaded = np.load(fh, allow_pickle=False)
+            except (ValueError, EOFError, BadZipFile) as exc:  # truncated or object data
+                raise InvalidParameter(f"{path} is not a valid {what}: {exc}") from exc
+            return read(loaded)
     except OSError as exc:
         raise _cannot_read(path, exc) from exc
-    if not head.startswith((_NPY_MAGIC, _ZIP_MAGIC)):
-        raise InvalidParameter(f"{path} is not a valid {what}: it starts with {head!r}, not {expected!r}")
 
 
 def _read_text(path) -> str:
@@ -229,19 +240,15 @@ def _read_sample_matrix(path: Path) -> np.ndarray:
             f"python -c \"import numpy as np; from ggmlearn.io import read_matrix_csv; "
             f"np.save('{path}', read_matrix_csv('{legacy}'))\""
         )
-    _check_magic(path, _NPY_MAGIC, ".npy array")
-    try:
-        data = np.load(path, allow_pickle=False)
-    except OSError as exc:
-        raise _cannot_read(path, exc) from exc
-    except (ValueError, EOFError) as exc:  # truncated or object data
-        raise InvalidParameter(f"{path} is not a valid .npy array: {exc}") from exc
-    if not isinstance(data, np.ndarray):  # a zip archive loads as an open NpzFile
-        data.close()
-        raise InvalidParameter(f"{path} is a {type(data).__name__} archive, not a .npy array")
-    if data.ndim != 2 or data.dtype.kind != "f" or data.dtype.itemsize != 8:
-        raise InvalidParameter(f"{path} must hold a 2-D float64 array, got a {data.ndim}-D {data.dtype} array")
-    return np.ascontiguousarray(data, dtype=np.float64)
+
+    def array(data) -> np.ndarray:
+        if not isinstance(data, np.ndarray):  # a zip archive loads as an NpzFile
+            raise InvalidParameter(f"{path} is a {type(data).__name__} archive, not a .npy array")
+        if data.ndim != 2 or data.dtype.kind != "f" or data.dtype.itemsize != 8:
+            raise InvalidParameter(f"{path} must hold a 2-D float64 array, got a {data.ndim}-D {data.dtype} array")
+        return np.ascontiguousarray(data, dtype=np.float64)
+
+    return _load_numpy(path, _NPY_MAGIC, ".npy array", array)
 
 
 def load_samples(directory):
@@ -283,28 +290,25 @@ def _read_pairs(path: Path, p: int) -> dict:
 
     from .estimator import STATUSES
 
-    _check_magic(path, _ZIP_MAGIC, "npz archive")
-    try:
-        archive = np.load(path, allow_pickle=False)
-    except OSError as exc:
-        raise _cannot_read(path, exc) from exc
-    except (ValueError, EOFError, BadZipFile) as exc:  # truncated data
-        raise InvalidParameter(f"{path} is not a valid npz archive: {exc}") from exc
-    if isinstance(archive, np.ndarray):
-        raise InvalidParameter(f"{path} is a .npy array, not an npz archive")
-    arrays = {}
-    with archive:
-        for key, (dtype, ndim) in _PAIR_ARRAYS.items():
-            if key not in archive:
-                raise InvalidParameter(f"{path} is missing the array {key!r}")
-            try:
-                a = archive[key]
-            except (ValueError, EOFError, BadZipFile) as exc:  # object arrays, a damaged member
-                raise InvalidParameter(f"{path} array {key!r} is not valid: {exc}") from exc
-            if a.dtype != dtype or a.ndim != ndim:
-                raise InvalidParameter(f"{path} array {key!r} must be a {ndim}-D {np.dtype(dtype)} array, "
-                                       f"got a {a.ndim}-D {a.dtype} array")
-            arrays[key] = a
+    def members(archive) -> dict:
+        if isinstance(archive, np.ndarray):
+            raise InvalidParameter(f"{path} is a .npy array, not an npz archive")
+        arrays = {}
+        with archive:
+            for key, (dtype, ndim) in _PAIR_ARRAYS.items():
+                if key not in archive:
+                    raise InvalidParameter(f"{path} is missing the array {key!r}")
+                try:
+                    a = archive[key]
+                except (ValueError, EOFError, BadZipFile) as exc:  # object arrays, a damaged member
+                    raise InvalidParameter(f"{path} array {key!r} is not valid: {exc}") from exc
+                if a.dtype != dtype or a.ndim != ndim:
+                    raise InvalidParameter(f"{path} array {key!r} must be a {ndim}-D {np.dtype(dtype)} array, "
+                                           f"got a {a.ndim}-D {a.dtype} array")
+                arrays[key] = a
+        return arrays
+
+    arrays = _load_numpy(path, _ZIP_MAGIC, "npz archive", members)
     size = p * (p - 1) // 2
     for key in ("values", "set_index", "status"):
         if len(arrays[key]) != size:

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter
-from .model import GaussianModel
+from .model import GaussianModel, _in_range
 
 LBP_TOL = 1e-10
 LBP_MAX_ITERS = 10000
@@ -81,13 +81,20 @@ def lbp_run(
         raise InvalidParameter(f"h must have shape ({p},), got {h.shape}")
 
     j = model.precision
-    scale = np.sqrt(np.diag(j))
+    d = np.diag(j)
+    scale = np.sqrt(d)
     h_norm = h / scale
     forward = np.array(model.graph.edges, dtype=np.intp).reshape(-1, 2)
     source, target = np.concatenate([forward, forward[:, ::-1]]).T.copy()
     reverse = np.roll(np.arange(len(source)), len(forward))
-    # partial_correlation_matrix's arithmetic on the edges only, not p x p
-    r = -j[source, target] / np.sqrt(j[source, source] * j[target, target])
+    # partial_correlation_matrix's arithmetic on the edges only, not p x p;
+    # out of range J_ss J_tt overflows or underflows, and -J_st s_s s_t with
+    # s = 1 / sqrt(diag J), as in model._normalized, stays finite at any scale
+    if _in_range(float(np.min(d)), float(np.max(d))):
+        r = -j[source, target] / np.sqrt(j[source, source] * j[target, target])
+    else:
+        s = 1.0 / scale
+        r = -j[source, target] * s[source] * s[target]
     r_sq = r * r
 
     d_j = np.zeros(len(source))

@@ -492,20 +492,26 @@ def write_zip_as_npy(path: Path) -> None:
     path.with_suffix(".npz").rename(path)
 
 
+def write_truncated_zip_as_npy(path: Path) -> None:
+    write_zip_as_npy(path)
+    path.write_bytes(path.read_bytes()[:-40])
+
+
 @pytest.mark.parametrize("write, message", [
     (None, "samples.npy is missing; sample matrices are now .npy files, not samples.csv; convert with python -c "
            "\"import numpy as np; from ggmlearn.io import read_matrix_csv; np.save("),
     (write_truncated_npy, "samples.npy is not a valid .npy array: "),
     (write_text, "samples.npy is not a valid .npy array: it starts with b'0.5,1.', not b'\\x93NUMPY'"),
     (write_zip_as_npy, "samples.npy is a NpzFile archive, not a .npy array"),
+    (write_truncated_zip_as_npy, "samples.npy is not a valid .npy array: "),
     (lambda path: np.save(path, np.array([[0.5, "x"]], dtype=object)),
      "samples.npy is not a valid .npy array: Object arrays cannot be loaded when allow_pickle=False"),
     (lambda path: np.save(path, np.array([0.5, 1.5])), "samples.npy must hold a 2-D float64 array, got a 1-D float64"),
     (lambda path: np.save(path, np.array([[1, 2], [3, 4]], dtype=np.int64)),
      "samples.npy must hold a 2-D float64 array, got a 2-D int64"),
     (lambda path: np.save(path, np.zeros((3, 2))), "sample sidecar declares shape (2, 2) but data is (3, 2)"),
-], ids=["legacy-csv-only", "truncated", "text", "zip-archive", "pickled-objects", "one-dimensional", "int64",
-        "shape-mismatch"])
+], ids=["legacy-csv-only", "truncated", "text", "zip-archive", "truncated-zip-archive", "pickled-objects",
+        "one-dimensional", "int64", "shape-mismatch"])
 def test_malformed_sample_matrix_fails_cleanly(tmp_path, write, message):
     directory = tmp_path / "samples"
     directory.mkdir()

@@ -969,3 +969,45 @@ def test_oracle_gap_cycle_with_full_radius():
     assert gap.separable
     result = cmit(m, EstimatorConfig(eta=2, xi=gap.threshold_midpoint, exact_mode=True))
     assert edit_distance(result.graph, m.graph) == 0
+
+
+def _source_under(source, cfg: EstimatorConfig, columns, scale):
+    """The cmit source whose variable k is variable ``columns[k]`` of
+    ``source`` times ``scale[k]``: a column map of the data, or the
+    congruence it induces on an exact covariance."""
+    if cfg.exact_mode:
+        return scale[:, None] * source[np.ix_(columns, columns)] * scale
+    return source[:, columns] * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_cases(), st.data())
+def test_cmit_edges_and_statuses_follow_a_column_permutation(case, data):
+    source, cfg, sigma = case[:3]
+    p = sigma.shape[0]
+    perm = np.array(data.draw(st.permutations(range(p))))
+    base = cmit(source, cfg)
+    moved = cmit(_source_under(source, cfg, perm, np.ones(p)), cfg)
+    # pair (a, b) of the permuted source is pair (perm[a], perm[b]) of the original
+    assert sorted(tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in moved.edges) == sorted(base.edges)
+    statuses = {tuple(sorted((int(perm[a]), int(perm[b])))): d.status for (a, b), d in moved.pairs.items()}
+    assert statuses == {pair: d.status for pair, d in base.pairs.items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(scan_cases(), st.data())
+def test_mutual_information_cmit_ignores_a_positive_column_rescaling(case, data):
+    # partial correlations are scale-free.  Powers of two scale every
+    # product and quotient of the scan exactly, so the values stay the same
+    # bit for bit (0 ulps), also where the degenerate cases make a column
+    # exactly collinear with others and any other scale would round it off
+    source, cfg, sigma = case[:3]
+    cfg = replace(cfg, statistic="mutual_information")
+    p = sigma.shape[0]
+    scale = 2.0 ** np.array(data.draw(st.lists(st.integers(-3, 3), min_size=p, max_size=p)))
+    base = cmit(source, cfg)
+    scaled = cmit(_source_under(source, cfg, np.arange(p), scale), cfg)
+    assert scaled.edges == base.edges
+    assert np.array_equal(scaled.status, base.status)
+    assert scaled.values.tobytes() == base.values.tobytes()
+    assert pair_sets(scaled) == pair_sets(base)

@@ -470,6 +470,18 @@ def test_ensemble_config_dispatch_and_validation():
     assert EnsembleConfig(kind="smallworld", p=16, d=2, c=1.0).randomized
 
 
+def test_ensemble_config_built_from_lists_is_hashable():
+    # edges as JSON gives them, lists, whether from Python or from a config
+    built = EnsembleConfig("explicit", p=3, edges=[[0, 1], [1, 2]])
+    assert built.edges == ((0, 1), (1, 2))
+    loaded = EnsembleConfig.from_dict({"kind": "explicit", "p": 3, "edges": [[0, 1], [1, 2]]})
+    assert hash(built) == hash(loaded) and built == loaded
+    assert {built: 1}[loaded] == 1
+    # the type check still sees the list it was given
+    with pytest.raises(InvalidParameter, match=re.escape("[0, 1, 2]")):
+        EnsembleConfig("explicit", p=3, edges=[[0, 1, 2]])
+
+
 KIND_FIELDS = {
     "er": {"p": 10, "c": 2.0},
     "regular": {"p": 10, "delta": 3},

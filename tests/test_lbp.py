@@ -1,11 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ggmlearn import (
     GaussianModel,
     Graph,
     InvalidParameter,
+    chain_graph,
     cycle_graph,
     generate_er,
     lbp_run,
@@ -186,3 +189,52 @@ def test_lbp_matches_dense_messages(case):
         ref["iterations"], ref["converged"], ref["breakdown"])
     for name in ("means", "variances", "final_change"):
         np.testing.assert_allclose(getattr(res, name), ref[name], rtol=0.0, atol=1e-12)
+
+
+# lbp_run's outputs on in-range models, pinned before the out-of-range R
+# form was added, so that in-range runs stay bit for bit the same
+LBP_DIGESTS = {
+    "chain20/0.6": "ee5a257122950cc255fb0536dfde155c63ce13e50284e8349fcb4b2faf4c0bf6",
+    "cycle12/0.9": "c1e137c2d1b94eaf3ca548b522eaed08b0eeb73505bbf1a30b6141cdf13a3c0a",
+    "torus5x5/0.7": "b77a023641cde7714b31ef14c03d39c411cd0ce10b4e65d323c9e115cf86c82e",
+    "er30/0.5/5-sweeps": "9b49daa56206522c7ede06c7b6652bdd036fb0dd799a9b2de18632e8d34504bd",
+    "tree15x1e3": "ef8528cc946531f6a46ccd195af899e66685770f3c3aae8116a1baac88381e58",
+    "k4-breakdown": "d83bdf365d836c5322ba4a127d55da6e83fec799d5bd70731f9499f8ea790404",
+}
+LBP_DIGEST_CASES = {
+    "chain20/0.6": lambda: (synthesize_model(chain_graph(20), 0.6), 10000),
+    "cycle12/0.9": lambda: (model_on_graph(cycle_graph(12), 4, alpha=0.9, diag_range=(0.2, 5.0)), 10000),
+    "torus5x5/0.7": lambda: (model_on_graph(torus_grid(5, 2), 7, alpha=0.7, diag_range=(0.2, 5.0)), 10000),
+    "er30/0.5/5-sweeps": lambda: (model_on_graph(generate_er(30, 2.5, 2), 2, alpha=0.5, diag_range=(0.2, 5.0)), 5),
+    "tree15x1e3": lambda: (model_on_graph(random_tree(15, 1), 1, diag_range=(1e3, 1e3)), 10000),
+    "k4-breakdown": lambda: (frustrated_k4(), 10000),
+}
+
+
+@pytest.mark.parametrize("name", list(LBP_DIGEST_CASES))
+def test_lbp_digests_pinned(name):
+    m, max_iters = LBP_DIGEST_CASES[name]()
+    res = lbp_run(m, np.random.default_rng(11).normal(size=m.p), max_iters=max_iters)
+    blob = repr((res.iterations, res.converged, res.breakdown, res.final_change)).encode()
+    for a in (res.means, res.variances, res.message_precisions, res.message_potentials):
+        blob += a.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == LBP_DIGESTS[name]
+
+
+@settings(max_examples=60, deadline=None)
+@given(lbp_cases(), st.sampled_from([1.0, 1e160, 1e-200]))
+@example((frustrated_k4(), np.ones(4), 10000), 1e160)  # breakdown: NaN beliefs on both sides
+@example((synthesize_model(chain_graph(20), 0.6), np.ones(20), 10000), 1e160)
+@example((synthesize_model(chain_graph(20), 0.6), np.ones(20), 10000), 1e-200)
+def test_lbp_beliefs_follow_a_diagonal_scaling(case, scale):
+    # J -> D J D with h -> D h leaves the normalized model unchanged up to
+    # rounding, so the means become D^-1 mu and the variances D^-2 var.  At
+    # J scales 1e160 and 1e-200 sqrt(J_ss J_tt) would overflow or underflow,
+    # and pytest turns the RuntimeWarning into an error
+    m, h, max_iters = case
+    d = np.sqrt(scale) * np.random.default_rng(m.p).uniform(0.25, 4.0, size=m.p)
+    scaled = GaussianModel(m.graph, d[:, None] * np.asarray(m.precision) * d)
+    got, want = lbp_run(scaled, d * h, max_iters=max_iters), lbp_run(m, h, max_iters=max_iters)
+    assert (got.iterations, got.converged, got.breakdown) == (want.iterations, want.converged, want.breakdown)
+    np.testing.assert_allclose(got.variances * d * d, want.variances, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got.means * d, want.means, rtol=0.0, atol=1e-12 * np.nanmax(np.abs(want.means), initial=0.0))

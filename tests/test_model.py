@@ -560,3 +560,17 @@ def test_certificate_needs_a_positive_diagonal(monkeypatch):
     j = np.array([[-1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(NotPositiveDefinite):
         GaussianModel(Graph(2, [(0, 1)]), j)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95), st.sampled_from([1.0, 1e160, 1e-200]))
+def test_alpha_is_invariant_under_diagonal_and_signature_congruence(p, seed, alpha, scale):
+    m = random_sparse_model(p, seed, alpha, diagonal_range=(0.2, 5.0))
+    j = np.asarray(m.precision)
+    rng = np.random.default_rng(seed)
+    d = math.sqrt(scale) * rng.uniform(0.25, 4.0, size=p)
+    s = rng.choice([-1.0, 1.0], size=p)
+    # D J D leaves R unchanged up to the rounding of its entries, at any scale
+    assert GaussianModel(m.graph, d[:, None] * j * d).alpha == pytest.approx(m.alpha, rel=1e-12, abs=0.0)
+    # S J S only flips signs of R, so |R| and alpha are the same bit for bit
+    assert GaussianModel(m.graph, s[:, None] * j * s).alpha == m.alpha
