@@ -57,7 +57,9 @@ is that of the full scan, and edges keep their exact minima and sets.  A
 stopped pair is reported with status ``early_exit`` and that minimum, an
 upper bound of its full minimum; this is the smallest value of that size
 class, not the first set found below the threshold.  Stopped pairs leave
-the completion, and the scan ends once every pair has stopped.
+the completion, and the scan ends once every pair has stopped.  A pair
+that first reaches the threshold in the last size class (every size class
+at eta = 0) has been scanned in full, so it keeps status ``ok``.
 ``early_exit=False`` gives every pair its exact minimum, as
 ``min_conditional_statistic`` and ``oracle_gap`` always do.
 
@@ -80,7 +82,7 @@ import numpy as np
 
 from .errors import InvalidParameter, check_fields, check_nonnegative_int, config_kwargs
 from .graph import Graph, separation_profile
-from .model import GaussianModel, _as_square, _check_pair, conditional_covariance_exact
+from .model import GaussianModel, _as_float, _as_square, _check_pair, _symmetric, conditional_covariance_exact
 from .sampler import SampleSet, empirical_covariance
 
 DEFAULT_KAPPA = 2.0
@@ -352,8 +354,10 @@ def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str
 
     Size 0 reads every pair's key off Sigma, and each size from 1 to
     ``max_size`` runs the completion on the pairs still open.  With a
-    ``threshold`` (early exit) a pair is frozen after the first size class
-    that brings its minimum statistic to the threshold or below.  Returns,
+    ``threshold`` (early exit) a pair is frozen, and skips the larger
+    sizes, after the first size class below ``max_size`` that brings its
+    minimum statistic to the threshold or below; a pair first brought there
+    by the last size was scanned in full and is not frozen.  Returns,
     for the marked pairs in row-major order, the minimum key (infinite if
     no set gave a defined one), the index of its set in the returned list
     of sets (-1 for none) and the early-exit flag, and that list, which
@@ -365,10 +369,10 @@ def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str
     arg = np.where(best < np.inf, 0, -1)
     winners: list[tuple[int, ...]] = [()]
     frozen = np.zeros(len(us), dtype=bool)
-    for size in range(1, max_size + 2):  # the pass after the last size only freezes
+    for size in range(1, max_size + 1):
         if threshold is not None:
             frozen |= _value(best, statistic) <= threshold
-        if size > max_size or frozen.all():
+        if frozen.all():
             break
         t = np.flatnonzero(~frozen)
         keys, sets = best[t], arg[t]
@@ -500,7 +504,7 @@ def min_conditional_statistic(
     for edges and failed pairs, and a non-edge's value is an upper bound of
     this one.
     """
-    sigma = _as_square(sigma, "covariance matrix")
+    sigma = _symmetric(_as_square(sigma, "covariance matrix"), "covariance matrix")
     _check_pair(sigma, i, j, ())
     if i == j:
         raise InvalidParameter("pair statistics need distinct vertices")
@@ -522,15 +526,15 @@ def _resolve_source(source, config: EstimatorConfig):
     if config.exact_mode:
         if isinstance(source, GaussianModel):
             return source.sigma(), None
-        arr = np.asarray(source, dtype=float)
+        arr = _as_float(source, "covariance matrix")
         if arr.ndim == 2 and arr.shape[0] == arr.shape[1]:
-            return arr, None
+            return _symmetric(arr, "covariance matrix"), None
         raise InvalidParameter("exact mode needs a GaussianModel or a square covariance matrix")
     if isinstance(source, SampleSet):
         return source.empirical_covariance(), source.n
-    arr = np.asarray(source, dtype=float)
+    arr = np.asarray(source)
     if arr.ndim == 2:
-        return empirical_covariance(arr), arr.shape[0]
+        return empirical_covariance(arr), arr.shape[0]  # which rejects complex data
     raise InvalidParameter("sample mode needs a SampleSet or an (n, p) data matrix")
 
 

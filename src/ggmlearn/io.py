@@ -1,35 +1,39 @@
-"""File formats shared by the CLI and the library: edge lists, matrix CSV,
-sample matrices, result directories, JSON helpers.
+"""File formats shared by the CLI and the library: edge lists, model
+directories, sample matrices, result directories, JSON helpers.
 
 Edge list: first line ``<p> <edge-count>``, then one ``u v`` line per edge
-with u < v, lines sorted.  Matrix CSV, used for model matrices
-(``precision.csv``) only: first line ``<p>``, then p rows of p
-comma-separated values written by ``np.savetxt(fmt="%.17g")`` (the bytes of
-``f"{x:.17g}"``) and read by ``np.loadtxt``, so float64 values round-trip
-exactly; unlike ``float``, the reader rejects underscore literals (``1_0``).
-Sample matrix: ``samples.npy``, the n x p float64 array in numpy's npy
-format, written by ``np.save`` and read by ``np.load`` without pickles, so
-values round-trip bit for bit and loading costs no decimal parsing.
-Result directory: ``pairs.npz``, written by ``np.savez``, holds the pair
-arrays of an ``EstimationResult`` (``values`` float64, ``set_index`` int64,
-``status`` int8, and ``sets`` int64, one set per row padded with -1), and
-``result.json`` its ``summary()``: the header, the edges' records and the
-status counts, without the p(p-1)/2 pair records that made formatting
-floats the largest cost of ``learn``.
+with u < v, lines sorted.  Model directory: ``graph.edges``,
+``model.json`` and ``precision.npz``, which holds J on its support, the
+only entries a model's precision matrix may have nonzero: ``diagonal``
+(float64, p values) and ``edge_values`` (float64, ``J[u, v]`` for each
+edge in ``graph.edges`` order).  The loader scatters them into a zero
+matrix, so J comes back bit for bit (a ``-0.0`` off the support loads as
+``0.0``).  Sample matrix: ``samples.npy``, the n x p float64 array in
+numpy's npy format, written by ``np.save`` and read by ``np.load`` without
+pickles, so values round-trip bit for bit and loading costs no decimal
+parsing.  Result directory: ``pairs.npz``, written by ``np.savez``, holds
+the pair arrays of an ``EstimationResult`` (``values`` float64,
+``set_index`` int64, ``status`` int8, and ``sets`` int64, one set per row
+padded with -1), and ``result.json`` its ``summary()``: the header, the
+edges' records and the status counts, without the p(p-1)/2 pair records
+that made formatting floats the largest cost of ``learn``.
 
 The readers raise InvalidParameter naming the path when a file cannot be
-read or, for JSON and npy, parsed; the model and sample loaders also when a
-JSON sidecar is not an object or lacks a key or holds one of the wrong
-type, and the sample loader when ``samples.npy`` is not a 2-D float64 array
-of the sidecar's shape, and the result loader when ``pairs.npz`` is not an
-npz archive of those arrays, of the pair count of ``result.json``'s p, with
-set indices and statuses in range.
+read or, for JSON, npy and npz, parsed; the model and sample loaders also
+when a JSON sidecar is not an object or lacks a key or holds one of the
+wrong type.  An npz reader also names an archive that lacks a member or
+holds one of the wrong dtype or number of dimensions, and checks lengths:
+``precision.npz`` against the edge list, ``pairs.npz`` against the pair
+count of ``result.json``'s p, with set indices and statuses in range.  The
+sample loader rejects a ``samples.npy`` that is not a 2-D float64 array of
+the sidecar's shape.  A directory that holds the ``precision.csv`` or
+``samples.csv`` text matrix of earlier versions instead is named with a
+one-line conversion command.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 from pathlib import Path
 
@@ -116,43 +120,6 @@ def read_edge_list(path) -> Graph:
     return parse_edge_list(_read_text(path))
 
 
-def format_matrix_csv(m: np.ndarray) -> str:
-    buf = io.StringIO()
-    write_matrix_csv(m, buf)
-    return buf.getvalue()
-
-
-def write_matrix_csv(m: np.ndarray, path) -> None:
-    """Write a matrix file to ``path``, a file path or a text stream."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise InvalidParameter("matrix must be 2-dimensional")
-    np.savetxt(path, m, fmt="%.17g", delimiter=",", header=str(m.shape[0]), comments="")
-
-
-def parse_matrix_csv(text: str) -> np.ndarray:
-    """Parse a matrix file whose header line declares the row count: a
-    square p x p model matrix, or a rectangular one such as the n x p
-    ``samples.csv`` of sample directories written before ``samples.npy``."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise InvalidParameter("matrix file has no rows")
-    try:
-        nrows = int(lines[0])
-    except ValueError as exc:
-        raise InvalidParameter(f"bad matrix header {lines[0]!r}; expected the row count") from exc
-    if len(lines) - 1 != nrows:
-        raise InvalidParameter(f"matrix file declares {nrows} rows but has {len(lines) - 1}")
-    try:
-        return np.loadtxt(lines[1:], delimiter=",", comments=None, ndmin=2)
-    except ValueError as exc:
-        raise InvalidParameter(f"malformed matrix file: {exc}") from exc
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    return parse_matrix_csv(_read_text(path))
-
-
 def write_json(obj, path) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -187,11 +154,12 @@ def config_hash(obj) -> str:
 
 
 def save_model(model, directory) -> None:
-    """Write a model directory: graph.edges, precision.csv, model.json."""
+    """Write a model directory: graph.edges, precision.npz, model.json."""
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     write_edge_list(model.graph, d / "graph.edges")
-    write_matrix_csv(model.precision, d / "precision.csv")
+    u, v = np.asarray(model.graph.edges, dtype=np.intp).reshape(-1, 2).T
+    np.savez(d / "precision.npz", diagonal=np.diag(model.precision), edge_values=model.precision[u, v])
     j_min = model.j_min
     write_json(
         {
@@ -206,12 +174,36 @@ def save_model(model, directory) -> None:
     )
 
 
+def _check_not_legacy(path: Path, legacy: Path, code: str) -> None:
+    """Raise InvalidParameter with the conversion ``code`` when ``path`` is
+    missing and ``legacy``, the text matrix it replaced, is there."""
+    if not path.exists() and legacy.exists():
+        raise InvalidParameter(f"{path} is missing; {legacy.name} is no longer read; convert with python -c \"{code}\"")
+
+
+# precision.npz: each array's dtype and number of dimensions
+_PRECISION_ARRAYS = {"diagonal": (np.float64, 1), "edge_values": (np.float64, 1)}
+
+
 def load_model(directory):
     from .model import GaussianModel
 
     d = Path(directory)
     graph = read_edge_list(d / "graph.edges")
-    precision = read_matrix_csv(d / "precision.csv")
+    path, legacy = d / "precision.npz", d / "precision.csv"
+    _check_not_legacy(path, legacy, (
+        f"import numpy as np; from ggmlearn.io import read_edge_list; "
+        f"j = np.loadtxt('{legacy}', delimiter=',', skiprows=1, ndmin=2); j = (j + j.T) / 2; "
+        f"u, v = np.array(read_edge_list('{d / 'graph.edges'}').edges, dtype=int).reshape(-1, 2).T; "
+        f"np.savez('{path}', diagonal=np.diag(j), edge_values=j[u, v])"))
+    arrays = _read_npz(path, _PRECISION_ARRAYS)
+    for key, size in (("diagonal", graph.p), ("edge_values", graph.n_edges)):
+        if len(arrays[key]) != size:
+            raise InvalidParameter(f"{path} array {key!r} has {len(arrays[key])} entries, "
+                                   f"but {d / 'graph.edges'} needs {size}")
+    precision = np.diag(arrays["diagonal"])
+    u, v = np.asarray(graph.edges, dtype=np.intp).reshape(-1, 2).T
+    precision[u, v] = precision[v, u] = arrays["edge_values"]
     sidecar = _read_sidecar(d / "model.json", {})
     return GaussianModel(graph, precision, meta=sidecar.get("meta", {}))
 
@@ -232,14 +224,10 @@ def save_samples(samples, directory) -> None:
 
 def _read_sample_matrix(path: Path) -> np.ndarray:
     """The 2-D float64 array in the npy file ``path``, C-ordered in native
-    byte order, as the CSV reader returned it."""
+    byte order."""
     legacy = path.with_suffix(".csv")
-    if not path.exists() and legacy.exists():
-        raise InvalidParameter(
-            f"{path} is missing; sample matrices are now .npy files, not {legacy.name}; convert with "
-            f"python -c \"import numpy as np; from ggmlearn.io import read_matrix_csv; "
-            f"np.save('{path}', read_matrix_csv('{legacy}'))\""
-        )
+    _check_not_legacy(path, legacy, (
+        f"import numpy as np; np.save('{path}', np.loadtxt('{legacy}', delimiter=',', skiprows=1, ndmin=2))"))
 
     def array(data) -> np.ndarray:
         if not isinstance(data, np.ndarray):  # a zip archive loads as an NpzFile
@@ -283,19 +271,17 @@ def save_result(result, directory) -> dict:
     return summary
 
 
-def _read_pairs(path: Path, p: int) -> dict:
-    """The arrays of ``pairs.npz`` for p vertices, checked against
-    ``_PAIR_ARRAYS``, the pair count and the ranges of the indices."""
+def _read_npz(path: Path, spec: dict) -> dict:
+    """The arrays of the npz archive ``path`` that ``spec`` names, each of
+    the dtype and number of dimensions it maps to."""
     from zipfile import BadZipFile  # loaded with numpy
-
-    from .estimator import STATUSES
 
     def members(archive) -> dict:
         if isinstance(archive, np.ndarray):
             raise InvalidParameter(f"{path} is a .npy array, not an npz archive")
         arrays = {}
         with archive:
-            for key, (dtype, ndim) in _PAIR_ARRAYS.items():
+            for key, (dtype, ndim) in spec.items():
                 if key not in archive:
                     raise InvalidParameter(f"{path} is missing the array {key!r}")
                 try:
@@ -308,7 +294,15 @@ def _read_pairs(path: Path, p: int) -> dict:
                 arrays[key] = a
         return arrays
 
-    arrays = _load_numpy(path, _ZIP_MAGIC, "npz archive", members)
+    return _load_numpy(path, _ZIP_MAGIC, "npz archive", members)
+
+
+def _read_pairs(path: Path, p: int) -> dict:
+    """The arrays of ``pairs.npz`` for p vertices, checked against
+    ``_PAIR_ARRAYS``, the pair count and the ranges of the indices."""
+    from .estimator import STATUSES
+
+    arrays = _read_npz(path, _PAIR_ARRAYS)
     size = p * (p - 1) // 2
     for key in ("values", "set_index", "status"):
         if len(arrays[key]) != size:

@@ -36,14 +36,17 @@ Numeric guards, each a module constant:
 * ``INVERSE_RESIDUAL_TOL`` (1e-8): :func:`exact_covariance` checks
   max |J Sigma - I| against it and fails closed, so a residual that is NaN
   or infinite is an error too.
-* ``SYMMETRY_RTOL`` (1e-12): a precision matrix may differ from its
-  transpose by this times its largest entry (rounding in a file); it is
-  then averaged with its transpose, and larger asymmetry is an error.
+* ``SYMMETRY_RTOL`` (1e-12): a precision or covariance matrix may differ
+  from its transpose by this times its largest entry, the rounding that a
+  matrix computed in floating point (a product, an inverse) can carry; it
+  is then averaged with its transpose, and larger asymmetry is an error.
+  :func:`conditional_covariance_exact` checks only the block it reads.
 * ``SYNTHESIS_ALPHA_CHECK`` (1e-9): :func:`synthesize_model` checks the
   built model's alpha against the target to this.
 
 Every entry point that takes a precision matrix rejects a non-finite entry
-first, naming the first one in row-major order.
+first, naming the first one in row-major order.  Complex input is an
+error, not a cast that drops the imaginary part.
 """
 
 from __future__ import annotations
@@ -67,8 +70,17 @@ SIGN_PATTERNS = ("attractive", "alternating", "random")
 _NORMAL_MIN = float(np.finfo(float).tiny)
 
 
+def _as_float(m, name: str) -> np.ndarray:
+    """``m`` as a float array; complex input is an error, not a cast that
+    drops the imaginary part."""
+    m = np.asarray(m)
+    if m.dtype.kind == "c":
+        raise InvalidParameter(f"{name} must be real, got a {m.dtype} array")
+    return np.asarray(m, dtype=float)
+
+
 def _as_square(m, name="matrix") -> np.ndarray:
-    m = np.asarray(m, dtype=float)
+    m = _as_float(m, name)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise InvalidParameter(f"{name} must be square, got shape {m.shape}")
     return m
@@ -83,13 +95,14 @@ def _as_precision(m) -> np.ndarray:
     return j
 
 
-def _symmetric(j: np.ndarray) -> np.ndarray:
+def _symmetric(j: np.ndarray, name: str = "precision matrix") -> np.ndarray:
     """``j`` averaged with its transpose, provided the two differ by at most
-    SYMMETRY_RTOL times the largest entry; larger asymmetry is an error."""
-    if np.array_equal(j, j.T):
+    SYMMETRY_RTOL times the largest entry; larger asymmetry is an error
+    naming the matrix."""
+    if (j == j.T).all():
         return j
     if np.max(np.abs(j - j.T)) > SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(j)))):
-        raise InvalidParameter("precision matrix must be symmetric")
+        raise InvalidParameter(f"{name} must be symmetric")
     return (j + j.T) / 2.0
 
 
@@ -211,7 +224,8 @@ def truncated_walksum_covariance(r, n_terms: int) -> np.ndarray:
 
 def _check_pair(sigma: np.ndarray, i: int, j: int, cond_set) -> np.ndarray:
     """Validate a pair (i, j) and a conditioning set S of integer labels
-    (numpy integers too, not bools) against sigma; returns S as indices."""
+    (numpy integers too, not bools) against sigma; returns (i, j, *S) as
+    indices."""
     p = sigma.shape[0]
     cond = tuple(cond_set)
     for x in (i, j, *cond):
@@ -225,23 +239,26 @@ def _check_pair(sigma: np.ndarray, i: int, j: int, cond_set) -> np.ndarray:
         raise InvalidParameter("conditioning set has repeated vertices")
     if cond and not (min(cond) >= 0 and max(cond) < p):
         raise InvalidParameter(f"conditioning set {[int(s) for s in cond]} out of range for p={p}")
-    return np.array(cond, dtype=np.intp)
+    return np.array((i, j, *cond), dtype=np.intp)
 
 
 def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
     """Sigma(i, j | S) = Sigma[i, j] - Sigma[i, S] Sigma[S, S]^{-1} Sigma[S, j].
 
-    Works for i == j (conditional variance).  S may be empty.
+    Works for i == j (conditional variance).  S may be empty.  Only the
+    block of Sigma on (i, j, S) is read, and it must be symmetric to
+    SYMMETRY_RTOL; within that it is averaged with its transpose.
     """
     sigma = _as_square(sigma, "covariance matrix")
-    idx = _check_pair(sigma, i, j, cond_set)
-    if not len(idx):
-        return float(sigma[i, j])
+    at = _check_pair(sigma, i, j, cond_set)
+    block = _symmetric(sigma.take(at, 0).take(at, 1), "covariance matrix")
+    if len(at) == 2:
+        return float(block[0, 1])
     try:
-        solved = np.linalg.solve(sigma[idx[:, None], idx], sigma[idx, j])
+        solved = np.linalg.solve(block[2:, 2:], block[2:, 1])
     except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"singular conditioning block for S={idx.tolist()}: {exc}") from exc
-    return float(sigma[i, j] - sigma[i, idx] @ solved)
+        raise NumericFailure(f"singular conditioning block for S={at[2:].tolist()}: {exc}") from exc
+    return float(block[0, 1] - block[0, 2:] @ solved)
 
 
 def _raise_support_mismatch(graph: Graph, j: np.ndarray) -> None:

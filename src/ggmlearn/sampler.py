@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InvalidParameter
 from .graph import _rng
-from .model import GaussianModel
+from .model import GaussianModel, _as_float
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def empirical_covariance(x, subtract_mean: bool = False) -> np.ndarray:
     With ``subtract_mean`` the sample mean is removed first; the divisor
     stays n either way.
     """
-    x = np.asarray(x, dtype=float)
+    x = _as_float(x, "data matrix")
     if x.ndim != 2 or x.shape[0] < 1:
         raise InvalidParameter(f"need an (n, p) data matrix, got shape {x.shape}")
     if subtract_mean:

@@ -67,13 +67,6 @@ def brute_force_local_separator(g: Graph, i: int, j: int, gamma: int) -> tuple[i
     raise AssertionError("every pair is separated by removing all other vertices")
 
 
-def reference_format_matrix_csv(m: np.ndarray) -> str:
-    """Matrix CSV written one float at a time with Python's ``f"{x:.17g}"``."""
-    rows = [str(m.shape[0])]
-    rows.extend(",".join(f"{x:.17g}" for x in row) for row in m)
-    return "\n".join(rows) + "\n"
-
-
 def dense_alpha(j: np.ndarray) -> float:
     """Spectral norm of |R| by a dense symmetric eigensolver."""
     d = np.sqrt(np.diag(j))

@@ -14,10 +14,19 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from ggmlearn import EnsembleConfig, EstimatorConfig, InvalidParameter, cmit, cycle_graph, sample, synthesize_model
+from ggmlearn import (
+    EnsembleConfig,
+    EstimatorConfig,
+    GaussianModel,
+    InvalidParameter,
+    cmit,
+    cycle_graph,
+    sample,
+    synthesize_model,
+)
 from ggmlearn.cli import main, run
 from ggmlearn.harness import LANE_SIGNS, lane_seed
-from ggmlearn.io import load_model, load_result, load_samples, read_edge_list, save_result, save_samples
+from ggmlearn.io import load_model, load_result, load_samples, read_edge_list, save_model, save_result, save_samples
 
 
 @pytest.fixture
@@ -438,10 +447,10 @@ def write_sample_dir(directory: Path, sidecar: str) -> None:
     (directory / "samples.json").write_text(sidecar)
 
 
-def write_model_dir(directory: Path, sidecar: str, edges: str = "3 1\n0 1\n") -> None:
+def write_model_dir(directory: Path, sidecar: str, edges: str = "3 1\n0 1\n", edge_values=(0.2,)) -> None:
     directory.mkdir()
     (directory / "graph.edges").write_text(edges)
-    (directory / "precision.csv").write_text("3\n1,0.2,0\n0.2,1,0\n0,0,1\n")
+    np.savez(directory / "precision.npz", diagonal=np.ones(3), edge_values=np.array(edge_values))
     (directory / "model.json").write_text(sidecar)
 
 
@@ -471,8 +480,7 @@ def test_malformed_sidecar_fails_cleanly(tmp_path, kind, sidecar, message):
 
 def test_non_finite_precision_fails_cleanly(tmp_path):
     directory = tmp_path / "model"
-    write_model_dir(directory, "{}")
-    (directory / "precision.csv").write_text("3\n1,0.2,0\n0.2,1,nan\n0,0,1\n")
+    write_model_dir(directory, "{}", "3 2\n0 1\n1 2\n", (0.2, np.nan))
     cfg = write_config(tmp_path / "cfg.json", {"model": str(directory), "estimator": {"eta": 1, "exact_mode": True}})
     proc = run_cli(cfg, tmp_path / "out")
     assert_clean_error(proc, "Error: precision matrix entry (1, 2) is nan, not finite\n")
@@ -498,8 +506,8 @@ def write_truncated_zip_as_npy(path: Path) -> None:
 
 
 @pytest.mark.parametrize("write, message", [
-    (None, "samples.npy is missing; sample matrices are now .npy files, not samples.csv; convert with python -c "
-           "\"import numpy as np; from ggmlearn.io import read_matrix_csv; np.save("),
+    (None, "samples.npy is missing; samples.csv is no longer read; convert with python -c "
+           "\"import numpy as np; np.save("),
     (write_truncated_npy, "samples.npy is not a valid .npy array: "),
     (write_text, "samples.npy is not a valid .npy array: it starts with b'0.5,1.', not b'\\x93NUMPY'"),
     (write_zip_as_npy, "samples.npy is a NpzFile archive, not a .npy array"),
@@ -529,8 +537,8 @@ def test_malformed_sample_matrix_fails_cleanly(tmp_path, write, message):
         assert "pickle" not in proc.stderr
 
 
-def rewrite_pairs(**changes):
-    """A writer that replaces arrays of a saved ``pairs.npz``; None drops one."""
+def rewrite_npz(**changes):
+    """A writer that replaces arrays of a saved npz archive; None drops one."""
     def write(path: Path) -> None:
         with np.load(path) as archive:
             arrays = {**archive, **changes}
@@ -548,18 +556,18 @@ def write_truncated_npz(path: Path) -> None:
     (write_truncated_npz, "pairs.npz is not a valid npz archive: "),
     (lambda path: np.save(path.with_suffix(".npy"), np.zeros(6)) or path.with_suffix(".npy").rename(path),
      "pairs.npz is a .npy array, not an npz archive"),
-    (rewrite_pairs(values=np.array([0.5, "x", 0, 0, 0, 0], dtype=object)),
+    (rewrite_npz(values=np.array([0.5, "x", 0, 0, 0, 0], dtype=object)),
      "pairs.npz array 'values' is not valid: "),
-    (rewrite_pairs(sets=None), "pairs.npz is missing the array 'sets'"),
-    (rewrite_pairs(status=np.zeros(6, dtype=np.int64)),
+    (rewrite_npz(sets=None), "pairs.npz is missing the array 'sets'"),
+    (rewrite_npz(status=np.zeros(6, dtype=np.int64)),
      "pairs.npz array 'status' must be a 1-D int8 array, got a 1-D int64 array"),
-    (rewrite_pairs(values=np.zeros((6, 1))),
+    (rewrite_npz(values=np.zeros((6, 1))),
      "pairs.npz array 'values' must be a 1-D float64 array, got a 2-D float64 array"),
-    (rewrite_pairs(set_index=np.zeros(5, dtype=np.int64)),
+    (rewrite_npz(set_index=np.zeros(5, dtype=np.int64)),
      "pairs.npz array 'set_index' has 5 entries, but p=4 has 6 pairs"),
-    (rewrite_pairs(set_index=np.array([0, 0, 0, 0, 0, -2])),
+    (rewrite_npz(set_index=np.array([0, 0, 0, 0, 0, -2])),
      "pairs.npz array 'set_index' has an entry outside [-1, 1)"),
-    (rewrite_pairs(status=np.array([0, 0, 0, 0, 0, 3], dtype=np.int8)),
+    (rewrite_npz(status=np.array([0, 0, 0, 0, 0, 3], dtype=np.int8)),
      "pairs.npz array 'status' has an entry outside [0, 3)"),
 ], ids=["missing", "text", "truncated", "npy-array", "object-array", "missing-key", "int64-status", "two-dimensional",
         "short", "set-index-range", "status-range"])
@@ -604,6 +612,60 @@ def test_legacy_sample_conversion_command_runs(tmp_path):
     code = stderr[stderr.index("python -c ") + len("python -c "):].strip().strip('"')
     subprocess.run([sys.executable, "-c", code], check=True, env=src_env(), timeout=60)
     assert np.array_equal(load_samples(directory).data, [[0.5, 1.5], [-0.5, 1.0]])
+
+
+def test_legacy_model_conversion_command_runs(tmp_path):
+    # the directory as earlier versions wrote it: J in full as %.17g text,
+    # here with the rounding asymmetry that loading averages away
+    model = synthesize_model(cycle_graph(7), 0.7, sign_pattern="random", diagonal=3.0, seed=4)
+    directory = tmp_path / "model"
+    save_model(model, directory)
+    (directory / "precision.npz").unlink()
+    j = np.array(model.precision)
+    j[0, 1] = np.nextafter(np.nextafter(j[0, 1], 0.0), 0.0)  # two ulps, so the mean is neither entry
+    np.savetxt(directory / "precision.csv", j, fmt="%.17g", delimiter=",", header="7", comments="")
+    want = GaussianModel(model.graph, j).precision  # what earlier versions loaded
+    assert want.tobytes() != model.precision.tobytes()
+    cfg = write_config(tmp_path / "cfg.json", {"model": str(directory), "n": 5})
+    stderr = run_cli_subprocess(cfg, tmp_path / "out", "sample").stderr
+    assert stderr.startswith(f"Error: {directory / 'precision.npz'} is missing; precision.csv is no longer read; "
+                             "convert with python -c ")
+    assert len(stderr.splitlines()) == 1
+    code = stderr[stderr.index("python -c ") + len("python -c "):].strip().strip('"')
+    subprocess.run([sys.executable, "-c", code], check=True, env=src_env(), timeout=60)
+    assert load_model(directory).precision.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("write, message", [
+    (lambda path: path.rename(path.with_suffix(".csv")),
+     "precision.npz is missing; precision.csv is no longer read; convert with python -c \"import numpy as np; "),
+    (Path.unlink, "cannot read {path}: No such file or directory"),
+    (write_text, "precision.npz is not a valid npz archive: it starts with b'0.5,1.', not b'PK'"),
+    (write_truncated_npz, "precision.npz is not a valid npz archive: "),
+    (lambda path: np.save(path.with_suffix(".npy"), np.ones(3)) or path.with_suffix(".npy").rename(path),
+     "precision.npz is a .npy array, not an npz archive"),
+    (rewrite_npz(edge_values=None), "precision.npz is missing the array 'edge_values'"),
+    (rewrite_npz(diagonal=np.ones(3, dtype=np.float32)),
+     "precision.npz array 'diagonal' must be a 1-D float64 array, got a 1-D float32 array"),
+    (rewrite_npz(edge_values=np.array([[0.2]])),
+     "precision.npz array 'edge_values' must be a 1-D float64 array, got a 2-D float64 array"),
+    (rewrite_npz(diagonal=np.ones(4)), "precision.npz array 'diagonal' has 4 entries, but {edges} needs 3"),
+    (rewrite_npz(edge_values=np.array([0.2, 0.1])),
+     "precision.npz array 'edge_values' has 2 entries, but {edges} needs 1"),
+    (rewrite_npz(edge_values=np.array([0.2, "x"], dtype=object)), "precision.npz array 'edge_values' is not valid: "),
+], ids=["legacy-csv-only", "missing", "text", "truncated", "npy-array", "missing-key", "float32", "two-dimensional",
+        "long-diagonal", "long-edge-values", "object-array"])
+def test_malformed_precision_fails_cleanly(tmp_path, write, message):
+    directory = tmp_path / "model"
+    write_model_dir(directory, "{}")
+    path = directory / "precision.npz"
+    write(path)
+    cfg = write_config(tmp_path / "cfg.json", {"model": str(directory), "n": 5})
+    proc = run_cli(cfg, tmp_path / "out", "sample")
+    message = message.format(path=path, edges=directory / "graph.edges")
+    assert_clean_error(proc, "Error: " + (message if message.startswith("cannot") else f"{directory}/{message}"))
+    if write is write_text:
+        assert "pickle" not in proc.stderr
 
 
 @pytest.mark.parametrize("edges, message", [

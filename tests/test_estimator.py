@@ -244,6 +244,47 @@ def test_invalid_estimator_inputs_are_rejected(call, message):
         call()
 
 
+# one triangle of each holds the entries the other lacks; before the check
+# each matrix and its transpose gave different results: edge (0, 1) or
+# none, and a conditional covariance of 0.44 or 0.18
+SKEW_2 = np.array([[1.0, 0.5], [0.0, 1.0]])
+SKEW_3 = np.array([[1.0, 0.5, 0.3], [0.2, 1.0, 0.1], [0.2, 0.2, 1.0]])
+EXACT = EstimatorConfig(eta=1, xi=0.1, exact_mode=True)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: cmit(SKEW_2, EXACT), "covariance matrix must be symmetric"),
+    (lambda: cmit(SKEW_2.T, EXACT), "covariance matrix must be symmetric"),
+    (lambda: min_conditional_statistic(SKEW_2, 0, 1, 1), "covariance matrix must be symmetric"),
+    (lambda: min_conditional_statistic(SKEW_2.T, 0, 1, 1), "covariance matrix must be symmetric"),
+    (lambda: conditional_covariance_exact(SKEW_3, 0, 1, (2,)), "covariance matrix must be symmetric"),
+    (lambda: conditional_covariance_exact(SKEW_3.T, 0, 1, (2,)), "covariance matrix must be symmetric"),
+    (lambda: cmit(np.eye(2) + 0j, EXACT), "covariance matrix must be real, got a complex128 array"),
+    (lambda: cmit(np.ones((5, 2)) * 1j, EstimatorConfig()), "data matrix must be real, got a complex128 array"),
+    (lambda: min_conditional_statistic(np.eye(2) + 0j, 0, 1, 1),
+     "covariance matrix must be real, got a complex128 array"),
+    (lambda: conditional_covariance_exact(np.eye(3) + 0j, 0, 1, (2,)),
+     "covariance matrix must be real, got a complex128 array"),
+], ids=["cmit-upper", "cmit-lower", "min-upper", "min-lower", "conditional-upper", "conditional-lower", "cmit-complex",
+        "cmit-sample-complex", "min-complex", "conditional-complex"])
+def test_covariance_must_be_symmetric_and_real(call, message):
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call()
+
+
+def test_covariance_within_the_symmetry_tolerance_is_averaged():
+    skew = np.array(chain_model(5).sigma())
+    skew[0, 2] += 1e-14
+    calls = (lambda s: conditional_covariance_exact(s, 0, 1, (2,)), lambda s: min_conditional_statistic(s, 0, 1, 2),
+             lambda s: cmit(s, EXACT).values.tobytes())
+    for call in calls:
+        assert call(skew) == call(skew.T) == call((skew + skew.T) / 2.0)
+    # conditional_covariance_exact reads, and checks, only the block on (i, j, S)
+    want = calls[0](skew)
+    skew[3, 4] += 0.5
+    assert calls[0](skew) == want
+
+
 def test_min_statistic_deep_subsets_match_shallow_scan():
     # eta = 3 exercises the generic path; on a chain the eta = 1 minimum is
     # already a separator, so deeper conditioning cannot do better than zero
@@ -377,6 +418,21 @@ def test_cmit_early_exit_same_edges():
             assert d.value <= fast.threshold
 
 
+@pytest.mark.parametrize("seed, eta", [(0, 0), (1, 1), (4, 1)])
+def test_early_exit_marks_only_pairs_stopped_before_the_last_size(seed, eta):
+    x = np.random.default_rng(seed).standard_normal((200, 6))
+    early = cmit(x, EstimatorConfig(eta=eta, xi=0.1))
+    full = cmit(x, EstimatorConfig(eta=eta, xi=0.1, early_exit=False))
+    # a pair stops when its minimum over the sizes below the last is at or below xi
+    below = cmit(x, EstimatorConfig(eta=eta - 1, xi=0.1, early_exit=False)).values <= 0.1 if eta else False
+    stopped = early.status == STATUSES.index("early_exit")
+    assert np.array_equal(stopped, np.broadcast_to(below, stopped.shape))
+    assert early.values[~stopped].tobytes() == full.values[~stopped].tobytes()
+    assert np.array_equal(early.status[~stopped], full.status[~stopped])
+    # some non-edge first reaches xi in the last size class and keeps "ok"
+    assert np.any(~stopped & (full.values <= 0.1))
+
+
 def test_cmit_pairs_match_single_pair_scan():
     # cmit completes all pairs together and min_conditional_statistic one pair
     # alone, with the same operations per pair and set, so every pair agrees
@@ -396,6 +452,14 @@ def _quantized(x, step):
     return np.round(np.asarray(x) / step) * step
 
 
+def digest_models(kind: str) -> dict:
+    """eta -> model of the ``er`` or ``cycle`` families of ``_digest_runs``."""
+    if kind == "er":
+        return {eta: synthesize_model(generate_er(p, 4.0, 1), 0.8, sign_pattern="random", seed=2)
+                for eta, p in ((0, 40), (1, 40), (2, 30), (3, 20))}
+    return dict.fromkeys(range(4), synthesize_model(cycle_graph(12), 0.5))
+
+
 def _digest_runs(family: str) -> dict:
     """eta -> (cmit source, n or None, exact-mode xi or None) of a family:
     ER c=4 models (p = 40, 40, 30, 20 for eta = 0..3), whose open pairs
@@ -403,11 +467,7 @@ def _digest_runs(family: str) -> dict:
     early exit, and a 12-cycle, whose n=3 samples cap the sets at two
     vertices."""
     kind, mode = family.split("-")
-    if kind == "er":
-        models = {eta: synthesize_model(generate_er(p, 4.0, 1), 0.8, sign_pattern="random", seed=2)
-                  for eta, p in ((0, 40), (1, 40), (2, 30), (3, 20))}
-    else:
-        models = dict.fromkeys(range(4), synthesize_model(cycle_graph(12), 0.5))
+    models = digest_models(kind)
     if mode == "exact":
         xi = 0.01 if kind == "er" else 0.05
         return {eta: (_quantized(m.sigma(), 2.0**-30), None, xi) for eta, m in models.items()}
@@ -462,22 +522,24 @@ def _scan_digests(family: str, runs: dict) -> dict:
 
 
 # digests of _scan_digests and _oracle_gap_digests; a refactor of the scan
-# must leave every entry as it is
+# must leave every entry as it is.  The early-exit ("/1") entries moved once,
+# when pairs that first reach the threshold in the last size class kept
+# status "ok" instead of "early_exit"; their values and sets did not move
 SCAN_DIGESTS = {
     "er-sample/cmit/0/covariance/0": "73c25ea85ec0521d",
-    "er-sample/cmit/0/covariance/1": "58989f4db2d0fd3e",
+    "er-sample/cmit/0/covariance/1": "7995609528ecca4d",
     "er-sample/min/0/covariance": "363d180d96817cf4",
     "er-sample/cmit/0/mutual_information/0": "6a9fd9fa94358eaa",
-    "er-sample/cmit/0/mutual_information/1": "e9f19f17f9d73011",
+    "er-sample/cmit/0/mutual_information/1": "72634c4778879998",
     "er-sample/min/0/mutual_information": "6fe7c9fbca5287a8",
     "er-sample/cmit/1/covariance/0": "aa28cb34cdf84c8f",
-    "er-sample/cmit/1/covariance/1": "cc2b1f91629abf03",
+    "er-sample/cmit/1/covariance/1": "39542a28f9e385d1",
     "er-sample/min/1/covariance": "efc4bb5a25785e4b",
     "er-sample/cmit/1/mutual_information/0": "209a2a1dbc3be46f",
-    "er-sample/cmit/1/mutual_information/1": "abf8709fee5a2356",
+    "er-sample/cmit/1/mutual_information/1": "60da1d208e24641e",
     "er-sample/min/1/mutual_information": "908e965c62112fd5",
     "er-sample/cmit/2/covariance/0": "e4915bd1a6dad75a",
-    "er-sample/cmit/2/covariance/1": "d7b9eb1e1e580a2c",
+    "er-sample/cmit/2/covariance/1": "f3de5bcb33eedc6b",
     "er-sample/min/2/covariance": "b2cf51ffb9067721",
     "er-sample/cmit/2/mutual_information/0": "d39a5f87225fe038",
     "er-sample/cmit/2/mutual_information/1": "aee00b45bf7b5759",
@@ -489,37 +551,37 @@ SCAN_DIGESTS = {
     "er-sample/cmit/3/mutual_information/1": "2cec18ca9039da36",
     "er-sample/min/3/mutual_information": "39dfeab21e71e290",
     "er-exact/cmit/0/covariance/0": "6a21e6c917786a06",
-    "er-exact/cmit/0/covariance/1": "08f059d06bff136f",
+    "er-exact/cmit/0/covariance/1": "3fa5069066316ee2",
     "er-exact/min/0/covariance": "39d4428f2a76c521",
     "er-exact/cmit/0/mutual_information/0": "1882440d55f15b90",
-    "er-exact/cmit/0/mutual_information/1": "f132c92a8d9d6738",
+    "er-exact/cmit/0/mutual_information/1": "686398a0fd55a1f0",
     "er-exact/min/0/mutual_information": "1afb4c8b5c693c7e",
     "er-exact/cmit/1/covariance/0": "8cc80e4d16834eac",
-    "er-exact/cmit/1/covariance/1": "8cb3a13c8bd08a24",
+    "er-exact/cmit/1/covariance/1": "1b9537b98a367452",
     "er-exact/min/1/covariance": "27b4474357c19089",
     "er-exact/cmit/1/mutual_information/0": "af40b9723e81e556",
-    "er-exact/cmit/1/mutual_information/1": "20b6ec4c9a7bb1eb",
+    "er-exact/cmit/1/mutual_information/1": "63f87cb1c26f5b2a",
     "er-exact/min/1/mutual_information": "23d50527e703eb80",
     "er-exact/cmit/2/covariance/0": "d074ea28c7043f4f",
-    "er-exact/cmit/2/covariance/1": "392e863dbde43a6b",
+    "er-exact/cmit/2/covariance/1": "db2cf1a78e610918",
     "er-exact/min/2/covariance": "1faa4ecfcfb162b5",
     "er-exact/cmit/2/mutual_information/0": "ea84251d4fceb84e",
-    "er-exact/cmit/2/mutual_information/1": "9f534286d16471ae",
+    "er-exact/cmit/2/mutual_information/1": "87a9fa2a6ab6f3e3",
     "er-exact/min/2/mutual_information": "b66f8d4abafb0dd4",
     "er-exact/cmit/3/covariance/0": "60118e1adf3855a7",
-    "er-exact/cmit/3/covariance/1": "f164c3cd0bc666cc",
+    "er-exact/cmit/3/covariance/1": "1c4a44cf54a187d3",
     "er-exact/min/3/covariance": "49844802411bd186",
     "er-exact/cmit/3/mutual_information/0": "cfc3011c35b5c51b",
     "er-exact/cmit/3/mutual_information/1": "e477aad566bf4d14",
     "er-exact/min/3/mutual_information": "68fb07fa8393a923",
     "cycle-sample/cmit/0/covariance/0": "7e263610458eb6e3",
-    "cycle-sample/cmit/0/covariance/1": "35a02b8f5412da4a",
+    "cycle-sample/cmit/0/covariance/1": "19db39d254c5c035",
     "cycle-sample/min/0/covariance": "d3a8b69703c1a992",
     "cycle-sample/cmit/0/mutual_information/0": "df12f6a6495f440a",
-    "cycle-sample/cmit/0/mutual_information/1": "f94ee71edba5dbf2",
+    "cycle-sample/cmit/0/mutual_information/1": "0c00f109f7d1a271",
     "cycle-sample/min/0/mutual_information": "331f17efed3ea295",
     "cycle-sample/cmit/1/covariance/0": "1de21f7bc96d7088",
-    "cycle-sample/cmit/1/covariance/1": "84ad50b5acf74949",
+    "cycle-sample/cmit/1/covariance/1": "f67fc809bce66a79",
     "cycle-sample/min/1/covariance": "1ef7cb1b54590277",
     "cycle-sample/cmit/1/mutual_information/0": "ea39065105a07351",
     "cycle-sample/cmit/1/mutual_information/1": "625b86eea36fd924",
@@ -537,10 +599,10 @@ SCAN_DIGESTS = {
     "cycle-sample/cmit/3/mutual_information/1": "f19f384e27c30854",
     "cycle-sample/min/3/mutual_information": "4ff5f2d546577479",
     "cycle-n3/cmit/0/covariance/0": "27e513b5a3e26be7",
-    "cycle-n3/cmit/0/covariance/1": "92fcd5da7a1a46ad",
+    "cycle-n3/cmit/0/covariance/1": "f079a885602418b6",
     "cycle-n3/min/0/covariance": "aae9f2e7ae3d1236",
     "cycle-n3/cmit/0/mutual_information/0": "4b15d734400af9a5",
-    "cycle-n3/cmit/0/mutual_information/1": "981aed5c93b4fbe4",
+    "cycle-n3/cmit/0/mutual_information/1": "02b4454a07a6c199",
     "cycle-n3/min/0/mutual_information": "920b128788c8c4e8",
     "cycle-n3/cmit/1/covariance/0": "7f90490480fa9947",
     "cycle-n3/cmit/1/covariance/1": "9d93b0048cf5c132",
@@ -561,16 +623,16 @@ SCAN_DIGESTS = {
     "cycle-n3/cmit/3/mutual_information/1": "87aadc0351465a91",
     "cycle-n3/min/3/mutual_information": "1968287be75ce7c0",
     "cycle-exact/cmit/0/covariance/0": "39716e0a18bfdc87",
-    "cycle-exact/cmit/0/covariance/1": "df3647aac1d57e61",
+    "cycle-exact/cmit/0/covariance/1": "204b7f94608af4ea",
     "cycle-exact/min/0/covariance": "4db63049b43c4b88",
     "cycle-exact/cmit/0/mutual_information/0": "cd6bd3a4ec964fde",
-    "cycle-exact/cmit/0/mutual_information/1": "6c507281767a2a5a",
+    "cycle-exact/cmit/0/mutual_information/1": "3fd2e393b65bab7c",
     "cycle-exact/min/0/mutual_information": "d1e61412446b333f",
     "cycle-exact/cmit/1/covariance/0": "41b693df7507c7f4",
-    "cycle-exact/cmit/1/covariance/1": "37f625d388452201",
+    "cycle-exact/cmit/1/covariance/1": "74200f4ccc85f129",
     "cycle-exact/min/1/covariance": "261fbcff2bc2fa76",
     "cycle-exact/cmit/1/mutual_information/0": "e32962eb13687b98",
-    "cycle-exact/cmit/1/mutual_information/1": "87d98a854d3a808f",
+    "cycle-exact/cmit/1/mutual_information/1": "831ccdbf100ff4e8",
     "cycle-exact/min/1/mutual_information": "1de81847ef04cf97",
     "cycle-exact/cmit/2/covariance/0": "781c85a876610e35",
     "cycle-exact/cmit/2/covariance/1": "76bed7ab240b41c2",
@@ -600,11 +662,15 @@ def test_scan_digests_pinned(family):
     assert got == {k: v for k, v in SCAN_DIGESTS.items() if k.startswith(family + "/")}
 
 
+def oracle_gap_models() -> dict:
+    """name -> (model, its (eta, gamma) runs) of ``ORACLE_GAP_DIGESTS``."""
+    return {"torus6x6": (synthesize_model(torus_grid(6, 2), 0.5), ((1, 2), (2, 2))),
+            "cycle6": (synthesize_model(cycle_graph(6), 0.5), ((1, 2), (2, 5)))}
+
+
 def _oracle_gap_digests() -> dict:
     out = {}
-    for name, graph, runs in (("torus6x6", torus_grid(6, 2), ((1, 2), (2, 2))),
-                              ("cycle6", cycle_graph(6), ((1, 2), (2, 5)))):
-        m = synthesize_model(graph, 0.5)
+    for name, (m, runs) in oracle_gap_models().items():
         for eta, gamma in runs:
             gap = oracle_gap(m, eta=eta, gamma=gamma)
             out[f"{name}/{eta}/{gamma}"] = _digest([_hex(gap.c_min), _hex(gap.c_max), gap.separable,
@@ -758,10 +824,10 @@ def test_scan_matches_naive_enumeration(case):
     early = cmit(source, replace(cfg, early_exit=True))
     assert early.edges == result.edges
     for (u, v), dec in early.pairs.items():
-        # the running minimum at the end of the first size class that
-        # reaches the threshold, else the full result
+        # the running minimum at the end of the first size class below the
+        # last that reaches the threshold, else the full result
         running, stop = math.inf, None
-        for size in range(max_size + 1):
+        for size in range(max_size):
             running = min([running] + [value for value, subset in tables[(u, v)] if len(subset) == size])
             if running <= early.threshold:
                 stop = running

@@ -1,25 +1,28 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from ggmlearn import InvalidParameter, SampleSet
+from ggmlearn import GaussianModel, InvalidParameter, SampleSet, harness, synthesize_model
+from ggmlearn.harness import run_trial
 from ggmlearn.io import (
     config_hash,
-    format_matrix_csv,
+    load_model,
     load_samples,
-    parse_matrix_csv,
     read_edge_list,
     read_json,
-    read_matrix_csv,
+    save_model,
     save_samples,
     write_json,
-    write_matrix_csv,
 )
 
-from helpers import reference_format_matrix_csv
+from helpers import random_sparse_model
+from test_estimator import digest_models, oracle_gap_models
+from test_harness import DIGEST_ROWS
+from test_lbp import LBP_DIGEST_CASES
 
 # +-0, the smallest subnormal, the largest subnormal and smallest normal,
 # the extremes, +-inf and nan
@@ -27,38 +30,59 @@ SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.225073858507201
            1.7976931348623157e308, -1.7976931348623157e308, np.inf, -np.inf, np.nan]
 
 
-def test_matrix_csv_round_trip_is_exact():
-    rng = np.random.default_rng(1)
-    m = rng.normal(size=(5, 5))
-    m[0, 1] = 1e-300
-    m[1, 0] = 0.1 + 0.2  # not exactly 0.3; %.17g must preserve it
-    back = parse_matrix_csv(format_matrix_csv(m))
-    assert np.array_equal(back, m)
+def assert_model_round_trips(model: GaussianModel, directory) -> None:
+    save_model(model, directory)
+    back = load_model(directory)
+    assert back.graph == model.graph
+    assert back.precision.tobytes() == model.precision.tobytes()
+    assert back.alpha == model.alpha
+    assert back.meta == model.meta
 
 
-def test_matrix_csv_golden_format():
-    text = format_matrix_csv(np.array([[1.0, 0.5], [0.5, 2.0]]))
-    assert text == "2\n1,0.5\n0.5,2\n"
+class _Built(Exception):
+    pass
 
 
-def test_matrix_csv_accepts_rectangular_sample_blocks():
-    x = np.arange(12, dtype=float).reshape(4, 3)
-    back = parse_matrix_csv(format_matrix_csv(x))
-    assert back.shape == (4, 3)
-    assert np.array_equal(back, x)
+def _sweep_models() -> list:
+    """The models that the trials of the sweep digest rows build."""
+    built = []
+
+    def synthesize(*args, **kwargs):
+        built.append(synthesize_model(*args, **kwargs))
+        raise _Built  # the trial has built its model; its scan is not needed
+
+    with mock.patch.object(harness, "synthesize_model", synthesize):
+        for cfg in DIGEST_ROWS.values():
+            for t in range(cfg.trials):
+                with pytest.raises(_Built):
+                    run_trial(cfg, t)
+    return built
 
 
-def test_matrix_csv_rejects_malformed_input():
-    with pytest.raises(InvalidParameter):
-        parse_matrix_csv("")
-    with pytest.raises(InvalidParameter):
-        parse_matrix_csv("2\n1,2\n")  # row count mismatch
-    with pytest.raises(InvalidParameter):
-        parse_matrix_csv("1\n1,two\n")
-    with pytest.raises(InvalidParameter):
-        parse_matrix_csv("x\n1,2\n")  # header is not a row count
-    with pytest.raises(InvalidParameter):
-        format_matrix_csv(np.zeros(3))
+DIGEST_MODELS = {
+    "sweep": _sweep_models,
+    "scan": lambda: [*digest_models("er").values(), digest_models("cycle")[0]],
+    "oracle-gap": lambda: [m for m, _ in oracle_gap_models().values()],
+    "lbp": lambda: [case()[0] for case in LBP_DIGEST_CASES.values()],
+}
+
+
+@pytest.mark.parametrize("family", DIGEST_MODELS)
+def test_digest_models_round_trip_through_model_directories(tmp_path, family):
+    models = DIGEST_MODELS[family]()
+    assert models
+    for k, model in enumerate(models):
+        assert_model_round_trips(model, tmp_path / str(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 12), st.integers(0, 2**32 - 1), st.floats(0.05, 0.95), st.sampled_from([1.0, 1e160, 1e-200]))
+def test_model_directory_round_trips_bits(tmp_path_factory, p, seed, alpha, scale):
+    # at 1e160 and 1e-200 the diagonal products leave the float range, so
+    # alpha and positive definiteness take their out-of-range paths
+    m = random_sparse_model(p, seed, alpha, diagonal_range=(0.2, 5.0))
+    model = GaussianModel(m.graph, scale * m.precision, meta={"seed": seed})
+    assert_model_round_trips(model, tmp_path_factory.mktemp("model"))
 
 
 FLOAT_MATRICES = arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 8)),
@@ -71,16 +95,6 @@ def assert_same_bits(back, m):
     assert np.array_equal(np.isnan(back), nan)
     # sign bits included: -0.0 and the negative subnormals come back as written
     assert np.array_equal(back[~nan].view(np.int64), m[~nan].view(np.int64))
-
-
-@settings(max_examples=200, deadline=None)
-@given(FLOAT_MATRICES)
-@example(np.array([SPECIAL]))
-@example(np.array([SPECIAL]).T)
-def test_matrix_csv_codec_matches_reference_writer_and_round_trips_bits(m):
-    text = format_matrix_csv(m)
-    assert text == reference_format_matrix_csv(m)
-    assert_same_bits(parse_matrix_csv(text), m)
 
 
 @settings(max_examples=100, deadline=None)
@@ -117,24 +131,6 @@ def test_load_samples_returns_native_c_ordered_float64(tmp_path, stored):
     assert_same_bits(back, m)
 
 
-@pytest.mark.parametrize("text", [
-    "2\n1,2\n3\n",        # ragged rows
-    "1\n1,,2\n",           # empty field
-    "1\n1,x\n",            # non-numeric field
-    "1\n1_0,2\n",          # underscore literal: Python's float accepts it, np.loadtxt does not
-    "1\n",                 # no rows
-])
-def test_matrix_csv_malformed_rows_raise_invalid_parameter(text):
-    with pytest.raises(InvalidParameter):
-        parse_matrix_csv(text)
-
-
-def test_matrix_csv_file_round_trip(tmp_path):
-    m = np.eye(3) * 0.123456789012345678
-    write_matrix_csv(m, tmp_path / "m.csv")
-    assert np.array_equal(read_matrix_csv(tmp_path / "m.csv"), m)
-
-
 def test_json_round_trip(tmp_path):
     payload = {"b": [1, 2], "a": {"nested": True}}
     write_json(payload, tmp_path / "x.json")
@@ -143,7 +139,7 @@ def test_json_round_trip(tmp_path):
     assert read_json(tmp_path / "x.json") == payload
 
 
-@pytest.mark.parametrize("reader", [read_matrix_csv, read_edge_list, read_json])
+@pytest.mark.parametrize("reader", [read_edge_list, read_json])
 def test_readers_name_the_path_they_cannot_read(tmp_path, reader):
     missing = tmp_path / "nope"
     with pytest.raises(InvalidParameter, match=re.escape(f"cannot read {missing}: No such file or directory")):
