@@ -26,10 +26,11 @@ c(u, v | prefix + m) once per vertex m; the pairs gather these.  With every
 pair open, size s costs O(p^s) sets at O(p^2) each, the paper's
 O(p^(eta+2)) time.  Memory is O(eta p^2) for the walk's levels and the
 gathered rows; every other array of the completion holds at most 2^15
-entries, 256 KB whatever p.  A pair goes through the same floating point
-operations in the same order whichever pairs are open, so its result
-does not depend on the others.  The conditional covariance for one fixed
-set is ``model.conditional_covariance_exact``.
+entries (256 KB), or one per open vertex where there are more.  A pair
+goes through the same floating point operations in the same order
+whichever pairs are open, so its result does not depend on the others.
+The conditional covariance for one fixed set is
+``model.conditional_covariance_exact``.
 
 Mutual information is minimized on its key rho^2 = cov^2 / (var_i var_j),
 on which it is increasing, and each pair's minimum is converted to
@@ -347,10 +348,10 @@ def _max_size(eta: int, n: int | None) -> int:
 _CHUNK = 2**15  # entries per (vertex or pair) x (set or m) array of the completion: 256 KB
 
 
-def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str, cond_limit: float,
-              threshold: float | None):
-    """Minimize the key of the pairs that ``todo``, a p x p mask True above
-    the diagonal only, marks; the module docstring gives the scan.
+def _scan_all(sigma: np.ndarray, us: np.ndarray, vs: np.ndarray, max_size: int, statistic: str,
+              cond_limit: float, threshold: float | None):
+    """Minimize the key of the pairs (us[t], vs[t]), us[t] < vs[t], given in
+    row-major order; the module docstring gives the scan.
 
     Size 0 reads every pair's key off Sigma, and each size from 1 to
     ``max_size`` runs the completion on the pairs still open.  With a
@@ -358,12 +359,11 @@ def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str
     sizes, after the first size class below ``max_size`` that brings its
     minimum statistic to the threshold or below; a pair first brought there
     by the last size was scanned in full and is not frozen.  Returns,
-    for the marked pairs in row-major order, the minimum key (infinite if
-    no set gave a defined one), the index of its set in the returned list
-    of sets (-1 for none) and the early-exit flag, and that list, which
-    holds only the sets some marked pair ends with.
+    per pair, the minimum key (infinite if no set gave a defined one), the
+    index of its set in the returned list of sets (-1 for none) and the
+    early-exit flag, and that list, which holds only the sets some pair
+    ends with.
     """
-    us, vs = np.nonzero(todo)
     var = sigma.diagonal()
     best = _key(sigma[us, vs], var[us], var[vs], statistic)
     arg = np.where(best < np.inf, 0, -1)
@@ -378,7 +378,7 @@ def _scan_all(sigma: np.ndarray, todo: np.ndarray, max_size: int, statistic: str
         keys, sets = best[t], arg[t]
         _complete(sigma, size, statistic, cond_limit, us[t], vs[t], keys, sets, winners)
         best[t], arg[t] = keys, sets
-    used = np.zeros(len(winners) + 1, dtype=bool)  # the winners some marked pair still references
+    used = np.zeros(len(winners) + 1, dtype=bool)  # the winners some pair still references
     used[arg] = True
     used[-1] = False  # the extra last entry is index -1, which stays -1
     remap = np.where(used, np.cumsum(used) - 1, -1)
@@ -410,8 +410,8 @@ def _complete(sigma: np.ndarray, size: int, statistic: str, cond_limit: float, u
     gets c(w, l | prefix + m) (for mutual information also c(w, w | set))
     once, and each pair c(u, v | prefix + m) once per m.  These (vertex x
     set), (pair x set) and (pair x m) arrays hold at most ``_CHUNK``
-    entries; above ``_CHUNK`` vertices the pairs go in blocks of
-    ``_CHUNK // 2``.  A pair keeps its first argmin, the first set in
+    entries, or one per open vertex where there are more open vertices
+    than that.  A pair keeps its first argmin, the first set in
     canonical order, and merges it with a strict ``<`` after the prefix,
     so winners are listed by prefix, then by pair.
     """
@@ -419,13 +419,10 @@ def _complete(sigma: np.ndarray, size: int, statistic: str, cond_limit: float, u
     batch = min(size, 2)
     mi = statistic == "mutual_information"
     var = sigma.diagonal()
-    blocks = []  # (pairs, their vertices, each pair's two ends among them, sets per chunk)
-    block = max(len(us), 1) if p <= _CHUNK else _CHUNK // 2
-    for b0 in range(0, len(us), block):
-        bs = slice(b0, b0 + block)
-        verts = np.flatnonzero(np.bincount(us[bs], minlength=p) + np.bincount(vs[bs], minlength=p))
-        ends = np.searchsorted(verts, us[bs]), np.searchsorted(verts, vs[bs])
-        blocks.append((bs, verts, *ends, max(1, _CHUNK // len(verts))))
+    verts = np.flatnonzero(np.bincount(us, minlength=p) + np.bincount(vs, minlength=p))  # the open vertices
+    iu, iv = np.searchsorted(verts, us), np.searchsorted(verts, vs)  # each pair's two ends among them
+    width = max(1, _CHUNK // len(verts))  # sets per chunk
+    group = _CHUNK // width  # pairs per group
     for prefix, cond, lo, hi in _walk(sigma, size - batch, cond_limit):
         dg = cond.diagonal()
         if batch == 1:  # sets (l,): l and its pivot Sigma(l, l)
@@ -447,43 +444,41 @@ def _complete(sigma: np.ndarray, size: int, statistic: str, cond_limit: float, u
             ms, pms, mrun = m[first], pm[first], np.cumsum(first) - 1
         # a pair that meets the prefix is computed with the others but never merged
         keep = ~(np.equal.outer(us, prefix).any(axis=1) | np.equal.outer(vs, prefix).any(axis=1))
-        for bs, verts, iu, iv, width in blocks:
-            group = _CHUNK // width
-            rows = cond.take(verts, axis=0)  # the open vertices' rows, NaN at each one's own column
-            rows[np.arange(len(verts)), verts] = np.nan
-            heads, dv = cond[us[bs], vs[bs]][:, None], dg[verts][:, None]
-            low, at = np.full(len(iu), np.inf), np.zeros(len(iu), dtype=np.intp)  # minima over the prefix's sets
-            for k0 in range(0, len(l), width):
-                ks = slice(k0, k0 + width)
-                a, v = rows[:, l[ks]], dv  # c(w, l | prefix), c(w, w | prefix)
-                if batch == 2:  # condition on m, then on l, in the order of the rank-1 steps
-                    counts = np.bincount(mrun[ks] - mrun[k0])  # the chunk's sets per m
-                    js = slice(mrun[k0], mrun[k0] + len(counts))
-                    a_m = rows[:, ms[js]]  # c(w, m | prefix) per m
-                    a_ms = np.repeat(a_m, counts, axis=1)
-                    if mi:
-                        v = _minus(dv, a_ms, a_ms, pm[ks], np.empty_like(a))  # c(w, w | prefix + m)
-                    a = _minus(a, a_ms, c_lm[ks], pm[ks], a_ms)  # c(w, l | prefix + m)
+        rows = cond.take(verts, axis=0)  # the open vertices' rows, NaN at each one's own column
+        rows[np.arange(len(verts)), verts] = np.nan
+        heads, dv = cond[us, vs][:, None], dg[verts][:, None]
+        low, at = np.full(len(iu), np.inf), np.zeros(len(iu), dtype=np.intp)  # minima over the prefix's sets
+        for k0 in range(0, len(l), width):
+            ks = slice(k0, k0 + width)
+            a, v = rows[:, l[ks]], dv  # c(w, l | prefix), c(w, w | prefix)
+            if batch == 2:  # condition on m, then on l, in the order of the rank-1 steps
+                counts = np.bincount(mrun[ks] - mrun[k0])  # the chunk's sets per m
+                js = slice(mrun[k0], mrun[k0] + len(counts))
+                a_m = rows[:, ms[js]]  # c(w, m | prefix) per m
+                a_ms = np.repeat(a_m, counts, axis=1)
                 if mi:
-                    v = _minus(v, a, a, piv[ks], np.empty_like(a))  # c(w, w | the set)
-                for g0 in range(0, len(iu), group):
-                    gs = slice(g0, g0 + group)
-                    gi, gj = iu[gs], iv[gs]
-                    c = heads[gs]
-                    if batch == 2:  # c(u, v | prefix + m) once per m, repeated per set
-                        x = a_m[gi]
-                        c = np.repeat(_minus(c, x, a_m[gj], pms[js], x), counts, axis=1)
-                    x = a[gi]
-                    key = _key(_minus(c, x, a[gj], piv[ks], x), v[gi], v[gj], statistic)
-                    pos = key.argmin(axis=1)
-                    kmin = key[np.arange(len(gi)), pos]
-                    better = kmin < low[gs]
-                    low[gs][better] = kmin[better]
-                    at[gs][better] = k0 + pos[better]
-            won = np.flatnonzero((low < best[bs]) & keep[bs])
-            best[bs][won] = low[won]
-            arg[bs][won] = np.arange(len(winners), len(winners) + len(won))
-            winners.extend(prefix + tail for tail in zip(*(col[at[won]].tolist() for col in last[:batch])))
+                    v = _minus(dv, a_ms, a_ms, pm[ks], np.empty_like(a))  # c(w, w | prefix + m)
+                a = _minus(a, a_ms, c_lm[ks], pm[ks], a_ms)  # c(w, l | prefix + m)
+            if mi:
+                v = _minus(v, a, a, piv[ks], np.empty_like(a))  # c(w, w | the set)
+            for g0 in range(0, len(iu), group):
+                gs = slice(g0, g0 + group)
+                gi, gj = iu[gs], iv[gs]
+                c = heads[gs]
+                if batch == 2:  # c(u, v | prefix + m) once per m, repeated per set
+                    x = a_m[gi]
+                    c = np.repeat(_minus(c, x, a_m[gj], pms[js], x), counts, axis=1)
+                x = a[gi]
+                key = _key(_minus(c, x, a[gj], piv[ks], x), v[gi], v[gj], statistic)
+                pos = key.argmin(axis=1)
+                kmin = key[np.arange(len(gi)), pos]
+                better = kmin < low[gs]
+                low[gs][better] = kmin[better]
+                at[gs][better] = k0 + pos[better]
+        won = np.flatnonzero((low < best) & keep)
+        best[won] = low[won]
+        arg[won] = np.arange(len(winners), len(winners) + len(won))
+        winners.extend(prefix + tail for tail in zip(*(col[at[won]].tolist() for col in last[:batch])))
 
 
 def min_conditional_statistic(
@@ -502,7 +497,7 @@ def min_conditional_statistic(
     the pair's entry in ``cmit`` on the same covariance and settings with
     ``early_exit=False``.  With early exit, ``cmit``'s default, that holds
     for edges and failed pairs, and a non-edge's value is an upper bound of
-    this one.
+    this one.  ``sigma`` must be symmetric as ``cmit`` states.
     """
     sigma = _symmetric(_as_square(sigma, "covariance matrix"), "covariance matrix")
     _check_pair(sigma, i, j, ())
@@ -514,10 +509,9 @@ def min_conditional_statistic(
             check_nonnegative_int("n", n)
         if n < 1:
             raise InvalidParameter(f"need n >= 1 samples, got n={n}")
-    todo = np.zeros(sigma.shape, dtype=bool)
-    todo[min(i, j), max(i, j)] = True
+    us, vs = np.array([min(i, j)]), np.array([max(i, j)])
     with np.errstate(divide="ignore", invalid="ignore"):
-        (key,), (a,), _, sets = _scan_all(sigma, todo, _max_size(eta, n), statistic, cond_limit, None)
+        (key,), (a,), _, sets = _scan_all(sigma, us, vs, _max_size(eta, n), statistic, cond_limit, None)
         value = float(_value(key, statistic))
     return PairDecision(value, sets[a] if a >= 0 else None, STATUSES[int(math.isinf(value))])
 
@@ -554,6 +548,10 @@ def cmit(source, config: EstimatorConfig) -> EstimationResult:
     An edge is declared when the pair's minimized statistic strictly
     exceeds the threshold (xi for covariance, xi squared for mutual
     information).
+
+    An exact covariance array must be symmetric to ``model.SYMMETRY_RTOL``
+    (a NaN only opposite a NaN, and no other asymmetry at a non-finite
+    entry); a pair whose every set gives a NaN statistic fails.
     """
     start = time.perf_counter()
     sigma, n = _resolve_source(source, config)
@@ -564,10 +562,8 @@ def cmit(source, config: EstimatorConfig) -> EstimationResult:
     threshold = xi * xi if config.statistic == "mutual_information" else xi
     iu, ju = np.triu_indices(p, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        best, arg, early, winners = _scan_all(
-            sigma, ~np.tri(p, dtype=bool), _max_size(config.eta, n), config.statistic,
-            config.cond_limit, threshold if config.early_exit else None,
-        )
+        best, arg, early, winners = _scan_all(sigma, iu, ju, _max_size(config.eta, n), config.statistic,
+                                              config.cond_limit, threshold if config.early_exit else None)
         values = _value(best, config.statistic)
     is_edge = np.isfinite(values) & (values > threshold)
     return EstimationResult(
@@ -623,9 +619,9 @@ def oracle_gap(model: GaussianModel, eta: int, gamma: int) -> OracleGap:
     check_nonnegative_int("gamma", gamma)
     sigma = model.sigma()
     g = model.graph
-    todo = np.triu(g.adjacency_matrix() > 0.0, 1)
+    u, v = np.array(g.edges, dtype=np.intp).reshape(-1, 2).T
     with np.errstate(divide="ignore", invalid="ignore"):
-        edge_values = _scan_all(sigma, todo, eta, "covariance", DEFAULT_COND_LIMIT, None)[0]
+        edge_values = _scan_all(sigma, u, v, eta, "covariance", DEFAULT_COND_LIMIT, None)[0]
     # values come in row-major order, the order of g.edges, and argmin keeps
     # the first minimum; an edge whose sets all fail the guard is infinite
     k = int(np.argmin(edge_values)) if len(edge_values) else -1

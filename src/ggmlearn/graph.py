@@ -6,17 +6,17 @@ keeps all ``p`` vertices but only the edges inside the radius-``gamma`` ball
 around a vertex, so a separator returned for a pair certifies that every
 short path between the two endpoints is cut.  Separators come from
 Menger's theorem by unit-capacity vertex max-flow: each ball vertex has an
-in state and an out state, and the ball is searched once from its centre
-at zero flow.  A pair's flow is one list naming, for each vertex that
-carries a unit, the out state the unit comes from and the in state it goes
-to, so an in state takes one residual step at most.  A pair whose
-separator has k vertices costs one max flow, whose first path is read off
-the ball's search tree, then k - 1 middle augmenting searches and one
-failing search, and one reverse search from the sink; the lexicographic
-tie-break then reads every minimum cut off that one residual graph (Picard
-& Queyranne, 1980), with candidate searches confined to the states between
-the source and sink sides, so the cost follows the ball's edges.  A pair
-outside the ball costs no search.
+in state and an out state.  One breadth-first search from the centre finds
+the ball, and its tree is the states' search tree at zero flow.  A pair's
+flow is one list naming, for each vertex that carries a unit, the out state
+the unit comes from and the in state it goes to, so an in state takes one
+residual step at most.  A pair whose separator has k vertices costs one
+max flow, whose first path is read off the ball's search tree, then k - 1
+middle augmenting searches and one failing search, and one reverse search
+from the sink; the lexicographic tie-break then reads every minimum cut
+off that one residual graph (Picard & Queyranne, 1980), with candidate
+searches confined to the states between the source and sink sides, so the
+cost follows the ball's edges.  A pair outside the ball costs no search.
 
 Randomized generators take an explicit integer seed and use the Philox
 counter-based generator, so outputs are reproducible across platforms.
@@ -241,23 +241,26 @@ def girth(g: Graph) -> float:
     return best
 
 
+def _ball_parents(g: Graph, i: int, gamma: int) -> dict[int, int]:
+    """The breadth-first parent of every vertex within distance gamma of i,
+    i its own, in the order the search from i meets them."""
+    parent, depth = {i: i}, {i: 0}
+    queue = [i]
+    for u in queue:
+        for v in g.adjacency[u] if depth[u] < gamma else ():
+            if v not in parent:
+                parent[v], depth[v] = u, depth[u] + 1
+                queue.append(v)
+    return parent
+
+
 def ball(g: Graph, i: int, gamma: int) -> tuple[int, ...]:
     """Sorted vertices within BFS distance gamma of i (including i)."""
     check_type("vertex", i, int)
     if not 0 <= i < g.p:
         raise InvalidParameter(f"vertex {i} out of range")
     check_nonnegative_int("gamma", gamma)
-    dist = {i: 0}
-    queue = deque([i])
-    while queue:
-        u = queue.popleft()
-        if dist[u] == gamma:
-            continue
-        for v in g.adjacency[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return tuple(sorted(dist))
+    return tuple(sorted(_ball_parents(g, i, gamma)))
 
 
 def gamma_subgraph(g: Graph, i: int, gamma: int) -> Graph:
@@ -280,23 +283,22 @@ def _ball_states(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[in
     arc of capacity 1.  ``outs[2a + 1]`` lists the in states of a's ball
     neighbours, heads of edge arcs of capacity above any flow, and
     ``outs[2a]`` their out states (the same arcs backwards).  The tree holds
-    the first augmenting path of every sink in the ball, i's component.
+    the first augmenting path of every sink in the ball, i's component.  All
+    come from the ball's one search: a vertex's in state hangs off its
+    parent's out state, as a search of the states from i_out would find,
+    since a vertex closer to i than gamma has all its neighbours in the ball.
     """
-    inside = ball(g, i, gamma)
+    parent = _ball_parents(g, i, gamma)
+    inside = tuple(sorted(parent))
     index = {v: a for a, v in enumerate(inside)}
     outs = []
     for u in inside:
         ins = [2 * b for v in g.adjacency[u] if (b := index.get(v)) is not None]
         outs += ([x + 1 for x in ins], ins)
-    src = 2 * index[i] + 1
     tree = [-1] * len(outs)
-    tree[src - 1] = src  # the source's split arc has capacity 0
-    queue = [src]
-    for x in queue:
-        for y in outs[x]:
-            if tree[y] < 0:
-                tree[y], tree[y + 1] = x, y
-                queue.append(y + 1)
+    for v, u in parent.items():  # i is its own parent; no path reads its entries
+        a = index[v]
+        tree[2 * a], tree[2 * a + 1] = 2 * index[u] + 1, 2 * a
     return inside, index, outs, tree
 
 
@@ -459,19 +461,14 @@ def separation_profile(g: Graph, gamma: int) -> SeparationProfile:
     """Compute local separators for all non-adjacent pairs; eta is the max size."""
     check_nonnegative_int("gamma", gamma)
     separators: dict[tuple[int, int], tuple[int, ...]] = {}
-    eta = 0
     for i in range(g.p):
         pending = [j for j in range(i + 1, g.p) if not g.has_edge(i, j)]
         if not pending:
             continue
-        network = _ball_states(g, i, gamma)
-        index = network[1]
+        network = _ball_states(g, i, gamma)  # one search of the ball serves every j
         for j in pending:
-            sep = _lex_min_separator(*network, i, j) if j in index else ()
-            separators[(i, j)] = sep
-            if len(sep) > eta:
-                eta = len(sep)
-    return SeparationProfile(gamma=gamma, eta=eta, separators=separators)
+            separators[(i, j)] = _lex_min_separator(*network, i, j)
+    return SeparationProfile(gamma=gamma, eta=max(map(len, separators.values()), default=0), separators=separators)
 
 
 def edit_distance(g: Graph, h: Graph) -> int:

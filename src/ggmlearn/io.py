@@ -176,9 +176,13 @@ def save_model(model, directory) -> None:
 
 def _check_not_legacy(path: Path, legacy: Path, code: str) -> None:
     """Raise InvalidParameter with the conversion ``code`` when ``path`` is
-    missing and ``legacy``, the text matrix it replaced, is there."""
+    missing and ``legacy``, the text matrix it replaced, is there; ``code``
+    writes paths as their ``repr``, and the command is quoted for a shell."""
+    import shlex
+
     if not path.exists() and legacy.exists():
-        raise InvalidParameter(f"{path} is missing; {legacy.name} is no longer read; convert with python -c \"{code}\"")
+        raise InvalidParameter(f"{path} is missing; {legacy.name} is no longer read; "
+                               f"convert with python -c {shlex.quote(code)}")
 
 
 # precision.npz: each array's dtype and number of dimensions
@@ -193,9 +197,9 @@ def load_model(directory):
     path, legacy = d / "precision.npz", d / "precision.csv"
     _check_not_legacy(path, legacy, (
         f"import numpy as np; from ggmlearn.io import read_edge_list; "
-        f"j = np.loadtxt('{legacy}', delimiter=',', skiprows=1, ndmin=2); j = (j + j.T) / 2; "
-        f"u, v = np.array(read_edge_list('{d / 'graph.edges'}').edges, dtype=int).reshape(-1, 2).T; "
-        f"np.savez('{path}', diagonal=np.diag(j), edge_values=j[u, v])"))
+        f"j = np.loadtxt({str(legacy)!r}, delimiter=\",\", skiprows=1, ndmin=2); j = (j + j.T) / 2; "
+        f"u, v = np.array(read_edge_list({str(d / 'graph.edges')!r}).edges, dtype=int).reshape(-1, 2).T; "
+        f"np.savez({str(path)!r}, diagonal=np.diag(j), edge_values=j[u, v])"))
     arrays = _read_npz(path, _PRECISION_ARRAYS)
     for key, size in (("diagonal", graph.p), ("edge_values", graph.n_edges)):
         if len(arrays[key]) != size:
@@ -227,7 +231,8 @@ def _read_sample_matrix(path: Path) -> np.ndarray:
     byte order."""
     legacy = path.with_suffix(".csv")
     _check_not_legacy(path, legacy, (
-        f"import numpy as np; np.save('{path}', np.loadtxt('{legacy}', delimiter=',', skiprows=1, ndmin=2))"))
+        "import numpy as np; "
+        f"np.save({str(path)!r}, np.loadtxt({str(legacy)!r}, delimiter=\",\", skiprows=1, ndmin=2))"))
 
     def array(data) -> np.ndarray:
         if not isinstance(data, np.ndarray):  # a zip archive loads as an NpzFile

@@ -37,9 +37,10 @@ Numeric guards, each a module constant:
   max |J Sigma - I| against it and fails closed, so a residual that is NaN
   or infinite is an error too.
 * ``SYMMETRY_RTOL`` (1e-12): a precision or covariance matrix may differ
-  from its transpose by this times its largest entry, the rounding that a
-  matrix computed in floating point (a product, an inverse) can carry; it
-  is then averaged with its transpose, and larger asymmetry is an error.
+  from its transpose by this times its largest finite entry, the rounding
+  that a matrix computed in floating point (a product, an inverse) can
+  carry; it is then averaged with its transpose, and larger asymmetry is
+  an error, as is any at a non-finite entry but NaN opposite NaN.
   :func:`conditional_covariance_exact` checks only the block it reads.
 * ``SYNTHESIS_ALPHA_CHECK`` (1e-9): :func:`synthesize_model` checks the
   built model's alpha against the target to this.
@@ -97,11 +98,14 @@ def _as_precision(m) -> np.ndarray:
 
 def _symmetric(j: np.ndarray, name: str = "precision matrix") -> np.ndarray:
     """``j`` averaged with its transpose, provided the two differ by at most
-    SYMMETRY_RTOL times the largest entry; larger asymmetry is an error
-    naming the matrix."""
+    SYMMETRY_RTOL times the largest finite entry; larger asymmetry, or any
+    at a non-finite entry but NaN opposite NaN, is an error naming it."""
     if (j == j.T).all():
         return j
-    if np.max(np.abs(j - j.T)) > SYMMETRY_RTOL * max(1.0, float(np.max(np.abs(j)))):
+    differ = (j != j.T) & ~(np.isnan(j) & np.isnan(j.T))
+    gap = np.abs(j[differ] - j.T[differ]) if np.isfinite(j[differ]).all() else math.inf
+    top = float(np.max(np.abs(j), where=np.isfinite(j), initial=0.0))
+    if np.max(gap, initial=0.0) > SYMMETRY_RTOL * max(1.0, top):
         raise InvalidParameter(f"{name} must be symmetric")
     return (j + j.T) / 2.0
 
@@ -247,7 +251,8 @@ def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
 
     Works for i == j (conditional variance).  S may be empty.  Only the
     block of Sigma on (i, j, S) is read, and it must be symmetric to
-    SYMMETRY_RTOL; within that it is averaged with its transpose.
+    SYMMETRY_RTOL, a NaN only opposite a NaN; within that it is averaged
+    with its transpose.  A NaN that the formula reads gives NaN.
     """
     sigma = _as_square(sigma, "covariance matrix")
     at = _check_pair(sigma, i, j, cond_set)

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import traceback
@@ -507,7 +508,7 @@ def write_truncated_zip_as_npy(path: Path) -> None:
 
 @pytest.mark.parametrize("write, message", [
     (None, "samples.npy is missing; samples.csv is no longer read; convert with python -c "
-           "\"import numpy as np; np.save("),
+           "'import numpy as np; np.save("),
     (write_truncated_npy, "samples.npy is not a valid .npy array: "),
     (write_text, "samples.npy is not a valid .npy array: it starts with b'0.5,1.', not b'\\x93NUMPY'"),
     (write_zip_as_npy, "samples.npy is a NpzFile archive, not a .npy array"),
@@ -602,43 +603,55 @@ def test_result_json_listing_every_pair_is_no_longer_read(tmp_path):
     assert_clean_error(proc, f"Error: {tmp_path / 'pairs.npz'} is missing\n")
 
 
+# directory names the printed conversion commands must quote, for the
+# Python source and for the shell
+CONVERSION_FOLDERS = ("plain", "q'dir", 'q"dir')
+
+
+def run_conversion_command(stderr: str) -> None:
+    """Run the ``python -c`` command that ``stderr`` ends with, split as a
+    POSIX shell splits it."""
+    command = shlex.split(stderr[stderr.index("python -c "):])
+    assert command[:2] == ["python", "-c"] and len(command) == 3
+    subprocess.run([sys.executable, "-c", command[2]], check=True, env=src_env(), timeout=60)
+
+
 def test_legacy_sample_conversion_command_runs(tmp_path):
-    directory = tmp_path / "samples"
-    directory.mkdir()
-    (directory / "samples.csv").write_text("2\n0.5,1.5\n-0.5,1.0\n")
-    (directory / "samples.json").write_text(json.dumps({"n": 2, "p": 2, "seed": 0}))
-    cfg = write_config(tmp_path / "cfg.json", {"samples": str(directory)})
-    stderr = run_cli_subprocess(cfg, tmp_path / "out").stderr
-    code = stderr[stderr.index("python -c ") + len("python -c "):].strip().strip('"')
-    subprocess.run([sys.executable, "-c", code], check=True, env=src_env(), timeout=60)
-    assert np.array_equal(load_samples(directory).data, [[0.5, 1.5], [-0.5, 1.0]])
+    for folder in CONVERSION_FOLDERS:
+        directory = tmp_path / folder / "samples"
+        directory.mkdir(parents=True)
+        (directory / "samples.csv").write_text("2\n0.5,1.5\n-0.5,1.0\n")
+        (directory / "samples.json").write_text(json.dumps({"n": 2, "p": 2, "seed": 0}))
+        cfg = write_config(tmp_path / folder / "cfg.json", {"samples": str(directory)})
+        run_conversion_command(run_cli_subprocess(cfg, tmp_path / folder / "out").stderr)
+        assert np.array_equal(load_samples(directory).data, [[0.5, 1.5], [-0.5, 1.0]])
 
 
 def test_legacy_model_conversion_command_runs(tmp_path):
     # the directory as earlier versions wrote it: J in full as %.17g text,
     # here with the rounding asymmetry that loading averages away
     model = synthesize_model(cycle_graph(7), 0.7, sign_pattern="random", diagonal=3.0, seed=4)
-    directory = tmp_path / "model"
-    save_model(model, directory)
-    (directory / "precision.npz").unlink()
     j = np.array(model.precision)
     j[0, 1] = np.nextafter(np.nextafter(j[0, 1], 0.0), 0.0)  # two ulps, so the mean is neither entry
-    np.savetxt(directory / "precision.csv", j, fmt="%.17g", delimiter=",", header="7", comments="")
     want = GaussianModel(model.graph, j).precision  # what earlier versions loaded
     assert want.tobytes() != model.precision.tobytes()
-    cfg = write_config(tmp_path / "cfg.json", {"model": str(directory), "n": 5})
-    stderr = run_cli_subprocess(cfg, tmp_path / "out", "sample").stderr
-    assert stderr.startswith(f"Error: {directory / 'precision.npz'} is missing; precision.csv is no longer read; "
-                             "convert with python -c ")
-    assert len(stderr.splitlines()) == 1
-    code = stderr[stderr.index("python -c ") + len("python -c "):].strip().strip('"')
-    subprocess.run([sys.executable, "-c", code], check=True, env=src_env(), timeout=60)
-    assert load_model(directory).precision.tobytes() == want.tobytes()
+    for folder in CONVERSION_FOLDERS:
+        directory = tmp_path / folder / "model"
+        save_model(model, directory)
+        (directory / "precision.npz").unlink()
+        np.savetxt(directory / "precision.csv", j, fmt="%.17g", delimiter=",", header="7", comments="")
+        cfg = write_config(tmp_path / folder / "cfg.json", {"model": str(directory), "n": 5})
+        stderr = run_cli_subprocess(cfg, tmp_path / folder / "out", "sample").stderr
+        assert stderr.startswith(f"Error: {directory / 'precision.npz'} is missing; precision.csv is no longer read; "
+                                 "convert with python -c ")
+        assert len(stderr.splitlines()) == 1
+        run_conversion_command(stderr)
+        assert load_model(directory).precision.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("write, message", [
     (lambda path: path.rename(path.with_suffix(".csv")),
-     "precision.npz is missing; precision.csv is no longer read; convert with python -c \"import numpy as np; "),
+     "precision.npz is missing; precision.csv is no longer read; convert with python -c 'import numpy as np; "),
     (Path.unlink, "cannot read {path}: No such file or directory"),
     (write_text, "precision.npz is not a valid npz archive: it starts with b'0.5,1.', not b'PK'"),
     (write_truncated_npz, "precision.npz is not a valid npz archive: "),

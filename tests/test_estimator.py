@@ -249,6 +249,8 @@ def test_invalid_estimator_inputs_are_rejected(call, message):
 # none, and a conditional covariance of 0.44 or 0.18
 SKEW_2 = np.array([[1.0, 0.5], [0.0, 1.0]])
 SKEW_3 = np.array([[1.0, 0.5, 0.3], [0.2, 1.0, 0.1], [0.2, 0.2, 1.0]])
+# an asymmetry beside infinite entries; it was averaged to 0.5 before
+SKEW_INF = np.array([[math.inf, 1.0], [0.0, math.inf]])
 EXACT = EstimatorConfig(eta=1, xi=0.1, exact_mode=True)
 
 
@@ -259,17 +261,42 @@ EXACT = EstimatorConfig(eta=1, xi=0.1, exact_mode=True)
     (lambda: min_conditional_statistic(SKEW_2.T, 0, 1, 1), "covariance matrix must be symmetric"),
     (lambda: conditional_covariance_exact(SKEW_3, 0, 1, (2,)), "covariance matrix must be symmetric"),
     (lambda: conditional_covariance_exact(SKEW_3.T, 0, 1, (2,)), "covariance matrix must be symmetric"),
+    (lambda: min_conditional_statistic(SKEW_INF, 0, 1, 1), "covariance matrix must be symmetric"),
+    (lambda: min_conditional_statistic(SKEW_INF.T, 0, 1, 1), "covariance matrix must be symmetric"),
+    (lambda: cmit(np.array([[1.0, math.inf], [1.0, 1.0]]), EXACT), "covariance matrix must be symmetric"),
+    (lambda: conditional_covariance_exact(np.array([[1.0, math.nan], [0.5, 1.0]]), 0, 1),
+     "covariance matrix must be symmetric"),
     (lambda: cmit(np.eye(2) + 0j, EXACT), "covariance matrix must be real, got a complex128 array"),
     (lambda: cmit(np.ones((5, 2)) * 1j, EstimatorConfig()), "data matrix must be real, got a complex128 array"),
     (lambda: min_conditional_statistic(np.eye(2) + 0j, 0, 1, 1),
      "covariance matrix must be real, got a complex128 array"),
     (lambda: conditional_covariance_exact(np.eye(3) + 0j, 0, 1, (2,)),
      "covariance matrix must be real, got a complex128 array"),
-], ids=["cmit-upper", "cmit-lower", "min-upper", "min-lower", "conditional-upper", "conditional-lower", "cmit-complex",
+], ids=["cmit-upper", "cmit-lower", "min-upper", "min-lower", "conditional-upper", "conditional-lower",
+        "min-inf-upper", "min-inf-lower", "cmit-inf-finite", "conditional-nan-finite", "cmit-complex",
         "cmit-sample-complex", "min-complex", "conditional-complex"])
 def test_covariance_must_be_symmetric_and_real(call, message):
     with pytest.raises(InvalidParameter, match=f"^{message}$"):
         call()
+
+
+def test_symmetric_nan_covariance_entries_reach_the_scan_as_failed_pairs():
+    sigma = np.eye(3) + 0.2
+    sigma[0, 1] = sigma[1, 0] = math.nan
+    failed = PairDecision(math.inf, None, "failed")
+    result = cmit(sigma, EXACT)
+    assert result.pairs[0, 1] == failed and result.edges == ((0, 2), (1, 2))
+    assert min_conditional_statistic(sigma, 0, 1, 1) == failed
+    assert math.isnan(conditional_covariance_exact(sigma, 0, 1, (2,)))
+    # an infinite entry opposite an equal one is symmetric, and the
+    # tolerance scales with the largest finite entry, not the infinite one
+    sigma = np.full((3, 3), 0.2)
+    np.fill_diagonal(sigma, math.inf)
+    sigma[0, 1] += 1e-13
+    assert conditional_covariance_exact(sigma, 0, 1) == (sigma[0, 1] + sigma[1, 0]) / 2.0
+    sigma[0, 1] += 0.5
+    with pytest.raises(InvalidParameter, match="^covariance matrix must be symmetric$"):
+        conditional_covariance_exact(sigma, 0, 1)
 
 
 def test_covariance_within_the_symmetry_tolerance_is_averaged():
@@ -685,15 +712,16 @@ def test_oracle_gap_digests_pinned():
 @pytest.mark.parametrize("chunk", [5, 64])
 def test_completion_chunks_give_the_default_result(monkeypatch, chunk):
     # tier-1 inputs never fill a 2^15-entry chunk.  5 entries are fewer than
-    # the 12-cycle's 12 open vertices, so its pairs go in blocks of two, each
-    # with its own vertex arrays, and the sets one at a time, which splits
-    # every run of sets (m, l) with one m.  64 entries take 5 sets at a time
-    # on 12 vertices, and the 66 pairs of a full scan in groups of 12 with a
-    # shorter last group.  The completion runs at sizes 1-3 on the 12-cycle
-    # (early exit and full scans), at size 2 (and 1 for mutual information)
-    # on the ER model, and on the chain's edges.  On the exact 4-cycle the
-    # sets (1,) and (3,) tie for the pair (0, 2), one set per chunk at 5
-    # entries, and the first must win.
+    # the 12-cycle's 12 open vertices, so the sets go one at a time, which
+    # splits every run of sets (m, l) with one m, the (vertex x set) arrays
+    # hold one entry per open vertex and the pairs go in groups of five.
+    # 64 entries take 5 sets at a time on 12 vertices, and the 66 pairs of a
+    # full scan in groups of 12 with a shorter last group.  Every pair goes
+    # in one block, whatever the chunk.  The completion runs at sizes 1-3 on
+    # the 12-cycle (early exit and full scans), at size 2 (and 1 for mutual
+    # information) on the ER model, and on the chain's edges.  On the exact
+    # 4-cycle the sets (1,) and (3,) tie for the pair (0, 2), one set per
+    # chunk at 5 entries, and the first must win.
     cycle = _digest_runs("cycle-sample")[3][:2]
     runs = [(*cycle, eta, early_exit) for eta in (2, 3) for early_exit in (True, False)]
     runs.append((*_digest_runs("er-sample")[3][:2], 2, True))
@@ -1056,8 +1084,29 @@ def test_cmit_edges_and_statuses_follow_a_column_permutation(case, data):
     moved = cmit(_source_under(source, cfg, perm, np.ones(p)), cfg)
     # pair (a, b) of the permuted source is pair (perm[a], perm[b]) of the original
     assert sorted(tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in moved.edges) == sorted(base.edges)
-    statuses = {tuple(sorted((int(perm[a]), int(perm[b])))): d.status for (a, b), d in moved.pairs.items()}
-    assert statuses == {pair: d.status for pair, d in base.pairs.items()}
+    mapped = {tuple(sorted((int(perm[a]), int(perm[b])))): d for (a, b), d in moved.pairs.items()}
+    assert {pair: d.status for pair, d in mapped.items()} == {pair: d.status for pair, d in base.pairs.items()}
+    # argmin sets map through perm too, but for ties: the scan rounds each
+    # set's value in its own vertex order, and canonical order changes with
+    # the labels.  A set that maps elsewhere must tie the pair's value
+    for (u, v), dec in base.pairs.items():
+        if dec.subset is None:
+            assert mapped[u, v].subset is None
+            continue
+        other = tuple(sorted(int(perm[k]) for k in mapped[u, v].subset))
+        if other != dec.subset:
+            for subset in (dec.subset, other):
+                assert _set_value(sigma, u, v, subset, cfg.statistic) == pytest.approx(dec.value, rel=1e-9)
+
+
+def _set_value(sigma, u: int, v: int, subset: tuple, statistic: str) -> float:
+    """The statistic of the pair (u, v) at one set, from
+    ``conditional_covariance_exact``."""
+    cov = conditional_covariance_exact(sigma, u, v, subset)
+    if statistic == "covariance":
+        return abs(cov)
+    var_u, var_v = (conditional_covariance_exact(sigma, w, w, subset) for w in (u, v))
+    return -0.5 * math.log1p(-cov * cov / (var_u * var_v))
 
 
 @settings(max_examples=60, deadline=None)
