@@ -11,12 +11,16 @@ the ball, and its tree is the states' search tree at zero flow.  A pair's
 flow is one list naming, for each vertex that carries a unit, the out state
 the unit comes from and the in state it goes to, so an in state takes one
 residual step at most.  A pair whose separator has k vertices costs one
-max flow, whose first path is read off the ball's search tree, then k - 1
-middle augmenting searches and one failing search, and one reverse search
-from the sink; the lexicographic tie-break then reads every minimum cut
-off that one residual graph (Picard & Queyranne, 1980), with candidate
-searches confined to the states between the source and sink sides, so the
-cost follows the ball's edges.  A pair outside the ball costs no search.
+max flow and one reverse search from the sink.  The flow starts with one
+unit per child of i whose subtree in the search tree holds a neighbour w of
+j other than j's own children, along the tree path to w and the edge w-j;
+augmenting searches add the rest of the k units, and one more search
+fails.  The lexicographic tie-break then reads every minimum cut off that
+one residual graph, with candidate searches confined to the states between
+the source and sink sides, so the cost follows the ball's edges.  Every
+maximum flow leaves the same minimum cuts in its residual graph (Picard &
+Queyranne, 1980), so the separator does not depend on which paths the flow
+starts with.  A pair outside the ball costs no search.
 
 Randomized generators take an explicit integer seed and use the Philox
 counter-based generator, so outputs are reproducible across platforms.
@@ -275,18 +279,23 @@ def is_locally_treelike(g: Graph, i: int, gamma: int) -> bool:
     return girth(gamma_subgraph(g, i, gamma)) == math.inf
 
 
-def _ball_states(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[int, int], list, list[int]]:
+def _ball_states(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[int, int], list, list[int],
+                                                          list[int]]:
     """The radius-gamma ball around i, its vertices' local indices, its
-    flow network's edge arcs, and their breadth-first search tree from i_out.
+    flow network's edge arcs, their breadth-first search tree from i_out,
+    and each ball vertex's first hop.
 
     Local vertex a has states a_in = 2a and a_out = 2a + 1, joined by a split
     arc of capacity 1.  ``outs[2a + 1]`` lists the in states of a's ball
     neighbours, heads of edge arcs of capacity above any flow, and
-    ``outs[2a]`` their out states (the same arcs backwards).  The tree holds
-    the first augmenting path of every sink in the ball, i's component.  All
-    come from the ball's one search: a vertex's in state hangs off its
-    parent's out state, as a search of the states from i_out would find,
-    since a vertex closer to i than gamma has all its neighbours in the ball.
+    ``outs[2a]`` their out states (the same arcs backwards), both in
+    ascending vertex order.  The tree holds a path from i_out to every in
+    state of the ball, i's component.  All come from the ball's one search:
+    a vertex's in state hangs off its parent's out state, as a search of the
+    states from i_out would find, since a vertex closer to i than gamma has
+    all its neighbours in the ball.  ``hop[a]`` is the local index of the
+    neighbour of i whose subtree holds a, so tree paths to vertices of two
+    different hops share no vertex but i.
     """
     parent = _ball_parents(g, i, gamma)
     inside = tuple(sorted(parent))
@@ -296,10 +305,12 @@ def _ball_states(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[in
         ins = [2 * b for v in g.adjacency[u] if (b := index.get(v)) is not None]
         outs += ([x + 1 for x in ins], ins)
     tree = [-1] * len(outs)
+    hop = [-1] * len(inside)
     for v, u in parent.items():  # i is its own parent; no path reads its entries
         a = index[v]
         tree[2 * a], tree[2 * a + 1] = 2 * index[u] + 1, 2 * a
-    return inside, index, outs, tree
+        hop[a] = a if u == i else hop[index[u]]  # the search meets u before v
+    return inside, index, outs, tree, hop
 
 
 # A pair's flow: vertex a carrying a unit has link[2a] = the out state it
@@ -373,19 +384,24 @@ def _push(parent: list[int], link: list[int], src: int, dst: int) -> None:
 
 
 def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], outs: list, tree: list[int],
-                       i: int, j: int) -> tuple[int, ...]:
+                       hop: list[int], i: int, j: int) -> tuple[int, ...]:
     """Lexicographically smallest minimum vertex separator of i and j in the
     ball network of i (see ``_ball_states``); empty when j is outside it.
 
-    One max flow gives the cut size k: its first unit follows j_in's path in
-    the ball's zero-flow tree, which is the path a search from i_out would find
-    (the tree met j_in before reading an arc leaving it), then k - 1 augmenting
-    searches push the others and one more fails. The minimum cuts are exactly
-    the state sets that hold the source but not the sink and that no residual
-    arc leaves (Picard & Queyranne, Math. Prog. Study 13, 1980), so all are
-    read off this one residual graph. ``src_side`` starts as the states the
-    failing search reached, ``dst_side`` as those that reach the sink. Greedy
-    on ascending vertex labels: v joins exactly when some minimum cut puts v_in
+    One max flow gives the cut size k.  It starts from one unit per hop of
+    i: for each ball neighbour w of j, in ascending order, whose tree parent
+    is not j and whose hop no earlier unit took, a unit follows w's tree path
+    and then the arc w -> j.  In a breadth-first tree a neighbour of j below
+    j is its child, so j is not on that path, and paths of distinct hops
+    share no vertex.  Augmenting searches push the remaining units and one
+    more fails.  Which maximum flow this reaches does not matter: for every
+    maximum flow the minimum cuts are exactly the state sets that hold the
+    source but not the sink and that no residual arc leaves (Picard &
+    Queyranne, Math. Prog. Study 13, 1980), so all are read off this one
+    residual graph, and the separator is that of any other maximum flow.
+    ``src_side`` starts as the states the failing search reached,
+    ``dst_side`` as those that reach the sink.  Greedy on ascending vertex
+    labels: v joins exactly when some minimum cut puts v_in
     on the source side and v_out on the sink side next to the vertices already
     chosen, that is when v_out is off the source side, v_in off the sink side,
     and the search from v_in, confined to the states between the two sides,
@@ -400,8 +416,16 @@ def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], outs: lis
     src, dst = 2 * index[i] + 1, 2 * b
     link = [-1] * len(outs)
     link[src - 1] = link[src] = link[dst] = link[dst + 1] = _ENDPOINT
-    _push(tree, link, src, dst)  # j is in i's component, so the tree holds j_in
-    k = 1
+    taken = set()
+    for x in outs[dst]:  # the out states of j's ball neighbours, j's parent among them
+        if tree[x - 1] == dst + 1 or hop[x >> 1] in taken:
+            continue
+        taken.add(hop[x >> 1])
+        y = dst
+        while x != src:  # x, x - 1 = w_out, w_in up the tree, each unit's arc pair set at both ends
+            link[x], link[x - 1] = y, tree[x - 1]
+            y, x = x - 1, tree[x - 1]
+    k = len(taken)
     while (src_side := _augment(outs, link, src, dst)) is None:
         k += 1
     chosen: list[int] = []
@@ -462,12 +486,14 @@ def separation_profile(g: Graph, gamma: int) -> SeparationProfile:
     check_nonnegative_int("gamma", gamma)
     separators: dict[tuple[int, int], tuple[int, ...]] = {}
     for i in range(g.p):
-        pending = [j for j in range(i + 1, g.p) if not g.has_edge(i, j)]
+        near = set(g.adjacency[i])
+        pending = [j for j in range(i + 1, g.p) if j not in near]
         if not pending:
             continue
         network = _ball_states(g, i, gamma)  # one search of the ball serves every j
-        for j in pending:
-            separators[(i, j)] = _lex_min_separator(*network, i, j)
+        index = network[1]
+        for j in pending:  # a j outside the ball is separated by no vertex
+            separators[(i, j)] = _lex_min_separator(*network, i, j) if j in index else ()
     return SeparationProfile(gamma=gamma, eta=max(map(len, separators.values()), default=0), separators=separators)
 
 

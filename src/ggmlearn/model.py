@@ -148,7 +148,8 @@ def _in_range(d_min: float, d_max: float) -> bool:
 
 def _normalized(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     """A_ij / sqrt(d_i d_j) with a zero diagonal, for a diagonal ``d > 0``;
-    an entry that overflows is inf.
+    an entry that overflows is inf.  ``a`` is overwritten with the result,
+    which is returned, so one p x p temporary is all this allocates.
 
     In range this is the quotient itself.  Otherwise sqrt(d_i d_j) would
     leave the normal range (0 at d = 1e-200, inf at 1e160), so the entries
@@ -156,12 +157,14 @@ def _normalized(a: np.ndarray, d: np.ndarray) -> np.ndarray:
     any positive diagonal; R and alpha then do not depend on J's scale."""
     with np.errstate(over="ignore"):
         if _in_range(float(np.min(d)), float(np.max(d))):
-            r = a / np.sqrt(np.outer(d, d))
+            scale = np.outer(d, d)
+            a /= np.sqrt(scale, out=scale)
         else:
             s = 1.0 / np.sqrt(d)
-            r = a * s[:, None] * s
-    np.fill_diagonal(r, 0.0)
-    return r
+            a *= s[:, None]
+            a *= s
+    np.fill_diagonal(a, 0.0)
+    return a
 
 
 def _alpha(j: np.ndarray, d: np.ndarray) -> float:
@@ -246,24 +249,39 @@ def _check_pair(sigma: np.ndarray, i: int, j: int, cond_set) -> np.ndarray:
     return np.array((i, j, *cond), dtype=np.intp)
 
 
+def _schur_cross(blocks: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Sigma(i, j | S) = B[0, 1] - B[0, S] B[S, S]^{-1} B[S, 1] of a block B,
+    Sigma's entries on ``at`` = (i, j, *S) with |S| >= 1, or of each block
+    of a stack, given with one row of ``at`` each.  One stacked LU solve and
+    one stacked product serve a stack; each block's solve and dot product
+    are those of the block alone, so a stack gives every block the bits it
+    gets by itself.  A singular B[S, S] raises NumericFailure naming the
+    first such S."""
+    try:
+        solved = np.linalg.solve(blocks[..., 2:, 2:], blocks[..., 2:, 1:2])
+    except np.linalg.LinAlgError as exc:
+        # LU fails on an exactly zero pivot, which gives an exactly zero determinant
+        bad = np.linalg.det(blocks[..., 2:, 2:]) == 0.0
+        raise NumericFailure(f"singular conditioning block for S={at[..., 2:][bad][0].tolist()}: {exc}") from exc
+    return blocks[..., 0, 1] - (blocks[..., :1, 2:] @ solved)[..., 0, 0]
+
+
 def conditional_covariance_exact(sigma, i: int, j: int, cond_set=()) -> float:
     """Sigma(i, j | S) = Sigma[i, j] - Sigma[i, S] Sigma[S, S]^{-1} Sigma[S, j].
 
     Works for i == j (conditional variance).  S may be empty.  Only the
     block of Sigma on (i, j, S) is read, and it must be symmetric to
     SYMMETRY_RTOL, a NaN only opposite a NaN; within that it is averaged
-    with its transpose.  A NaN that the formula reads gives NaN.
+    with its transpose.  A NaN that the formula reads gives NaN, and a
+    singular Sigma[S, S] raises NumericFailure.  ``_schur_cross`` holds the
+    formula, which ``estimator.oracle_gap`` applies to stacks of sets.
     """
     sigma = _as_square(sigma, "covariance matrix")
     at = _check_pair(sigma, i, j, cond_set)
     block = _symmetric(sigma.take(at, 0).take(at, 1), "covariance matrix")
     if len(at) == 2:
         return float(block[0, 1])
-    try:
-        solved = np.linalg.solve(block[2:, 2:], block[2:, 1])
-    except np.linalg.LinAlgError as exc:
-        raise NumericFailure(f"singular conditioning block for S={at[2:].tolist()}: {exc}") from exc
-    return float(block[0, 1] - block[0, 2:] @ solved)
+    return float(_schur_cross(block, at))
 
 
 def _raise_support_mismatch(graph: Graph, j: np.ndarray) -> None:

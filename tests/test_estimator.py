@@ -16,6 +16,7 @@ from ggmlearn import (
     EstimationResult,
     EstimatorConfig,
     InvalidParameter,
+    NumericFailure,
     PairDecision,
     chain_graph,
     cmit,
@@ -25,10 +26,12 @@ from ggmlearn import (
     edit_distance,
     empirical_covariance,
     generate_er,
+    generate_regular,
     local_separator,
     min_conditional_statistic,
     oracle_gap,
     sample,
+    separation_profile,
     synthesize_model,
     torus_grid,
 )
@@ -123,6 +126,9 @@ def test_conditional_covariance_flags_singular_block():
     dec = min_conditional_statistic(sigma, 0, 1, eta=2)
     assert dec.subset == (2,) and dec.status == "ok"
     assert dec.value == pytest.approx(0.05, abs=1e-15)
+    # called directly on that set, the solve fails and names the set
+    with pytest.raises(NumericFailure, match=re.escape("S=[2, 3]")):
+        conditional_covariance_exact(sigma, 0, 1, (2, 3))
 
 
 def test_conditional_mutual_information_values():
@@ -680,6 +686,8 @@ ORACLE_GAP_DIGESTS = {
     "torus6x6/2/2": "ed550e16aab11c02",
     "cycle6/1/2": "cfbdd1e563822db4",
     "cycle6/2/5": "8092e74291bb8567",
+    "er40/2/3": "27a17fb0f703a412",
+    "regular40/2/4": "598e84ca5b413bb0",
 }
 
 
@@ -692,7 +700,10 @@ def test_scan_digests_pinned(family):
 def oracle_gap_models() -> dict:
     """name -> (model, its (eta, gamma) runs) of ``ORACLE_GAP_DIGESTS``."""
     return {"torus6x6": (synthesize_model(torus_grid(6, 2), 0.5), ((1, 2), (2, 2))),
-            "cycle6": (synthesize_model(cycle_graph(6), 0.5), ((1, 2), (2, 5)))}
+            "cycle6": (synthesize_model(cycle_graph(6), 0.5), ((1, 2), (2, 5))),
+            # separators of 1-4 and 1-3 vertices; the two above have at most 2
+            "er40": (synthesize_model(generate_er(40, 2.5, seed=3), 0.5), ((2, 3),)),
+            "regular40": (synthesize_model(generate_regular(40, 3, seed=1), 0.5), ((2, 4),))}
 
 
 def _oracle_gap_digests() -> dict:
@@ -707,6 +718,21 @@ def _oracle_gap_digests() -> dict:
 
 def test_oracle_gap_digests_pinned():
     assert _oracle_gap_digests() == ORACLE_GAP_DIGESTS
+
+
+@pytest.mark.parametrize("name", ["er40", "regular40"])
+def test_oracle_gap_c_max_is_the_pairwise_maximum(name):
+    # c_max and its pair, bit for bit, from one conditional_covariance_exact
+    # call per non-edge at its separator; the first of equal maxima wins
+    m, ((eta, gamma),) = oracle_gap_models()[name]
+    sigma = m.sigma()
+    best, best_pair = 0.0, None
+    for pair, sep in separation_profile(m.graph, gamma).separators.items():
+        value = abs(conditional_covariance_exact(sigma, *pair, sep))
+        if value > best:
+            best, best_pair = value, pair
+    gap = oracle_gap(m, eta=eta, gamma=gamma)
+    assert (_hex(gap.c_max), gap.c_max_pair) == (_hex(best), best_pair)
 
 
 @pytest.mark.parametrize("chunk", [5, 64])
