@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
 from . import __version__
 from .bounds import BoundsConfig, bounds_report
@@ -180,7 +179,7 @@ def lbp_cmd(config_path, out_path, seed):
     tol = _typed(config, "tol", float, LBP_TOL)
     max_iters = _typed(config, "max_iters", int, LBP_MAX_ITERS)
     model = load_model(_typed(config, "model", str))
-    result = lbp_run(model, h=None if h is None else np.asarray(h, dtype=float), tol=tol, max_iters=max_iters)
+    result = lbp_run(model, h=h, tol=tol, max_iters=max_iters)
     out = _out_dir(out_path)
     write_json(
         {

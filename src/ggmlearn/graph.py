@@ -41,6 +41,10 @@ REGULAR_RETRY_BUDGET = 1000
 
 
 def _rng(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by ``seed``, an integer in [0, 2**128)."""
+    check_type("seed", seed, int)
+    if not 0 <= seed < 2**128:
+        raise InvalidParameter(f"seed must lie in [0, 2**128), got {seed}")
     return np.random.Generator(np.random.Philox(key=seed))
 
 

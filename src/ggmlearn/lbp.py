@@ -21,21 +21,23 @@ and the mean estimate hhat over the belief precision.  On trees this is
 exact; on walk-summable loopy models it converges and the means are exact
 while variances carry a locality-controlled error.
 
-Unnormalized models are rescaled to unit diagonal first and the beliefs
-are mapped back afterwards, which changes nothing mathematically but keeps
-the message sweep in the normalized regime the convergence analysis is
-stated for.  A nonpositive cavity precision is reported as a breakdown
-rather than raised, since it is a diagnostic outcome of interest.
+Unnormalized models are rescaled to unit diagonal first, with R on the
+edges from ``model.partial_correlation_matrix``'s rule, and the beliefs are
+mapped back afterwards, which changes nothing mathematically but keeps the
+message sweep in the normalized regime the convergence analysis is stated
+for.  A nonpositive cavity precision is reported as a breakdown rather than
+raised, since it is a diagnostic outcome of interest.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter
-from .model import GaussianModel, _in_range
+from .errors import InvalidParameter, check_type
+from .model import GaussianModel, _as_float, _partial_correlations
 
 LBP_TOL = 1e-10
 LBP_MAX_ITERS = 10000
@@ -70,31 +72,29 @@ def lbp_run(
     """Run synchronous belief propagation from zero-initialized messages.
 
     ``h`` is the potential vector of the information form (defaults to
-    zero, giving zero means).  Convergence is declared when the largest
-    message change over all directed edges falls to ``tol`` or below.
+    zero, giving zero means) and must be finite.  Convergence is declared
+    when the largest message change over all directed edges falls to
+    ``tol`` or below; a NaN change never converges.
     """
-    if tol <= 0 or max_iters < 1:
-        raise InvalidParameter("need tol > 0 and max_iters >= 1")
+    check_type("tol", tol, float)
+    check_type("max_iters", max_iters, int)
+    if not (0.0 < tol < math.inf and max_iters >= 1):
+        raise InvalidParameter(f"need 0 < tol < inf and max_iters >= 1, got tol={tol}, max_iters={max_iters}")
     p = model.p
-    h = np.zeros(p) if h is None else np.asarray(h, dtype=float)
+    h = np.zeros(p) if h is None else _as_float(h, "h")
     if h.shape != (p,):
         raise InvalidParameter(f"h must have shape ({p},), got {h.shape}")
+    if not np.isfinite(h).all():
+        i = int(np.argmin(np.isfinite(h)))
+        raise InvalidParameter(f"h entry {i} is {h[i]}, not finite")
 
-    j = model.precision
-    d = np.diag(j)
+    d = np.diag(model.precision)
     scale = np.sqrt(d)
     h_norm = h / scale
     forward = np.array(model.graph.edges, dtype=np.intp).reshape(-1, 2)
     source, target = np.concatenate([forward, forward[:, ::-1]]).T.copy()
     reverse = np.roll(np.arange(len(source)), len(forward))
-    # partial_correlation_matrix's arithmetic on the edges only, not p x p;
-    # out of range J_ss J_tt overflows or underflows, and -J_st s_s s_t with
-    # s = 1 / sqrt(diag J), as in model._normalized, stays finite at any scale
-    if _in_range(float(np.min(d)), float(np.max(d))):
-        r = -j[source, target] / np.sqrt(j[source, source] * j[target, target])
-    else:
-        s = 1.0 / scale
-        r = -j[source, target] * s[source] * s[target]
+    r = _partial_correlations(model.precision, d, source, target)
     r_sq = r * r
 
     d_j = np.zeros(len(source))
@@ -111,10 +111,9 @@ def lbp_run(
             break
         new_j = -r_sq / cavity_j
         new_h = r * cavity_h / cavity_j
-        change = max(
-            float(np.max(np.abs(new_j - d_j), initial=0.0)),
-            float(np.max(np.abs(new_h - d_h), initial=0.0)),
-        )
+        # np.maximum keeps a NaN, which Python's max can drop
+        change = float(np.maximum(np.max(np.abs(new_j - d_j), initial=0.0),
+                                  np.max(np.abs(new_h - d_h), initial=0.0)))
         d_j, d_h = new_j, new_h
         if change <= tol:
             converged = True

@@ -6,11 +6,13 @@ R has entries -J[i, j] / sqrt(J[i, i] * J[j, j]) off the diagonal and zeros
 on it, so a normalized model satisfies J = I - R.  The central regularity
 number is alpha, the spectral norm of the entrywise absolute value of R;
 alpha < 1 makes the covariance a convergent power series in R and bounds
-everything downstream.  |R| is symmetric, so alpha is its top eigenvalue,
-read off a dense symmetric eigensolver; nothing here iterates to a
-tolerance.  R and alpha do not depend on J's scale: where sqrt(J[i, i]
-J[j, j]) would leave the normal floating-point range, R is computed as
--J[i, j] s_i s_j with s = 1 / sqrt(diag J).
+everything downstream.  R, like J, is zero off the support, so one rule
+computes it on the support for alpha, R (whose other entries are +0.0) and
+belief propagation.  |R| is symmetric, so alpha is its top eigenvalue, read
+off a dense symmetric eigensolver; nothing here iterates to a tolerance.
+R and alpha do not depend on J's scale: where sqrt(J[i, i] J[j, j]) would
+leave the normal floating-point range, R is -J[i, j] s_i s_j with
+s = 1 / sqrt(diag J).
 
 Positive definiteness.  A model is accepted only if J is positive definite,
 and walk-summability proves it: with D = diag(J), J = D^(1/2) (I - R)
@@ -53,7 +55,7 @@ error, not a cast that drops the imaginary part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -134,47 +136,49 @@ def _positive_diagonal(j: np.ndarray) -> np.ndarray:
     return d
 
 
-def partial_correlation_matrix(j) -> np.ndarray:
-    """R with R[i, j] = -J[i, j] / sqrt(J[i, i] J[j, j]) and zero diagonal."""
-    j = _as_precision(j)
-    return _normalized(-j, _positive_diagonal(j))
-
-
 def _in_range(d_min: float, d_max: float) -> bool:
     """Whether every product d_i d_j of a positive diagonal with these
     extremes is a finite normal float, so that sqrt(d_i d_j) is accurate."""
     return d_min * d_min >= _NORMAL_MIN and d_max * d_max < math.inf
 
 
-def _normalized(a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """A_ij / sqrt(d_i d_j) with a zero diagonal, for a diagonal ``d > 0``;
-    an entry that overflows is inf.  ``a`` is overwritten with the result,
-    which is returned, so one p x p temporary is all this allocates.
-
-    In range this is the quotient itself.  Otherwise sqrt(d_i d_j) would
-    leave the normal range (0 at d = 1e-200, inf at 1e160), so the entries
-    are A_ij s_i s_j with s = 1 / sqrt(d), whose factors stay in range for
-    any positive diagonal; R and alpha then do not depend on J's scale."""
+def _partial_correlations(j: np.ndarray, d: np.ndarray, s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """R at the directed index pairs (s, t), for J's diagonal ``d > 0``; an
+    entry that overflows is inf.  When ``_in_range`` holds for the whole
+    diagonal this is -J[s, t] / sqrt(d_s d_t), and otherwise
+    -J[s, t] sigma_s sigma_t with sigma = 1 / sqrt(d), whose factors stay in
+    range for any positive diagonal."""
     with np.errstate(over="ignore"):
         if _in_range(float(np.min(d)), float(np.max(d))):
-            scale = np.outer(d, d)
-            a /= np.sqrt(scale, out=scale)
-        else:
-            s = 1.0 / np.sqrt(d)
-            a *= s[:, None]
-            a *= s
-    np.fill_diagonal(a, 0.0)
-    return a
+            return -j[s, t] / np.sqrt(d[s] * d[t])
+        sigma = 1.0 / np.sqrt(d)
+        return -j[s, t] * sigma[s] * sigma[t]
 
 
-def _alpha(j: np.ndarray, d: np.ndarray) -> float:
-    """alpha of the symmetric finite matrix ``j`` with diagonal ``d > 0``:
-    the top eigenvalue of |R|, or inf when an entry of |R| overflows (alpha
-    is at least every entry).  |R| is bit for bit
-    ``np.abs(partial_correlation_matrix(j))``: negation is exact, and
-    rounding is symmetric in sign."""
-    r = _normalized(np.abs(j), d)
-    return _top_eigenvalue(r) if np.isfinite(r).all() else math.inf
+def partial_correlation_matrix(j) -> np.ndarray:
+    """R with R[i, j] = -J[i, j] / sqrt(J[i, i] J[j, j]) and zero diagonal,
+    built on J's nonzeros, so an entry off J's support is +0.0."""
+    j = _as_precision(j)
+    s, t = np.nonzero(j)
+    r = np.zeros(j.shape)
+    r[s, t] = _partial_correlations(j, _positive_diagonal(j), s, t)
+    np.fill_diagonal(r, 0.0)
+    return r
+
+
+def _alpha(j: np.ndarray, d: np.ndarray, u: np.ndarray, v: np.ndarray) -> float:
+    """alpha of the symmetric finite matrix ``j`` with diagonal ``d > 0``
+    and off-diagonal support on the pairs (u, v): the top eigenvalue of |R|,
+    or inf when an entry overflows (alpha is at least every entry).  (v, u)
+    gets its own product order, so |R| is ``abs(partial_correlation_matrix(j))``
+    bit for bit: negation is exact, and rounding symmetric in sign."""
+    upper = np.abs(_partial_correlations(j, d, u, v))
+    lower = np.abs(_partial_correlations(j, d, v, u))
+    if not (np.isfinite(upper).all() and np.isfinite(lower).all()):
+        return math.inf
+    r = np.zeros(j.shape)
+    r[u, v], r[v, u] = upper, lower
+    return _top_eigenvalue(r)
 
 
 def _top_eigenvalue(a: np.ndarray) -> float:
@@ -193,7 +197,10 @@ def walk_summability_alpha(j) -> float:
     SYMMETRY_RTOL).
     """
     j = _symmetric(_as_precision(j))
-    return _alpha(j, _positive_diagonal(j))
+    d = _positive_diagonal(j)
+    u, v = np.nonzero(j)
+    upper = u < v
+    return _alpha(j, d, u[upper], v[upper])
 
 
 def exact_covariance(j) -> np.ndarray:
@@ -317,7 +324,7 @@ class GaussianModel:
         if np.count_nonzero(j) - np.count_nonzero(d) != 2 * len(u) or not np.all(j[u, v]):
             _raise_support_mismatch(graph, j)
         d_min, d_max = float(np.min(d)), float(np.max(d))
-        alpha = _alpha(j, d) if d_min > 0.0 else math.inf
+        alpha = _alpha(j, d, u, v) if d_min > 0.0 else math.inf
         # the walk-sum certificate of the module docstring, else Cholesky,
         # which rejects every matrix with a diagonal entry <= 0
         if not (d_min > 0.0 and _in_range(d_min, d_max) and (1.0 - alpha) * d_min > PD_CERTIFICATE_RTOL * d_max):
@@ -338,26 +345,25 @@ class GaussianModel:
     def d_min(self) -> float:
         return float(np.min(np.diag(self.precision)))
 
-    def _edge_magnitudes(self) -> np.ndarray:
-        u, v = np.asarray(self.graph.edges, dtype=int).reshape(-1, 2).T
-        return np.abs(self.precision[u, v])
+    def _edge_values(self) -> np.ndarray:
+        u, v = np.asarray(self.graph.edges, dtype=np.intp).reshape(-1, 2).T
+        return self.precision[u, v]
 
     @property
     def j_min(self) -> float:
         """Smallest absolute off-diagonal entry over edges; inf if no edges."""
-        return float(np.min(self._edge_magnitudes(), initial=math.inf))
+        return float(np.min(np.abs(self._edge_values()), initial=math.inf))
 
     @property
     def j_max(self) -> float:
-        return float(np.max(self._edge_magnitudes(), initial=0.0))
+        return float(np.max(np.abs(self._edge_values()), initial=0.0))
 
     def is_walk_summable(self) -> bool:
         return self.alpha < 1.0
 
     def is_attractive(self) -> bool:
-        """All off-diagonal precision entries nonpositive."""
-        off = self.precision - np.diag(np.diag(self.precision))
-        return bool(np.all(off <= 0.0))
+        """All off-diagonal precision entries (those on edges) nonpositive."""
+        return bool(np.all(self._edge_values() <= 0.0))
 
     def partial_correlations(self) -> np.ndarray:
         return partial_correlation_matrix(self.precision)
@@ -467,19 +473,7 @@ class AssumptionReport:
     residual correlation that survives gamma-local conditioning."""
 
     def to_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "walk_summable": self.walk_summable,
-            "attractive": self.attractive,
-            "eta": self.eta,
-            "gamma": self.gamma,
-            "delta": self.delta,
-            "k_values": {f"{u},{v}": k for (u, v), k in self.k_values.items()},
-            "a4_lhs": self.a4_lhs,
-            "a4_satisfied": self.a4_satisfied,
-            "a4_waived": self.a4_waived,
-            "strength_ratio": self.strength_ratio,
-        }
+        return {**asdict(self), "k_values": {f"{u},{v}": k for (u, v), k in self.k_values.items()}}
 
 
 def edge_coupling_norms(model: GaussianModel) -> dict[tuple[int, int], float]:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, check_nonnegative_int
 from .graph import _rng
 from .model import GaussianModel, _as_float
 
@@ -50,6 +50,7 @@ class SampleSet:
 
 def sample(model: GaussianModel, n: int, seed: int) -> SampleSet:
     """n i.i.d. rows distributed N(0, Sigma) for the model's covariance."""
+    check_nonnegative_int("n", n)
     if n < 1:
         raise InvalidParameter(f"need at least one sample, got n={n}")
     z = _rng(seed).standard_normal((n, model.p))

@@ -67,6 +67,23 @@ def brute_force_local_separator(g: Graph, i: int, j: int, gamma: int) -> tuple[i
     raise AssertionError("every pair is separated by removing all other vertices")
 
 
+def dense_partial_correlations(j: np.ndarray) -> np.ndarray:
+    """R of a finite J with a positive diagonal d by dense p x p arithmetic,
+    with a zero diagonal; an entry that overflows is inf.  Where every
+    product d_i d_j is a finite normal float, R_ij = -J_ij / sqrt(d_i d_j);
+    otherwise R_ij = (-J_ij s_i) s_j with s = 1 / sqrt(d)."""
+    d = np.diag(j)
+    d_min, d_max = float(d.min()), float(d.max())
+    with np.errstate(over="ignore"):
+        if d_min * d_min >= np.finfo(float).tiny and d_max * d_max < np.inf:
+            r = -j / np.sqrt(np.outer(d, d))
+        else:
+            s = 1.0 / np.sqrt(d)
+            r = -j * s[:, None] * s
+    np.fill_diagonal(r, 0.0)
+    return r
+
+
 def dense_alpha(j: np.ndarray) -> float:
     """Spectral norm of |R| by a dense symmetric eigensolver."""
     d = np.sqrt(np.diag(j))

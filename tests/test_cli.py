@@ -390,6 +390,18 @@ def test_config_missing_required_key_fails_cleanly(tmp_path):
     assert_clean_error(proc, "Error: configuration is missing the required key 'samples'")
 
 
+@pytest.mark.parametrize("command, payload", [
+    ("generate --seed -1", {"kind": "er", "p": 12, "c": 2.0, "seed": 3}),
+    ("generate", {"kind": "er", "p": 12, "c": 2.0, "seed": -1}),
+    ("synthesize --seed -1", {"ensemble": {"kind": "er", "p": 12, "c": 2.0}, "target_alpha": 0.5}),
+], ids=["option", "config", "synthesize"])
+def test_negative_seed_fails_cleanly(tmp_path, command, payload):
+    # a Philox key must lie in [0, 2**128); numpy's own error was a traceback
+    cfg = write_config(tmp_path / "config.json", payload)
+    proc = run_cli(cfg, tmp_path / "out", command)
+    assert_clean_error(proc, "Error: seed must lie in [0, 2**128), got -1")
+
+
 def test_config_must_be_an_object(runner, tmp_path):
     cfg = write_config(tmp_path / "learn.json", [1, 2])
     result = runner.invoke(main, ["learn", "--config", cfg, "--out", str(tmp_path / "out")])

@@ -97,6 +97,26 @@ def test_generate_er_is_deterministic_and_calibrated():
     assert abs(mean_degree - 3.0) < 0.5
 
 
+@pytest.mark.parametrize("seed, message", [
+    (2.7, "seed must be int, got float 2.7"),
+    (True, "seed must be int, got bool True"),
+    (None, "seed must be int, got NoneType None"),
+    (-1, r"seed must lie in \[0, 2\*\*128\), got -1"),
+    (2**128, rf"seed must lie in \[0, 2\*\*128\), got {2**128}"),
+])
+def test_seeds_are_philox_keys(seed, message):
+    # 2.7 used to draw seed 2's graph, and -1 ended in numpy's ValueError
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        generate_er(10, 2.0, seed=seed)
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        generate_regular(10, 3, seed=seed)
+
+
+def test_seed_range_ends_are_accepted():
+    assert generate_er(10, 2.0, seed=0) == generate_er(10, 2.0, seed=np.uint64(0))
+    assert generate_er(10, 2.0, seed=2**128 - 1).p == 10
+
+
 def test_generate_regular_degrees_and_errors():
     g = generate_regular(20, 3, seed=5)
     assert g.n_edges == 30

@@ -178,6 +178,17 @@ def test_sweep_seed_changes_er_rows():
     assert (row_a.alpha, row_a.j_min) != (row_b.alpha, row_b.j_min)
 
 
+def test_sweep_masks_a_negative_master_seed():
+    # a Philox key must be nonnegative, but lane_seed keeps the low 64 bits
+    # of the master seed, so -1 is the master seed 2**64 - 1
+    def cfg(seed):
+        return TrialConfig(ensemble=EnsembleConfig(kind="er", p=14, c=2.0),
+                           estimator=EstimatorConfig(eta=1), n=400, trials=2, seed=seed)
+
+    rows = [dataclasses.replace(sweep([cfg(seed)]).rows[0], mean_runtime_s=0.0) for seed in (-1, 2**64 - 1)]
+    assert rows[0] == rows[1]
+
+
 def test_sweep_repeats_byte_identical_in_input_order():
     configs = [chain_config(ensemble=EnsembleConfig(kind="chain", p=p), trials=2, n=600, seed=s)
                for p, s in ((12, 1), (8, 2), (10, 3))]

@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -149,6 +150,33 @@ def test_lbp_validation():
         lbp_run(m, h=np.zeros(4))
     with pytest.raises(InvalidParameter):
         lbp_run(m, max_iters=0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"h": [0.0, 1j, 0.0, 0.0, 0.0]}, r"^h must be real, got a complex128 array$"),
+    ({"h": [0.0, 0.0, math.nan, 1.0, 0.0]}, r"^h entry 2 is nan, not finite$"),
+    ({"h": [0.0, 0.0, 0.0, -math.inf, 0.0]}, r"^h entry 3 is -inf, not finite$"),
+    ({"tol": math.nan}, r"^need 0 < tol < inf and max_iters >= 1, got tol=nan, max_iters=10000$"),
+    ({"tol": math.inf}, r"^need 0 < tol < inf and max_iters >= 1, got tol=inf, max_iters=10000$"),
+    ({"tol": -1e-3}, r"^need 0 < tol < inf and max_iters >= 1, got tol=-0.001, max_iters=10000$"),
+    ({"tol": "1e-9"}, r"^tol must be float, got str '1e-9'$"),
+    ({"max_iters": 2.5}, r"^max_iters must be int, got float 2.5$"),
+    ({"max_iters": True}, r"^max_iters must be int, got bool True$"),
+], ids=["complex-h", "nan-h", "inf-h", "nan-tol", "inf-tol", "negative-tol", "str-tol", "float-iters", "bool-iters"])
+def test_lbp_input_contract(kwargs, message):
+    # a NaN in h used to come back converged with NaN means, complex h lost
+    # its imaginary part, tol=nan ran every sweep, and max_iters=2.5 raised
+    # a bare TypeError
+    m = synthesize_model(cycle_graph(5), 0.4)
+    with pytest.raises(InvalidParameter, match=message):
+        lbp_run(m, **kwargs)
+
+
+def test_lbp_accepts_numpy_scalars_and_integer_potentials():
+    m = synthesize_model(cycle_graph(5), 0.4)
+    want = lbp_run(m, [1.0, 0.0, 0.0, 0.0, -1.0])
+    got = lbp_run(m, [1, 0, 0, 0, -1], tol=np.float64(1e-10), max_iters=np.int64(10000))
+    assert np.array_equal(got.means, want.means) and got.iterations == want.iterations
 
 
 def test_lbp_max_iters_cutoff():

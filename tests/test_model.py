@@ -23,6 +23,7 @@ from ggmlearn import (
     generate_smallworld,
     partial_correlation_matrix,
     synthesize_model,
+    torus_grid,
     truncated_walksum_covariance,
     walk_summability_alpha,
 )
@@ -31,7 +32,7 @@ from ggmlearn.graph import Graph
 from ggmlearn.io import load_model, save_model
 from ggmlearn.model import PD_CERTIFICATE_RTOL, _cholesky_pd
 
-from helpers import dense_alpha, marginal_precision_conditional_cov, random_sparse_model
+from helpers import dense_alpha, dense_partial_correlations, marginal_precision_conditional_cov, random_sparse_model
 
 
 def test_partial_correlation_examples():
@@ -547,6 +548,58 @@ def test_alpha_does_not_depend_on_the_scale_of_j(scale):
     assert abs(GaussianModel(m.graph, scale * m.precision).alpha - m.alpha) <= 1e-12
     assert abs(walk_summability_alpha(scale * m.precision) - m.alpha) <= 1e-12
     assert np.abs(partial_correlation_matrix(scale * m.precision) - m.partial_correlations()).max() <= 1e-12
+
+
+def reference_alpha(j: np.ndarray) -> float:
+    """The top eigenvalue of |R| from the dense reference R, or inf where an
+    entry of R overflows."""
+    r = dense_partial_correlations(j)
+    return max(float(np.linalg.eigvalsh(np.abs(r))[-1]), 0.0) if np.isfinite(r).all() else math.inf
+
+
+@st.composite
+def sparse_precisions(draw):
+    """(graph, J) with J = c D^(1/2) (I - R) D^(1/2) on a random graph: R
+    has random magnitudes and signs on the edges and alpha in (0, 1), the
+    diagonal D is drawn from [0.5, 3] and the scale c is 1, 1e160 or 1e-200."""
+    p = draw(st.integers(2, 10))
+    pairs = list(combinations(range(p), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+    r = np.zeros((p, p))
+    for u, v in edges:
+        r[u, v] = r[v, u] = draw(st.floats(0.05, 1.0)) * draw(st.sampled_from([-1.0, 1.0]))
+    if edges:
+        r *= draw(st.floats(0.05, 0.95)) / float(np.linalg.eigvalsh(np.abs(r))[-1])
+    d = np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=p, max_size=p)))
+    j = -np.sqrt(np.outer(d, d)) * r
+    np.fill_diagonal(j, d)
+    return Graph(p, edges), draw(st.sampled_from([1.0, 1e160, 1e-200])) * j
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_precisions())
+def test_r_and_alpha_are_the_dense_references_bit_for_bit(case):
+    graph, j = case
+    assert np.array_equal(partial_correlation_matrix(j), dense_partial_correlations(j))
+    want = reference_alpha(j)
+    assert walk_summability_alpha(j) == want
+    assert GaussianModel(graph, j).alpha == want
+
+
+@pytest.mark.parametrize("g, rho", [*((chain_graph(p), 0.3) for p in (100, 200, 300, 400)), (torus_grid(20, 2), 0.2)],
+                         ids=["chain100", "chain200", "chain300", "chain400", "torus20x20"])
+def test_alpha_of_large_sparse_models_is_the_dense_references(g, rho):
+    # the precision matrices that the oracle-bp benchmark loads
+    j = np.eye(g.p) - rho * g.adjacency_matrix()
+    assert GaussianModel(g, j).alpha == walk_summability_alpha(j) == reference_alpha(j)
+
+
+def test_r_and_alpha_overflow_as_the_dense_reference_does():
+    # |R| = 1e200 / 1e-150 overflows; alpha is at least every entry of |R|
+    j = 1e-150 * np.eye(3) + 1e200 * chain_graph(3).adjacency_matrix()
+    r = partial_correlation_matrix(j)
+    assert np.array_equal(r, dense_partial_correlations(j)) and np.isinf(r[0, 1])
+    assert walk_summability_alpha(j) == reference_alpha(j) == math.inf
 
 
 def test_subnormal_diagonal_loads():

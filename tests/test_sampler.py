@@ -37,6 +37,22 @@ def test_sample_requires_positive_n():
         sample(two_node_model(), 0, seed=0)
 
 
+@pytest.mark.parametrize("n, message", [
+    (10.5, "n must be int, got float 10.5"),
+    (True, "n must be int, got bool True"),
+    (-3, "n must be nonnegative, got -3"),
+])
+def test_sample_size_must_be_an_integer(n, message):
+    # 10.5 and True used to raise bare TypeErrors
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        sample(two_node_model(), n, seed=0)
+
+
+def test_sample_seed_must_be_a_philox_key():
+    with pytest.raises(InvalidParameter, match=r"^seed must lie in \[0, 2\*\*128\), got -1$"):
+        sample(two_node_model(), 10, seed=-1)
+
+
 def test_empirical_covariance_concentrates():
     m = two_node_model(0.5)
     # Sigma = (I - R)^{-1}: off-diagonal 0.5 / 0.75 = 2/3
