@@ -11,13 +11,17 @@ the ball, and its tree is the states' search tree at zero flow.  A pair's
 flow is one list naming, for each vertex that carries a unit, the out state
 the unit comes from and the in state it goes to, so an in state takes one
 residual step at most.  A pair whose separator has k vertices costs one
-max flow and one reverse search from the sink.  The flow starts with one
-unit per child of i whose subtree in the search tree holds a neighbour w of
-j other than j's own children, along the tree path to w and the edge w-j;
-augmenting searches add the rest of the k units, and one more search
-fails.  The lexicographic tie-break then reads every minimum cut off that
-one residual graph, with candidate searches confined to the states between
-the source and sink sides, so the cost follows the ball's edges.  Every
+max flow, one reverse search from the sink, and then at most one forward
+search per vertex that carries a unit and one reverse search per chosen
+vertex but the last.  The flow starts with one unit per child of i whose
+subtree in the search tree holds a neighbour w of j other than j's own
+children, along the tree path to w and the edge w-j; augmenting searches
+add the rest of the k units, and one more search fails.  The lexicographic
+tie-break then reads every minimum cut off that one residual graph.  Only
+a vertex whose split arc carries a unit can be cut, so the tie-break
+tries those alone, in ascending label order, and stops at its k-th choice;
+each forward search stays between the source and sink sides, so the cost
+follows the flow's vertices and the ball's edges next to them.  Every
 maximum flow leaves the same minimum cuts in its residual graph (Picard &
 Queyranne, 1980), so the separator does not depend on which paths the flow
 starts with.  A pair outside the ball costs no search.
@@ -38,6 +42,7 @@ import numpy as np
 from .errors import GenerationFailed, InvalidParameter, check_fields, check_nonnegative_int, check_type, config_kwargs
 
 REGULAR_RETRY_BUDGET = 1000
+ER_BLOCK_ENTRIES = 1 << 16
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -147,17 +152,29 @@ def torus_grid(m: int, d: int) -> Graph:
 
 
 def generate_er(p: int, c: float, seed: int) -> Graph:
-    """Erdos-Renyi graph where each pair is an edge with probability c/p."""
+    """Erdos-Renyi graph where each pair is an edge with probability c/p.
+
+    Row u holds the coins of the pairs (u, u + 1), ..., (u, p - 1), drawn in
+    that order.  They are drawn in blocks of whole rows of at most
+    ``ER_BLOCK_ENTRIES`` coins (a longer row alone), so memory stays O(p);
+    Philox continues one stream across calls, so the edges do not depend on
+    the block size.
+    """
     if p < 1:
         raise InvalidParameter("p must be positive")
     if not 0 <= c <= p:
         raise InvalidParameter(f"need 0 <= c <= p so that c/p is a probability, got c={c}")
     rng = _rng(seed)
     prob = c / p
+    starts = np.concatenate(([0], np.cumsum(np.arange(p - 1, 0, -1, dtype=np.int64))))  # row u's first coin
     edges = []
-    for u in range(p - 1):
-        hits = np.nonzero(rng.random(p - 1 - u) < prob)[0]
-        edges.extend((u, u + 1 + int(off)) for off in hits)
+    u = 0
+    while u < p - 1:
+        end = max(u + 1, int(np.searchsorted(starts, starts[u] + ER_BLOCK_ENTRIES, side="right")) - 1)
+        hits = np.nonzero(rng.random(int(starts[end] - starts[u])) < prob)[0] + starts[u]
+        rows = np.searchsorted(starts, hits, side="right") - 1
+        edges += zip(rows.tolist(), (hits - starts[rows] + rows + 1).tolist())
+        u = end
     return Graph(p, edges)
 
 
@@ -325,31 +342,56 @@ def _ball_states(g: Graph, i: int, gamma: int) -> tuple[tuple[int, ...], dict[in
 _ENDPOINT = -2
 
 
-def _search(outs: list, link: list[int], start: int, flip: int, wall, goal) -> tuple[set, bool]:
-    """Breadth-first search of the residual graph from start, along its arcs
-    (flip=0) or against them (flip=1), never entering ``wall``.  Returns the
-    states it reaches and whether it met ``goal``."""
+def _reach_forward(outs: list, link: list[int], start: int, stop: int, src_side: set,
+                   dst_side: set) -> set | None:
+    """The states a breadth-first search of the residual graph reaches from
+    the in state start along its arcs without entering ``src_side``, or
+    None once it meets the out state ``stop`` or ``dst_side``.  An in
+    state's one step is taken when the queue reaches it, and the out state
+    it leads to is expanded at once."""
     seen = {start}
     queue = [start]
+    for y in queue:
+        x = link[y]
+        x = y ^ 1 if x == -1 else x
+        if x < 0 or x in seen or x in src_side:
+            continue
+        if x == stop or x in dst_side:
+            return None
+        seen.add(x)
+        for z in outs[x] if link[x] < 0 else (x ^ 1, *outs[x]):
+            if z not in seen and z not in src_side:
+                if z in dst_side:
+                    return None
+                seen.add(z)
+                queue.append(z)
+    return seen
+
+
+def _reach_back(outs: list, link: list[int], start: int, side: set) -> None:
+    """Add to ``side`` the in state start and every state outside it that
+    reaches start in the residual graph through states outside it: a
+    breadth-first search against the arcs.  An out state has one
+    predecessor, an in state, taken as soon as the out state is met, so
+    the queue holds in states."""
+    side.add(start)
+    queue = [start]
     for x in queue:
-        y = link[x]
-        if (x ^ flip) & 1:
-            steps = outs[x] if y < 0 else (x ^ 1, *outs[x])
-        else:
-            steps = (x ^ 1,) if y == -1 else (y,) if y >= 0 else ()
-        for y in steps:
-            if y not in seen and y not in wall:
-                if y in goal:
-                    return seen, True
-                seen.add(y)
-                queue.append(y)
-    return seen, False
+        for y in outs[x] if link[x] < 0 else (x ^ 1, *outs[x]):
+            if y not in side:
+                side.add(y)
+                z = link[y]
+                z = y ^ 1 if z == -1 else z
+                if z >= 0 and z not in side:
+                    side.add(z)
+                    queue.append(z)
 
 
 def _augment(outs: list, link: list[int], src: int, dst: int) -> set | None:
-    """One augmenting search, breadth-first in ``_search``'s order: on
-    meeting dst it pushes one unit along the path found and returns None,
-    otherwise it returns the states src reaches."""
+    """One augmenting search, breadth-first along the residual arcs in the
+    order the comment above ``_ENDPOINT`` lists them: on meeting dst it
+    pushes one unit along the path found and returns None, otherwise it
+    returns the states src reaches."""
     parent = [-1] * len(link)
     parent[src] = src
     queue = [src]
@@ -404,15 +446,19 @@ def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], outs: lis
     Queyranne, Math. Prog. Study 13, 1980), so all are read off this one
     residual graph, and the separator is that of any other maximum flow.
     ``src_side`` starts as the states the failing search reached,
-    ``dst_side`` as those that reach the sink.  Greedy on ascending vertex
-    labels: v joins exactly when some minimum cut puts v_in
-    on the source side and v_out on the sink side next to the vertices already
-    chosen, that is when v_out is off the source side, v_in off the sink side,
-    and the search from v_in, confined to the states between the two sides,
-    meets neither v_out nor the sink side. On acceptance that search joins the
-    source side and the states that reach v_out join the sink side; no flow is
-    re-routed. No backward search reaches i_out, whose link names none of its
-    units: every state it reaches leads to its start, which lies off the source
+    ``dst_side`` as those that reach the sink.  Every minimum cut saturates
+    the split arcs it cuts, so the candidates are the vertices that carry a
+    unit, found by walking each unit back from the sink and taken in
+    ascending label order.  Greedy on them: v joins exactly when
+    some minimum cut puts v_in on the source side and v_out on the sink side
+    next to the vertices already chosen, that is when v_out is off the
+    source side, v_in off the sink side, and the forward search from v_in,
+    which never enters the source side, meets neither v_out nor the sink
+    side.  On acceptance that search joins the source side and a reverse
+    search adds the states that reach v_out to the sink side; no flow is
+    re-routed.  The k-th acceptance ends the greedy before either update.
+    No reverse search reaches i_out, whose link names none of its units:
+    every state it reaches leads to its start, which lies off the source
     side.
     """
     if (b := index.get(j)) is None:
@@ -433,20 +479,27 @@ def _lex_min_separator(inside: tuple[int, ...], index: dict[int, int], outs: lis
     while (src_side := _augment(outs, link, src, dst)) is None:
         k += 1
     chosen: list[int] = []
-    dst_side = _search(outs, link, dst, 1, (), ())[0]
-    for a, v in enumerate(inside):
-        if len(chosen) == k:
-            break
-        v_in, v_out = 2 * a, 2 * a + 1
-        if link[v_in] < 0 or v_out in src_side or v_in in dst_side:  # free, the source or the sink
+    dst_side: set = set()
+    _reach_back(outs, link, dst, dst_side)
+    carriers = []  # the in states that carry a unit, each unit walked back from the sink
+    for w_out in outs[dst]:
+        if link[w_out] == dst:
+            x = w_out - 1
+            while link[x] >= 0:  # i_in, an _ENDPOINT, ends the walk
+                carriers.append(x)
+                x = link[x] - 1
+    for v_in in sorted(carriers):
+        v_out = v_in + 1
+        if v_out in src_side or v_in in dst_side:
             continue
-        dst_side.add(v_out)
-        grown, met = _search(outs, link, v_in, 0, src_side, dst_side)
-        dst_side.discard(v_out)
-        if not met:
-            chosen.append(v)
+        grown = _reach_forward(outs, link, v_in, v_out, src_side, dst_side)
+        if grown is not None:
+            chosen.append(inside[v_in >> 1])
+            if len(chosen) == k:
+                break
             src_side.update(grown)
-            dst_side.update(_search(outs, link, v_out, 1, dst_side, ())[0])
+            dst_side.add(v_out)  # whose one predecessor is the in state its unit goes to
+            _reach_back(outs, link, link[v_out], dst_side)
     if len(chosen) != k:
         raise AssertionError("greedy separator construction failed to reach the cut size")
     return tuple(chosen)

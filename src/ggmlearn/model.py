@@ -480,23 +480,21 @@ def edge_coupling_norms(model: GaussianModel) -> dict[tuple[int, int], float]:
     """K(u, v) = squared spectral norm of J with rows u, v deleted and
     columns restricted to {u, v}.
 
-    The Gram matrix of that block is 2 x 2, so its top eigenvalue has a
-    closed form; no iterative solver is involved.
+    That block's 2 x 2 Gram holds the squared norms of columns u and v
+    without their rows u and v, and the columns' inner product, which only
+    their common neighbours feed.  On J's support each is a sum over one
+    vertex's neighbours, and the top eigenvalue has a closed form; no
+    iterative solver is involved.
     """
     j = model.precision
-    p = model.p
+    columns = [dict(zip(near, j[list(near), u].tolist())) for u, near in enumerate(model.graph.adjacency)]
     out: dict[tuple[int, int], float] = {}
     for u, v in model.graph.edges:
-        rest = [r for r in range(p) if r != u and r != v]
-        if not rest:
-            out[(u, v)] = 0.0
-            continue
-        block = j[np.ix_(rest, [u, v])]
-        gram = block.T @ block
-        tr = gram[0, 0] + gram[1, 1]
-        det = gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]
-        disc = max(tr * tr - 4.0 * det, 0.0)
-        out[(u, v)] = float((tr + math.sqrt(disc)) / 2.0)
+        col_u, col_v = columns[u], columns[v]
+        a = sum(x * x for w, x in col_u.items() if w != v)
+        b = sum(x * x for w, x in col_v.items() if w != u)
+        c = sum(x * col_v[w] for w, x in col_u.items() if w in col_v)
+        out[(u, v)] = (a + b + math.sqrt((a - b) ** 2 + 4.0 * c * c)) / 2.0
     return out
 
 

@@ -26,6 +26,7 @@ from ggmlearn import (
     separation_profile,
     torus_grid,
 )
+from ggmlearn import graph as graph_module
 from ggmlearn.graph import _int_root
 from ggmlearn.io import format_edge_list, parse_edge_list
 
@@ -95,6 +96,26 @@ def test_generate_er_is_deterministic_and_calibrated():
     big = generate_er(400, 3.0, seed=11)
     mean_degree = 2 * big.n_edges / big.p
     assert abs(mean_degree - 3.0) < 0.5
+
+
+def _er_one_row_at_a_time(p: int, c: float, seed: int) -> Graph:
+    """generate_er's coins drawn with one call per row."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    edges = []
+    for u in range(p - 1):
+        edges += [(u, u + 1 + int(off)) for off in np.nonzero(rng.random(p - 1 - u) < c / p)[0]]
+    return Graph(p, edges)
+
+
+@pytest.mark.parametrize("p", [1, 2, 60, 700])
+def test_generate_er_blocks_draw_the_per_row_coins(p):
+    # at p = 700 the coins span several blocks, and rows end blocks at
+    # uneven lengths; Philox's stream runs on across the calls
+    if p == 700:
+        assert p * (p - 1) // 2 > 3 * graph_module.ER_BLOCK_ENTRIES
+    for seed in range(3):
+        for c in sorted({min(p, 1.5), min(p, 4.0)}):
+            assert generate_er(p, c, seed) == _er_one_row_at_a_time(p, c, seed)
 
 
 @pytest.mark.parametrize("seed, message", [

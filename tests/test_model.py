@@ -22,6 +22,7 @@ from ggmlearn import (
     generate_regular,
     generate_smallworld,
     partial_correlation_matrix,
+    separation_profile,
     synthesize_model,
     torus_grid,
     truncated_walksum_covariance,
@@ -346,6 +347,58 @@ def test_edge_coupling_norms_match_dense_svd():
     lhs = min(m.d_min * (1 - m.alpha) * abs(j[u, v]) / ks[(u, v)] for u, v in m.graph.edges)
     assert rep.a4_lhs == pytest.approx(lhs)
     assert not rep.a4_waived
+
+
+def _dense_block_coupling_norms(model) -> dict:
+    """K(u, v) as the top eigenvalue of the Gram of J's (p - 2) x 2 block
+    with rows u, v deleted and columns u, v kept, one dense gather per edge."""
+    j = np.asarray(model.precision)
+    out = {}
+    for u, v in model.graph.edges:
+        block = j[np.ix_([r for r in range(model.p) if r not in (u, v)], [u, v])]
+        gram = block.T @ block
+        tr = gram[0, 0] + gram[1, 1]
+        disc = max(tr * tr - 4.0 * (gram[0, 0] * gram[1, 1] - gram[0, 1] * gram[1, 0]), 0.0)
+        out[(u, v)] = float((tr + math.sqrt(disc)) / 2.0)
+    return out
+
+
+COUPLING_MODELS = {
+    "er60": lambda s: synthesize_model(generate_er(60, 3.0, s), 0.6, sign_pattern="random", seed=s),
+    "regular36": lambda s: synthesize_model(generate_regular(36, 3, s), 0.8, sign_pattern="random", seed=s),
+    "torus6x6": lambda s: synthesize_model(torus_grid(6, 2), 0.5, sign_pattern="random", seed=s),
+    # dense supports, so many edges lie on triangles and their columns overlap
+    "sparse15": lambda s: random_sparse_model(15, s, 0.7, density=0.5, diagonal_range=(0.5, 3.0)),
+}
+
+
+@pytest.mark.parametrize("name", list(COUPLING_MODELS))
+def test_edge_coupling_norms_match_dense_blocks(name):
+    # K is summed on J's support, so it may round differently from the
+    # dense per-edge Gram; 1e-12 relative is a few hundred roundings
+    for seed in range(4):
+        m = COUPLING_MODELS[name](seed)
+        ref = _dense_block_coupling_norms(m)
+        got = edge_coupling_norms(m)
+        assert list(got) == list(ref)
+        for edge, k in ref.items():
+            assert got[edge] == pytest.approx(k, rel=1e-12, abs=0.0), edge
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(4, 12), st.integers(0, 2**32 - 1), st.sampled_from([0.3, 0.7, 0.95]),
+       st.floats(0.15, 0.6), st.integers(1, 4))
+def test_separator_conditional_covariance_obeys_the_walk_sum_bound(p, seed, alpha, density, gamma):
+    # S cuts every path of length <= gamma between i and j, and a walk holds
+    # a path between its ends, so every i-j walk avoiding S is longer than
+    # gamma; every principal submatrix of |R| has spectral radius at most
+    # alpha, so those walks sum to at most alpha^(gamma+1) / (1 - alpha)
+    m = random_sparse_model(p, seed, alpha, density=density, diagonal_range=(0.5, 3.0))
+    sigma, d = m.sigma(), np.diag(m.precision)
+    walks = m.alpha ** (gamma + 1) / (1.0 - m.alpha)
+    for (i, j), sep in separation_profile(m.graph, gamma).separators.items():
+        bound = walks / math.sqrt(d[i] * d[j])
+        assert abs(conditional_covariance_exact(sigma, i, j, sep)) <= bound * (1.0 + 1e-12), (i, j, sep)
 
 
 def test_check_assumptions_validation():
